@@ -45,7 +45,6 @@ from .ranks import (
     HypothesisError,
     LoopCheckVerdict,
     PropagatedFlags,
-    RankProfile,
     TopDegreeReport,
     free_loop_necessary_condition,
     gamma_of_map_space,
@@ -107,7 +106,6 @@ __all__ = [
     "ProfileDb",
     "ProfileError",
     "PropagatedFlags",
-    "RankProfile",
     "RelTerm",
     "RelativeResult",
     "ShiftPolynomial",

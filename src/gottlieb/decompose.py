@@ -14,13 +14,19 @@ degree-n Gottlieb group of ``expr``.  Rules, applied deterministically:
   source folds its suspension count into the residual's exponent, so
   ``map(susp(B), Y)`` leaves ``Gen[Σ^{n+1} B -> Y]``.
 
-Results are memoized per call on (subexpression, degree), which keeps
-deeply iterated loop and bouquet spaces polynomial-time.
+The engine makes one pass down the curried chain of mapping spaces,
+carrying the product of the shift polynomials split so far: the live
+degrees are n + i with multiplicity c_i.  A splitting level multiplies
+that polynomial by its own; a residual level emits one ``Gen`` term per
+live degree and passes the polynomial on unchanged; the core atom emits
+``G[n + i](Y)`` with multiplicity c_i.  The pass needs no recursion, so
+the depth of an iterated loop space is not bounded by the interpreter's
+recursion limit.
 """
 
 from math import comb
 
-from .formal import FormalSum, GenGottliebTerm, GottliebTerm
+from .formal import FormalSum, GenGottliebTerm, GottliebTerm, Term
 from .spaces import (
     Atom,
     MapSpace,
@@ -28,10 +34,11 @@ from .spaces import (
     Product,
     SpaceExpr,
     Susp,
+    atom_name,
     desugar,
     format_space,
 )
-from .splitting import sphere_splitting
+from .splitting import ShiftPolynomial, sphere_splitting
 
 __all__ = ["DecomposeError", "closed_form_bouquet", "decompose"]
 
@@ -50,50 +57,40 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
         raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    memo: dict[tuple[SpaceExpr, int], FormalSum] = {}
-
-    def go(e: SpaceExpr, n: int) -> FormalSum:
-        key = (e, n)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(e, Atom):
-            out = FormalSum.single(GottliebTerm(e.name, n))
-        elif isinstance(e, Point):
-            out = FormalSum.zero()
-        elif isinstance(e, MapSpace):
-            out = _map_rule(e, n)
-        else:
-            raise DecomposeError(
-                f"no decomposition rule for target {format_space(e)!r}; "
-                "targets must be atoms, points, or mapping spaces"
-            )
-        memo[key] = out
-        return out
-
-    def _map_rule(e: MapSpace, n: int) -> FormalSum:
+    counts: dict[Term, int] = {}
+    acc = ShiftPolynomial.one()
+    e = desugar(expr)
+    while isinstance(e, MapSpace):
         source, target = e.source, e.target
         if isinstance(source, Product):
             factors = source.children
-            if len(factors) == 1:
-                return go(MapSpace(factors[0], target), n)
-            rest = factors[1] if len(factors) == 2 else Product(factors[1:])
-            return go(MapSpace(factors[0], MapSpace(rest, target)), n)
+            if len(factors) > 1:
+                rest = factors[1] if len(factors) == 2 else Product(factors[1:])
+                target = MapSpace(rest, target)
+            e = MapSpace(factors[0], target)
+            continue
         splitting = sphere_splitting(source, atom_shifts)
         if splitting.splittable:
-            out = go(target, n)
-            for shift in splitting.shifts:
-                out = out + go(target, n + shift)
-            return out
-        # Residual: the target is kept verbatim inside the symbolic term,
-        # but still contributes its own unshifted decomposition.
-        residual_source, exponent = source, n
-        if isinstance(source, Susp):
-            residual_source, exponent = source.child, n + source.count
-        residual = FormalSum.single(GenGottliebTerm(residual_source, exponent, target))
-        return go(target, n) + residual
-
-    return go(desugar(expr), degree)
+            acc = acc * splitting.poly
+        else:
+            # Residual: the target is kept verbatim inside the symbolic term,
+            # and the walk goes on into it with the polynomial unchanged.
+            residual_source, suspensions = source, 0
+            if isinstance(source, Susp):
+                residual_source, suspensions = source.child, source.count
+            for shift, count in acc.coeffs:
+                term = GenGottliebTerm(residual_source, degree + shift + suspensions, target)
+                counts[term] = count
+        e = target
+    if isinstance(e, Atom):
+        for shift, count in acc.coeffs:
+            counts[GottliebTerm(e.name, degree + shift)] = count
+    elif not isinstance(e, Point):
+        raise DecomposeError(
+            f"no decomposition rule for target {format_space(e)!r}; "
+            "targets must be atoms, points, or mapping spaces"
+        )
+    return FormalSum.from_pairs(counts.items())
 
 
 def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> FormalSum:
@@ -109,12 +106,7 @@ def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> F
         raise ValueError(f"iteration count must be >= 1, got {iterations}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    if isinstance(target, Atom):
-        name = target.name
-    elif isinstance(target, str):
-        name = target
-    else:
-        raise TypeError(f"target must be an atom or atom name, got {target!r}")
+    name = atom_name(target)
     pairs = [
         (GottliebTerm(name, degree + j), (circles**j) * comb(iterations, j))
         for j in range(iterations + 1)

@@ -18,17 +18,9 @@ variant.
 from math import comb
 
 from .formal import FormalSum, GottliebTerm, PiTerm
-from .spaces import Atom
+from .spaces import atom_name
 
 __all__ = ["fox_gottlieb", "iterated_loop_homotopy"]
-
-
-def _atom_name(target) -> str:
-    if isinstance(target, Atom):
-        return target.name
-    if isinstance(target, str):
-        return target
-    raise TypeError(f"target must be an atom or atom name, got {target!r}")
 
 
 def iterated_loop_homotopy(degree: int, iterations: int, target) -> FormalSum:
@@ -40,7 +32,7 @@ def iterated_loop_homotopy(degree: int, iterations: int, target) -> FormalSum:
         )
     if iterations < 1:
         raise ValueError(f"iteration count must be >= 1, got {iterations}")
-    name = _atom_name(target)
+    name = atom_name(target)
     return FormalSum.from_pairs(
         (PiTerm(name, degree + r), comb(iterations, r)) for r in range(iterations + 1)
     )
@@ -54,7 +46,7 @@ def fox_gottlieb(degree: int, target) -> FormalSum:
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    name = _atom_name(target)
+    name = atom_name(target)
     return FormalSum.from_pairs(
         (GottliebTerm(name, 1 + j), comb(degree - 1, j)) for j in range(degree)
     )

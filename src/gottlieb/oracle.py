@@ -285,7 +285,16 @@ def _derived_profile_entry(
                                     suspension_shifts=core_profile.suspension_shifts)
         step_db = ProfileDb.of([step_profile] + step_db_spaces)
         table = gottlieb_table_of_map_space(source, core.name, sorted(needed), step_db)
-        assert isinstance(table, GradedGroup), "synthetic tables cover every degree"
+        if not isinstance(table, GradedGroup):
+            # The synthetic tables cover every degree the fold needs, so a
+            # gap here is a fault in the derivation, reported as a failure.
+            return CheckEntry(
+                "evaluated decompose",
+                "derived-profile recursion",
+                degrees,
+                False,
+                f"derived table incomplete: missing {', '.join(table.missing)}",
+            )
     counterexample = None
     for n in degrees:
         direct = evaluate(decompose(expr, n, atom_shifts), db)

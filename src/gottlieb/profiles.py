@@ -489,6 +489,8 @@ def load(document: str) -> ProfileDb:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise ProfileError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProfileError("JSON document is nested too deeply") from exc
     _require_object(doc, "document")
     _check_keys(doc, {"spaces", "maps"}, "document")
     spaces_obj = _require_object(doc.get("spaces", {}), "spaces")

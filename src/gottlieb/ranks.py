@@ -23,7 +23,7 @@ G_d(Y) + G_{d+1}(Y) on the requested degree window.
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup
-from .profiles import GradedGroup, Incomplete, SpaceProfile
+from .profiles import GradedGroup, Incomplete, ProfileError, SpaceProfile
 from .spaces import SpaceExpr
 from .splitting import sphere_splitting
 
@@ -31,7 +31,6 @@ __all__ = [
     "HypothesisError",
     "LoopCheckVerdict",
     "PropagatedFlags",
-    "RankProfile",
     "TopDegreeReport",
     "free_loop_necessary_condition",
     "gamma_of_map_space",
@@ -43,25 +42,6 @@ __all__ = [
 
 class HypothesisError(ValueError):
     """A computation was requested whose validity hypotheses are not verified."""
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Ranks by degree, with the same bound semantics as a graded table."""
-
-    gamma: dict[int, int]
-    zero_above: int | None = None
-
-    @classmethod
-    def from_graded(cls, table: GradedGroup) -> "RankProfile":
-        return cls({d: g.rank for d, g in table.entries.items()}, table.zero_above)
-
-    def lookup(self, degree: int) -> int | None:
-        if degree in self.gamma:
-            return self.gamma[degree]
-        if self.zero_above is not None and degree > self.zero_above:
-            return 0
-        return None
 
 
 def hypotheses_met(x_profile: SpaceProfile, y_profile: SpaceProfile) -> bool:
@@ -107,15 +87,14 @@ def gamma_of_map_space(
         raise HypothesisError(
             f"{x_profile.name!r} declares no Betti numbers; the rank formula needs them"
         )
-    gamma = RankProfile.from_graded(y_profile.gottlieb)
     missing = []
     total = 0
     for i, b in enumerate(x_profile.betti):
-        value = gamma.lookup(degree + i)
-        if value is None:
+        group = y_profile.gottlieb.lookup(degree + i)
+        if group is None:
             missing.append(f"gamma[{degree + i}]({y_profile.name})")
         else:
-            total += b * value
+            total += b * group.rank
     if missing:
         return Incomplete(tuple(missing), ())
     return total
@@ -127,7 +106,7 @@ class TopDegreeReport:
 
     ``degree`` is None when every rank below the bound is zero.  Whenever a
     top degree N exists, the mapping space has the same rank at N as the
-    target does, which the computation asserts internally.
+    target does, which the computation checks; a mismatch raises ProfileError.
     """
 
     degree: int | None
@@ -148,22 +127,23 @@ def top_degree_report(
         raise HypothesisError(
             f"{y_profile.name!r} declares no zero_above bound; the top degree is undefined"
         )
-    gamma = RankProfile.from_graded(y_profile.gottlieb)
-    missing = [f"gamma[{d}]({y_profile.name})" for d in range(1, bound + 1) if gamma.lookup(d) is None]
+    groups = {d: y_profile.gottlieb.lookup(d) for d in range(1, bound + 1)}
+    missing = [f"gamma[{d}]({y_profile.name})" for d, g in groups.items() if g is None]
     if missing:
         return Incomplete(tuple(missing), ())
     top = None
-    for d in range(1, bound + 1):
-        if gamma.lookup(d) > 0:
+    for d, group in groups.items():
+        if group.rank > 0:
             top = d
     if top is None:
         return TopDegreeReport(None, None)
     value = gamma_of_map_space(x_profile, y_profile, top, unchecked=unchecked)
-    assert value == gamma.lookup(top), (
-        f"rank at the top degree must survive to the mapping space, "
-        f"got {value} != {gamma.lookup(top)}"
-    )
-    return TopDegreeReport(top, gamma.lookup(top))
+    if value != groups[top].rank:
+        raise ProfileError(
+            f"rank at the top degree must survive to the mapping space, "
+            f"got {value} != {groups[top].rank}"
+        )
+    return TopDegreeReport(top, groups[top].rank)
 
 
 @dataclass(frozen=True)

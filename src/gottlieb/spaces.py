@@ -42,6 +42,7 @@ __all__ = [
     "Susp",
     "Torus",
     "Wedge",
+    "atom_name",
     "desugar",
     "format_space",
     "is_valid_atom_name",
@@ -179,6 +180,15 @@ class BouquetSpace(SpaceExpr):
     def __post_init__(self) -> None:
         _nat(self.circles, "bouquet circle count")
         _nat(self.iterations, "iteration count")
+
+
+def atom_name(target) -> str:
+    """Name of a target given either as an Atom node or as an atom name."""
+    if isinstance(target, Atom):
+        return target.name
+    if isinstance(target, str):
+        return target
+    raise TypeError(f"target must be an atom or atom name, got {target!r}")
 
 
 class SpaceParseError(ValueError):

@@ -1,18 +1,25 @@
 """Stable wedge decompositions of suspensions into spheres.
 
 A space X "splits" when its suspension is homotopy equivalent to a wedge
-of spheres.  The splitting is recorded as the multiset of degree shifts
-{i_1, ..., i_k}, meaning susp(X) is the wedge of spheres of dimensions
-i_r + 1; equivalently, a single Gottlieb-group evaluation against X moves
-the target degree up by each i_r once, plus the unshifted copy.  The
-generating-function view is the shift polynomial 1 + sum of t^{i_r}.
+of spheres.  The splitting is recorded as its shift polynomial
+1 + sum of c_i t^i: susp(X) is the wedge of c_i spheres of dimension
+i + 1 for each i, so a single Gottlieb-group evaluation against X moves
+the target degree up by i with multiplicity c_i, plus the unshifted copy
+(the constant term).
 
-Rules: a p-sphere contributes {p}; a point contributes nothing; a wedge
-is the multiset union; suspending by k adds k to every shift; a product
-of A and B contributes the shifts of A, the shifts of B, and all pairwise
-sums (smash summands of the suspended product); atoms contribute their
-declared shifts, if any.  Mapping spaces and undeclared atoms block the
-splitting, and the blocking subterm is reported rather than raised.
+Rules, computed directly on polynomials:
+
+* a p-sphere gives 1 + t^p;
+* a point gives 1;
+* a wedge of A_1, ..., A_k gives 1 + sum of (p_i - 1);
+* suspending by k multiplies every non-constant term by t^k;
+* a product of A and B gives p_A * p_B (the suspended product is the
+  suspended factors plus one smash summand per pair of sphere cells,
+  whose shifts add);
+* an atom gives 1 + sum of t^s over its declared shifts s, if any.
+
+Mapping spaces and undeclared atoms block the splitting, and the blocking
+subterm is reported rather than raised.
 """
 
 from dataclasses import dataclass
@@ -47,83 +54,6 @@ class NotSplittableError(ValueError):
         self.blocker = blocker
         self.reason = reason
         super().__init__(f"{format_space(blocker)} does not split: {reason}")
-
-
-@dataclass(frozen=True)
-class SphereSplitting:
-    """Either a multiset of shifts (sorted tuple) or the blocking subterm."""
-
-    shifts: tuple[int, ...] | None
-    blocker: SpaceExpr | None = None
-    reason: str = ""
-
-    @property
-    def splittable(self) -> bool:
-        return self.shifts is not None
-
-    def __str__(self) -> str:
-        if self.splittable:
-            return "{" + ", ".join(str(s) for s in self.shifts) + "}"
-        return f"not splittable: {format_space(self.blocker)} ({self.reason})"
-
-
-class _Blocked(Exception):
-    def __init__(self, blocker: SpaceExpr, reason: str):
-        self.blocker = blocker
-        self.reason = reason
-
-
-def _combine_product(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    # Suspended product = suspended A, suspended B, and one smash summand
-    # per pair of sphere cells, whose shifts add.
-    pairs = tuple(a + b for a in left for b in right)
-    return tuple(sorted(left + right + pairs))
-
-
-def _shifts_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> tuple[int, ...]:
-    match expr:
-        case Sphere(dim):
-            return (dim,)
-        case Point():
-            return ()
-        case Atom(name):
-            declared = atom_shifts.get(name)
-            if declared is None:
-                raise _Blocked(expr, "atom has no declared suspension shifts")
-            shifts = tuple(sorted(int(s) for s in declared))
-            if any(s < 1 for s in shifts):
-                raise ValueError(f"declared shifts for {name!r} must all be >= 1")
-            return shifts
-        case Wedge(children):
-            out: tuple[int, ...] = ()
-            for child in children:
-                out = out + _shifts_of(child, atom_shifts)
-            return tuple(sorted(out))
-        case Susp(child, count):
-            return tuple(s + count for s in _shifts_of(child, atom_shifts))
-        case Product(children):
-            out = _shifts_of(children[0], atom_shifts)
-            for child in children[1:]:
-                out = _combine_product(out, _shifts_of(child, atom_shifts))
-            return out
-        case MapSpace():
-            raise _Blocked(expr, "mapping spaces do not split into spheres")
-    raise TypeError(f"not a desugared space expression: {expr!r}")
-
-
-def sphere_splitting(
-    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
-) -> SphereSplitting:
-    """Shift multiset of the sphere splitting of susp(expr), if one exists.
-
-    ``atom_shifts`` maps atom names to their declared shift multisets.
-    Sugar is expanded first, so the result is invariant under ``desugar``.
-    """
-    try:
-        shifts = _shifts_of(desugar(expr), atom_shifts or {})
-    except _Blocked as blocked:
-        return SphereSplitting(None, blocked.blocker, blocked.reason)
-    return SphereSplitting(shifts)
 
 
 @dataclass(frozen=True)
@@ -204,6 +134,85 @@ class ShiftPolynomial:
         return " + ".join(parts)
 
 
+@dataclass(frozen=True)
+class SphereSplitting:
+    """Either the shift polynomial of the splitting or the blocking subterm."""
+
+    poly: ShiftPolynomial | None
+    blocker: SpaceExpr | None = None
+    reason: str = ""
+
+    @property
+    def splittable(self) -> bool:
+        return self.poly is not None
+
+    @property
+    def shifts(self) -> tuple[int, ...] | None:
+        """The shift multiset as a sorted tuple, expanded from ``poly``."""
+        if self.poly is None:
+            return None
+        return tuple(shift for shift, count in self.poly.coeffs[1:] for _ in range(count))
+
+    def __str__(self) -> str:
+        if self.splittable:
+            return "{" + ", ".join(str(s) for s in self.shifts) + "}"
+        return f"not splittable: {format_space(self.blocker)} ({self.reason})"
+
+
+class _Blocked(Exception):
+    def __init__(self, blocker: SpaceExpr, reason: str):
+        self.blocker = blocker
+        self.reason = reason
+
+
+def _poly_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPolynomial:
+    match expr:
+        case Sphere(dim):
+            return ShiftPolynomial(((0, 1), (dim, 1)))
+        case Point():
+            return ShiftPolynomial.one()
+        case Atom(name):
+            declared = atom_shifts.get(name)
+            if declared is None:
+                raise _Blocked(expr, "atom has no declared suspension shifts")
+            shifts = [int(s) for s in declared]
+            if any(s < 1 for s in shifts):
+                raise ValueError(f"declared shifts for {name!r} must all be >= 1")
+            return ShiftPolynomial.from_shifts(shifts)
+        case Wedge(children):
+            counts = {0: 1}
+            for child in children:
+                for shift, count in _poly_of(child, atom_shifts).coeffs[1:]:
+                    counts[shift] = counts.get(shift, 0) + count
+            return ShiftPolynomial.from_dict(counts)
+        case Susp(child, count):
+            inner = _poly_of(child, atom_shifts)
+            return ShiftPolynomial(((0, 1),) + tuple((i + count, c) for i, c in inner.coeffs[1:]))
+        case Product(children):
+            out = ShiftPolynomial.one()
+            for child in children:
+                out = out * _poly_of(child, atom_shifts)
+            return out
+        case MapSpace():
+            raise _Blocked(expr, "mapping spaces do not split into spheres")
+    raise TypeError(f"not a desugared space expression: {expr!r}")
+
+
+def sphere_splitting(
+    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
+) -> SphereSplitting:
+    """Shift polynomial of the sphere splitting of susp(expr), if one exists.
+
+    ``atom_shifts`` maps atom names to their declared shift multisets.
+    Sugar is expanded first, so the result is invariant under ``desugar``.
+    """
+    try:
+        poly = _poly_of(desugar(expr), atom_shifts or {})
+    except _Blocked as blocked:
+        return SphereSplitting(None, blocked.blocker, blocked.reason)
+    return SphereSplitting(poly)
+
+
 def shift_polynomial(
     expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
 ) -> ShiftPolynomial:
@@ -215,4 +224,4 @@ def shift_polynomial(
     splitting = sphere_splitting(expr, atom_shifts)
     if not splitting.splittable:
         raise NotSplittableError(splitting.blocker, splitting.reason)
-    return ShiftPolynomial.from_shifts(splitting.shifts)
+    return splitting.poly

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gottlieb.cli import main
+from gottlieb.profiles import Incomplete
 
 
 DOC = {
@@ -146,6 +147,20 @@ def test_pathologically_deep_expression_exits_two(capsys):
     assert "nested too deeply" in err
 
 
+def test_deep_loop_decomposes(capsys):
+    code, out, _ = run(capsys, "decompose", "--expr", "loop(Y, 2000)", "--degree", "1")
+    assert code == 0
+    assert out.startswith("G[1](Y) + 2000*G[2](Y) + 1999000*G[3](Y) + ")
+
+
+def test_deeply_nested_profile_document_exits_three(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
+    assert code == 3
+    assert "nested too deeply" in err
+
+
 def test_bad_degree_exits_two(capsys):
     code, _, err = run(capsys, "decompose", "--expr", "Y", "--degree", "0")
     assert code == 2
@@ -201,6 +216,15 @@ def test_rank_top_degree_report(capsys, profile_path):
     code, out, _ = run(capsys, "rank", "--expr", "map(C, Y)", "--profiles", profile_path)
     assert code == 0
     assert out.strip() == "top degree 5: gamma = 1"
+
+
+def test_rank_top_degree_invariant_exits_three(capsys, profile_path, monkeypatch):
+    # A rank that does not survive to the top degree is an explicit error,
+    # so the check still runs under python -O.
+    monkeypatch.setattr("gottlieb.ranks.gamma_of_map_space", lambda *args, **kw: 7)
+    code, _, err = run(capsys, "rank", "--expr", "map(C, Y)", "--profiles", profile_path)
+    assert code == 3
+    assert "rank at the top degree must survive" in err
 
 
 def test_rank_json(capsys, profile_path):
@@ -390,6 +414,17 @@ def test_check_single_expression(capsys):
     assert code == 0
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_check_incomplete_derived_table_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "gottlieb.oracle.gottlieb_table_of_map_space",
+        lambda *args, **kw: Incomplete(("G[9](Y)",), ()),
+    )
+    code, out, _ = run(capsys, "check", "--expr", "map(T2, Y)", "--degree", "3")
+    assert code == 4
+    assert "FAIL evaluated decompose == derived-profile recursion" in out
+    assert "derived table incomplete: missing G[9](Y)" in out
 
 
 def test_check_json(capsys):

@@ -60,6 +60,21 @@ def test_residual_terms():
     assert str(nested) == "G[1](Y) + G[2](Y) + Gen[Σ^1 B -> map(S1, Y)]"
 
 
+def test_residual_targets_keep_the_remaining_curried_factors():
+    # Multi-factor products curry left to right, and each residual keeps the
+    # rest of the chain as its target, printed verbatim.
+    three = decompose(parse_space("map(prod(A, B, C), Y)"), 1)
+    assert str(three) == (
+        "G[1](Y) + Gen[Σ^1 A -> map(prod(B, C), Y)] + Gen[Σ^1 B -> map(C, Y)] "
+        "+ Gen[Σ^1 C -> Y]"
+    )
+    mixed = decompose(parse_space("map(prod(A, S1, susp(B, 2)), Y)"), 1)
+    assert str(mixed) == (
+        "G[1](Y) + G[2](Y) + Gen[Σ^1 A -> map(prod(S1, susp(B, 2)), Y)] "
+        "+ Gen[Σ^3 B -> Y] + Gen[Σ^4 B -> Y]"
+    )
+
+
 def test_suspension_folds_into_residual_exponent():
     deep = decompose(parse_space("map(susp(susp(B, 2)), Y)"), 1)
     assert deep.multiplicity(GenGottliebTerm(Atom("B"), 4, Atom("Y"))) == 1
@@ -112,10 +127,15 @@ def test_closed_form_bouquet_validation():
 
 
 def test_closed_form_matches_engine_on_deep_towers():
-    # The engine must survive a ten-level tower; memoization keeps this fast.
+    # Ten-level towers: the engine's single pass must match the closed form.
     for m, n in ((1, 1), (2, 3), (4, 5)):
         expr = parse_space(f"bloop(Y, {m}, 10)")
         assert decompose(expr, n) == closed_form_bouquet(m, 10, n, "Y")
+
+
+def test_loop_depth_is_not_bounded_by_the_recursion_limit():
+    expr = parse_space("loop(Y, 2000)")
+    assert decompose(expr, 1) == closed_form_bouquet(1, 2000, 1, "Y")
 
 
 @settings(max_examples=60)

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import splittable_exprs
+from gottlieb.oracle import tuple_enumeration_shifts
 from gottlieb.spaces import (
     Atom,
     Bouquet,
@@ -118,6 +119,18 @@ def test_torus_power_matches_binomials():
 def test_polynomial_is_multiplicative_over_products(a, b):
     product = shift_polynomial(Product((a, b)))
     assert product == shift_polynomial(a) * shift_polynomial(b)
+
+
+@given(st.lists(splittable_exprs(max_depth=1), min_size=1, max_size=3))
+def test_product_shifts_match_tuple_enumeration(children):
+    # Independent of the polynomial product: brute enumeration over factor
+    # subsets and one sphere choice per chosen factor.
+    shifts = sphere_splitting(Product(tuple(children))).shifts
+    counted: dict[int, int] = {}
+    for s in shifts:
+        counted[s] = counted.get(s, 0) + 1
+    factors = [sphere_splitting(child).shifts for child in children]
+    assert counted == tuple_enumeration_shifts(factors)
 
 
 @given(splittable_exprs())
