@@ -38,7 +38,13 @@ class RunConfig:
                             help="print every comparison, not just failures")
         args = parser.parse_args(argv)
         start, _, stop = args.degrees.partition("..")
-        window = range(int(start), int(stop or start) + 1)
+        try:
+            low, high = int(start), int(stop or start)
+        except ValueError:
+            parser.error(f"--degrees must be A..B of integers, got {args.degrees!r}")
+        if not 1 <= low <= high:
+            parser.error(f"--degrees needs 1 <= A <= B, got {args.degrees!r}")
+        window = range(low, high + 1)
         return cls(args.count, args.seed, window, args.verbose)
 
 

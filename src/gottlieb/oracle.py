@@ -6,18 +6,19 @@ as a reported mismatch rather than a silent error:
 
 * ``recursive_bouquet_coefficients`` builds bouquet multiplicities purely
   by repeated one-step polynomial multiplication (no binomial function);
-* ``randomized_decompose`` replays the rewrite rules in a random
-  admissible order (random currying splits, random shift order, direct
-  product splitting instead of currying);
+* ``randomized_decompose`` makes one pass down the curried chain, applying
+  the rewrite rules in a random admissible order (random currying splits,
+  direct product splitting, each splitting's ``(shift, count)`` pairs in
+  random order), so its cost follows the answer, not the multiset;
 * ``tuple_enumeration_shifts`` counts degree shifts of a product by brute
   enumeration of factor subsets and sphere choices;
 * ``crosscheck`` runs all applicable strategies over a degree window and
   reports every pairwise comparison.  A failure is data in the report,
   not an exception.
 
-Beyond the shared FormalSum vocabulary, nothing here reuses code from
-the decomposition engine; the engine is only ever invoked as the subject
-under test.
+Beyond the shared FormalSum vocabulary and sphere splittings, nothing
+here reuses code from the decomposition engine; ``decompose`` and
+``closed_form_bouquet`` are only ever invoked as subjects under test.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .abelian import canonicalize
 from .decompose import closed_form_bouquet, decompose
-from .formal import FormalSum, GenGottliebTerm, GottliebTerm
+from .formal import FormalSum, GenGottliebTerm, GottliebTerm, Term
 from .profiles import GradedGroup, ProfileDb, SpaceProfile, evaluate, gottlieb_table_of_map_space
 from .spaces import (
     Atom,
@@ -46,7 +47,7 @@ from .spaces import (
     format_space,
     parse_space,
 )
-from .splitting import ShiftPolynomial, shift_polynomial, sphere_splitting
+from .splitting import ShiftPolynomial, sphere_splitting
 
 __all__ = [
     "CheckEntry",
@@ -87,54 +88,66 @@ def randomized_decompose(
     atom_shifts: Mapping[str, Sequence[int]] | None = None,
     rng: random.Random | None = None,
 ) -> FormalSum:
-    """Decompose with randomly chosen admissible rule applications.
+    """Decompose in one pass down the curried chain, with rules chosen at random.
 
-    At every mapping-space node with a product source, either curry off a
-    random nonempty sub-block (in random factor order) or split the whole
-    product source directly; shift contributions are accumulated in random
-    order.  For fully splittable expressions any such order must agree
-    with the deterministic engine.
+    The pass carries a dict of live degree -> multiplicity.  A product
+    source that splits either curries off a random sub-block (in random
+    factor order) or splits in one step.  A product with a blocked factor
+    curries off its splittable prefix, or its blocked first factor: the
+    residual's target keeps the later factors in order.  A splitting
+    applies its ``(shift, count)`` pairs in random order; a blocked level
+    adds one ``Gen`` term per live degree and passes the degrees on.  Any
+    such order must agree with the deterministic engine.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     rng = rng if rng is not None else random.Random(0)
-
-    def go(e: SpaceExpr, n: int) -> FormalSum:
-        if isinstance(e, Atom):
-            return FormalSum.single(GottliebTerm(e.name, n))
-        if isinstance(e, Point):
-            return FormalSum.zero()
-        if not isinstance(e, MapSpace):
-            raise ValueError(f"no rule for target {format_space(e)!r}")
+    live = {degree: 1}
+    counts: dict[Term, int] = {}
+    e = desugar(expr)
+    while isinstance(e, MapSpace):
         source, target = e.source, e.target
+        splitting = sphere_splitting(source, atom_shifts)
         if isinstance(source, Product):
             factors = list(source.children)
-            if len(factors) == 1:
-                return go(MapSpace(factors[0], target), n)
-            if rng.random() < 0.5:
+            cut = None
+            if not splitting.splittable:
+                cut = max(1, next(i for i, f in enumerate(factors)
+                                  if not sphere_splitting(f, atom_shifts).splittable))
+            elif len(factors) > 1 and rng.random() < 0.5:
                 rng.shuffle(factors)
                 cut = rng.randrange(1, len(factors))
-                outer, inner = factors[:cut], factors[cut:]
-                outer_src = outer[0] if len(outer) == 1 else Product(tuple(outer))
-                inner_src = inner[0] if len(inner) == 1 else Product(tuple(inner))
-                return go(MapSpace(outer_src, MapSpace(inner_src, target)), n)
-            # else: fall through and split the product source in one step
-        splitting = sphere_splitting(source, atom_shifts)
+            if cut is not None:
+                if cut < len(factors):
+                    target = MapSpace(_block(factors[cut:]), target)
+                e = MapSpace(_block(factors[:cut]), target)
+                continue
         if splitting.splittable:
-            shifts = list(splitting.shifts)
-            rng.shuffle(shifts)
-            out = go(target, n)
-            for shift in shifts:
-                out = out + go(target, n + shift)
-            return out
-        residual_source, exponent = source, n
-        if isinstance(source, Susp):
-            residual_source, exponent = source.child, n + source.count
-        return go(target, n) + FormalSum.single(
-            GenGottliebTerm(residual_source, exponent, target)
-        )
+            pairs = list(splitting.poly.coeffs)
+            rng.shuffle(pairs)
+            step: dict[int, int] = {}
+            for shift, count in pairs:
+                for n, mult in live.items():
+                    step[n + shift] = step.get(n + shift, 0) + count * mult
+            live = step
+        else:
+            residual_source, suspensions = source, 0
+            if isinstance(source, Susp):
+                residual_source, suspensions = source.child, source.count
+            for n, mult in live.items():
+                term = GenGottliebTerm(residual_source, n + suspensions, target)
+                counts[term] = counts.get(term, 0) + mult
+        e = target
+    if isinstance(e, Atom):
+        for n, mult in live.items():
+            counts[GottliebTerm(e.name, n)] = mult
+    elif not isinstance(e, Point):
+        raise ValueError(f"no rule for target {format_space(e)!r}")
+    return FormalSum.from_pairs(counts.items())
 
-    return go(desugar(expr), degree)
+
+def _block(factors: Sequence[SpaceExpr]) -> SpaceExpr:
+    return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
 
 def tuple_enumeration_shifts(factors: Sequence[Sequence[int]]) -> dict[int, int]:
@@ -247,19 +260,15 @@ def _synthetic_profile(name: str, degrees: Iterable[int], seed: int) -> SpacePro
     return SpaceProfile(name, gottlieb=GradedGroup(entries))
 
 
-def _derived_profile_entry(
+def _derived_profile_counterexample(
     expr: SpaceExpr,
+    sources: tuple[SpaceExpr, ...],
+    core_name: str,
+    polys: Sequence[ShiftPolynomial],
     degrees: tuple[int, ...],
     atom_shifts: Mapping[str, Sequence[int]],
     seed: int,
-) -> CheckEntry | None:
-    sources, core = uncurry(expr)
-    if not isinstance(core, Atom) or not sources:
-        return None
-    try:
-        polys = [shift_polynomial(s, atom_shifts) for s in sources]
-    except ValueError:
-        return None
+) -> str | None:
     level_degrees: list[set[int]] = [set(degrees)]
     for poly in polys:
         prev = level_degrees[-1]
@@ -267,48 +276,33 @@ def _derived_profile_entry(
     shift_profiles = [
         SpaceProfile(name, suspension_shifts=tuple(shifts))
         for name, shifts in atom_shifts.items()
-        if name != core.name
+        if name != core_name
     ]
-    core_profile = _synthetic_profile(core.name, level_degrees[-1], seed)
-    if core.name in atom_shifts:
+    core_profile = _synthetic_profile(core_name, level_degrees[-1], seed)
+    if core_name in atom_shifts:
         core_profile = SpaceProfile(
-            core.name,
+            core_name,
             gottlieb=core_profile.gottlieb,
-            suspension_shifts=tuple(atom_shifts[core.name]),
+            suspension_shifts=tuple(atom_shifts[core_name]),
         )
     db = ProfileDb.of([core_profile] + shift_profiles)
     # Fold tables from the innermost mapping space outward.
     table = core_profile.gottlieb
-    step_db_spaces = shift_profiles
     for source, needed in zip(reversed(sources), reversed(level_degrees[:-1])):
-        step_profile = SpaceProfile(core.name, gottlieb=table,
+        step_profile = SpaceProfile(core_name, gottlieb=table,
                                     suspension_shifts=core_profile.suspension_shifts)
-        step_db = ProfileDb.of([step_profile] + step_db_spaces)
-        table = gottlieb_table_of_map_space(source, core.name, sorted(needed), step_db)
+        step_db = ProfileDb.of([step_profile] + shift_profiles)
+        table = gottlieb_table_of_map_space(source, core_name, sorted(needed), step_db)
         if not isinstance(table, GradedGroup):
             # The synthetic tables cover every degree the fold needs, so a
             # gap here is a fault in the derivation, reported as a failure.
-            return CheckEntry(
-                "evaluated decompose",
-                "derived-profile recursion",
-                degrees,
-                False,
-                f"derived table incomplete: missing {', '.join(table.missing)}",
-            )
-    counterexample = None
+            return f"derived table incomplete: missing {', '.join(table.missing)}"
     for n in degrees:
         direct = evaluate(decompose(expr, n, atom_shifts), db)
         derived = table.lookup(n)
         if direct != derived:
-            counterexample = f"degree {n}: direct={direct} derived={derived}"
-            break
-    return CheckEntry(
-        "evaluated decompose",
-        "derived-profile recursion",
-        degrees,
-        counterexample is None,
-        counterexample,
-    )
+            return f"degree {n}: direct={direct} derived={derived}"
+    return None
 
 
 Strategy = Callable[[int], FormalSum]
@@ -380,17 +374,18 @@ def crosscheck(
                 _sum_from_poly(p, t, n)
             )
     sources, core = uncurry(expr)
-    source_splittings = [sphere_splitting(s, shifts) for s in sources]
-    if isinstance(core, Atom) and all(s.splittable for s in source_splittings):
+    splittings = [sphere_splitting(s, shifts) for s in sources]
+    fully_split = isinstance(core, Atom) and all(s.splittable for s in splittings)
+    polys = [s.poly for s in splittings]
+    if fully_split:
         if "polynomial" in selected:
             poly = ShiftPolynomial.one()
-            for splitting in source_splittings:
-                poly = poly * ShiftPolynomial.from_shifts(splitting.shifts)
+            for factor in polys:
+                poly = poly * factor
             available["polynomial"] = lambda n, p=poly: _sum_from_poly(p, core.name, n)
         if "tuple-enumeration" in selected and sources:
-            counts = tuple_enumeration_shifts([s.shifts for s in source_splittings])
-            counts = {0: 1, **counts}
-            enum_poly = ShiftPolynomial.from_dict(counts)
+            counts = tuple_enumeration_shifts([s.shifts for s in splittings])
+            enum_poly = ShiftPolynomial.from_dict({0: 1, **counts})
             available["tuple-enumeration"] = lambda n, p=enum_poly: _sum_from_poly(
                 p, core.name, n
             )
@@ -410,8 +405,10 @@ def crosscheck(
                 counterexample = f"degree {n}: {left} gives {a}, {right} gives {b}"
                 break
         entries.append(CheckEntry(left, right, degrees, counterexample is None, counterexample))
-    if "derived-profile" in selected:
-        derived = _derived_profile_entry(expr, degrees, shifts, seed)
-        if derived is not None:
-            entries.append(derived)
+    if "derived-profile" in selected and fully_split and sources:
+        counterexample = _derived_profile_counterexample(
+            expr, sources, core.name, polys, degrees, shifts, seed
+        )
+        entries.append(CheckEntry("evaluated decompose", "derived-profile recursion",
+                                  degrees, counterexample is None, counterexample))
     return CrosscheckReport(format_space(expr), tuple(entries))

@@ -236,6 +236,16 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_literal(digits: str, at: int) -> int:
+    # int() refuses literals past the interpreter's digit limit (4300 by
+    # default); report that as a syntax error at the literal.
+    try:
+        return int(digits)
+    except ValueError:
+        message = f"integer literal of {len(digits)} digits is too long"
+        raise SpaceParseError(message, at) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
@@ -254,7 +264,7 @@ class _Parser:
 
     def nat(self, what: str) -> int:
         tok = self.take("INT", ("a positive integer",))
-        value = int(tok[1])
+        value = _int_literal(tok[1], tok[2])
         if value < 1:
             raise SpaceParseError(f"{what} must be >= 1", tok[2])
         return value
@@ -275,7 +285,7 @@ class _Parser:
                 raise SpaceParseError(
                     f"reserved name {value!r} has a malformed index", at
                 )
-            index = int(digits)
+            index = _int_literal(digits, at + len(letter))
             return {"S": Sphere, "T": Torus, "B": Bouquet}[letter](index)
         return Atom(value)
 

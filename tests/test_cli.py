@@ -140,6 +140,15 @@ def test_decompose_error_exits_two(capsys):
     assert "no decomposition rule" in err
 
 
+@pytest.mark.parametrize("template", ["S{}", "loop(Y, {})"])
+def test_overlong_integer_literal_exits_two(capsys, template):
+    expr = template.format("1" * 4400)
+    code, _, err = run(capsys, "decompose", "--expr", expr, "--degree", "1")
+    assert code == 2
+    assert "position" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_pathologically_deep_expression_exits_two(capsys):
     expr = "wedge(S1, " * 5000 + "S1" + ")" * 5000
     code, _, err = run(capsys, "decompose", "--expr", expr, "--degree", "1")

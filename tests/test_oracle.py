@@ -1,11 +1,19 @@
 """Independent recomputation strategies and the crosscheck harness."""
 
+import os
 import random
+import subprocess
+import sys
+import time
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gottlieb.decompose import decompose
+import gottlieb
+from gottlieb.decompose import closed_form_bouquet, decompose
 from gottlieb.formal import FormalSum, GottliebTerm
 from gottlieb.oracle import (
     crosscheck,
@@ -18,12 +26,18 @@ from gottlieb.oracle import (
 from gottlieb.spaces import (
     Atom,
     MapSpace,
+    Point,
     Product,
     Sphere,
+    Susp,
     Wedge,
     parse_space,
 )
 from gottlieb.splitting import shift_polynomial, sphere_splitting
+
+from conftest import splittable_exprs
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_recursion_examples():
@@ -67,6 +81,55 @@ def test_randomized_decompose_handles_residuals():
     deep = parse_space("map(susp(B, 2), map(S1, Y))")
     for seed in range(5):
         assert randomized_decompose(deep, 1, rng=random.Random(seed)) == decompose(deep, 1)
+
+
+# Sources for random chains.  B is a residual atom and X has declared
+# shifts.  The sources stay small because the recursive oracle that this
+# walk replaced cost (total multiplicity per level)^levels.
+_SHIFTS = {"X": (1, 2)}
+_SPLITTABLE = st.one_of(splittable_exprs(0), st.just(Atom("X")))
+_RESIDUAL = st.one_of(
+    st.just(Atom("B")), st.integers(1, 3).map(lambda k: Susp(Atom("B"), k))
+)
+_MIXED_PRODUCT = st.tuples(
+    st.lists(_SPLITTABLE, max_size=2), _RESIDUAL, st.lists(_SPLITTABLE, max_size=2)
+).map(lambda t: Product((*t[0], t[1], *t[2])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(_SPLITTABLE, _RESIDUAL, _MIXED_PRODUCT), min_size=1, max_size=6),
+    st.sampled_from([Atom("Y"), Point()]),
+    st.integers(1, 3),
+)
+def test_randomized_decompose_agrees_on_residual_chains(sources, core, degree):
+    expr = core
+    for source in reversed(sources):
+        expr = MapSpace(source, expr)
+    expected = decompose(expr, degree, _SHIFTS)
+    for seed in range(3):
+        assert randomized_decompose(expr, degree, _SHIFTS, random.Random(seed)) == expected
+
+
+def test_randomized_decompose_walks_deep_loops():
+    # The walk carries a dict down the chain, so depth is not bounded by
+    # the recursion limit.
+    assert randomized_decompose(parse_space("loop(Y, 2000)"), 1) == closed_form_bouquet(
+        1, 2000, 1, "Y"
+    )
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["bloop(Y, 3, 8)", "map(susp(prod(" + ", ".join(["wedge(S1, S2, S3)"] * 8) + ")), Y)"],
+)
+def test_randomized_strategy_follows_the_answer_not_the_multiset(expr):
+    # The answer has at most 25 terms; the multiset it stands for has 4^8.
+    start = time.perf_counter()
+    report = crosscheck(expr, [1], strategies=["deterministic", "randomized"])
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert elapsed < 0.5, elapsed
 
 
 def test_randomized_decompose_rejects_bad_targets():
@@ -190,3 +253,16 @@ def test_residual_expressions_skip_polynomial_strategies():
     assert "polynomial" not in used
     assert "tuple-enumeration" not in used
     assert {"deterministic", "randomized"} <= used
+
+
+@pytest.mark.parametrize("window", ["a..b", "0..3", "3..1"])
+def test_run_crosschecks_rejects_bad_degree_windows(window):
+    env = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_crosschecks.py"), "--degrees", window],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    assert "usage:" in result.stderr
+    assert "--degrees" in result.stderr
+    assert "Traceback" not in result.stderr

@@ -16,3 +16,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_oracles_name_nothing_from_the_engine():
+    # An oracle routed through the engine it checks would check nothing.
+    source = (Path(gottlieb.__file__).parent / "oracle.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    engine = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if node.module in ("decompose", "gottlieb.decompose")
+        or (node.module is None and alias.name == "decompose")
+    }
+    assert engine
+    oracles = {
+        "randomized_decompose",
+        "recursive_bouquet_coefficients",
+        "tuple_enumeration_shifts",
+    }
+    found = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in oracles
+    ]
+    assert {node.name for node in found} == oracles
+    offenders = [
+        f"{node.name}:{name.lineno} {name.id}"
+        for node in found
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and name.id in engine
+    ]
+    assert offenders == []
