@@ -5,7 +5,10 @@ orders of its cyclic torsion summands, kept sorted by (prime, exponent).
 The primary decomposition is unique per isomorphism class, so equality of
 values is isomorphism of groups and direct sum is a multiset merge.  The
 invariant-factor chain d_1 | d_2 | ... | d_s is a derived view computed on
-demand.  All arithmetic is exact integer arithmetic.
+demand.  All arithmetic is exact integer arithmetic; orders are factored
+and primes certified by ``gottlieb.numtheory`` (standard library only).  An
+order that Pollard-Brent rho cannot split within its work budget raises
+``ValueError``, which profile loading reports as a schema error.
 
 >>> g = canonicalize(1, [6, 4])
 >>> g.torsion
@@ -24,7 +27,7 @@ import re
 from dataclasses import dataclass
 from math import prod
 
-from sympy import factorint, isprime
+from .numtheory import factorint, isprime
 
 __all__ = [
     "AbelianGroup",
@@ -58,7 +61,8 @@ class AbelianGroup:
         pairs = []
         for pair in self.torsion:
             p, k = pair
-            if not isinstance(p, int) or not isinstance(k, int):
+            if (isinstance(p, bool) or not isinstance(p, int)
+                    or isinstance(k, bool) or not isinstance(k, int)):
                 raise TypeError(f"torsion pair must be two integers, got {pair!r}")
             if not isprime(p):
                 raise ValueError(f"torsion base must be prime, got {p}")
@@ -133,18 +137,27 @@ class AbelianGroup:
             if part == "Z":
                 rank += 1
             elif m := _FREE_RE.fullmatch(part):
-                r = int(m.group(1))
+                r = _summand_int(m.group(1), "free exponent")
                 if r < 1:
                     raise ValueError(f"free exponent must be >= 1 in {part!r}")
                 rank += r
             elif m := _CYCLIC_RE.fullmatch(part):
-                d = int(m.group(1))
+                d = _summand_int(m.group(1), "cyclic order")
                 if d < 2:
                     raise ValueError(f"cyclic order must be >= 2 in {part!r}")
                 orders.append(d)
             else:
                 raise ValueError(f"cannot parse group summand {part!r} in {text!r}")
         return canonicalize(rank, orders)
+
+
+def _summand_int(digits: str, what: str) -> int:
+    # int() refuses strings past the interpreter's digit limit (4300 by
+    # default); report that without echoing the digits.
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"{what} of {len(digits)} digits is too long") from None
 
 
 TRIVIAL = AbelianGroup()
@@ -163,7 +176,7 @@ def canonicalize(rank: int, cyclic_orders=()) -> AbelianGroup:
             raise TypeError(f"cyclic order must be an integer, got {order!r}")
         if order <= 1:
             raise ValueError(f"cyclic order must be >= 2, got {order}")
-        torsion.extend((int(p), int(k)) for p, k in factorint(order).items())
+        torsion.extend(factorint(order).items())
     return AbelianGroup(rank, tuple(torsion))
 
 

@@ -91,6 +91,30 @@ def test_text_codec_rejects_garbage():
             parse_group(bad)
 
 
+@pytest.mark.parametrize("summand", ["Z/", "Z^"])
+def test_text_codec_bounds_overlong_integers(summand):
+    # Past the interpreter's 4300-digit limit for int(); the message is
+    # our own and does not echo the digits.
+    with pytest.raises(ValueError, match="of 5000 digits is too long") as err:
+        parse_group(summand + "7" * 5000)
+    assert "set_int_max_str_digits" not in str(err.value)
+    assert len(str(err.value)) < 100
+
+
+@pytest.mark.parametrize("pair", [(2, True), (True, 1), (False, 1), (3, False)])
+def test_torsion_pairs_reject_booleans(pair):
+    with pytest.raises(TypeError, match="two integers"):
+        AbelianGroup(0, (pair,))
+
+
+def test_large_prime_orders():
+    p20 = 10**19 + 51
+    assert canonicalize(0, [p20**2 * 12]).torsion == ((2, 2), (3, 1), (p20, 2))
+    assert AbelianGroup(0, ((p20, 3),)) == canonicalize(0, [p20**3])
+    with pytest.raises(ValueError, match="must be prime"):
+        AbelianGroup(0, ((p20 * 3, 1),))
+
+
 def test_from_text_is_classmethod_alias():
     assert AbelianGroup.from_text("Z^2 + Z/9") == canonicalize(2, [9])
 

@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand and every exit code."""
 
 import json
+import time
 
 import pytest
 
@@ -182,6 +183,66 @@ def test_missing_profile_file_exits_three(capsys, tmp_path):
     )
     assert code == 3
     assert "cannot read profile document" in err
+
+
+def _eval_entry(capsys, tmp_path, group):
+    doc = {"spaces": {"Y": {"gottlieb": {"entries": {"1": group}}}}}
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc))
+    return run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
+
+
+ENTRY = "spaces.Y.gottlieb.entries.1"
+
+
+@pytest.mark.parametrize("pair", [[2, True], [True, 1]])
+def test_boolean_torsion_entries_exit_three(capsys, tmp_path, pair):
+    code, _, err = _eval_entry(capsys, tmp_path, {"torsion": [pair]})
+    assert code == 3
+    assert ENTRY in err
+    assert "two integers" in err
+
+
+@pytest.mark.parametrize("text", ["Z/" + "3" * 5000, "Z^" + "3" * 5000])
+def test_overlong_group_integers_exit_three(capsys, tmp_path, text):
+    code, _, err = _eval_entry(capsys, tmp_path, text)
+    assert code == 3
+    assert ENTRY in err
+    assert "5000 digits is too long" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        # 30- and 31-digit factors: more than 30 s of factoring with sympy.
+        (5 * 10**29 + 9) * (3 * 10**30 + 91),
+        # A 1000-digit product of two primes.
+        (10**499 + 153) * (10**500 + 961),
+    ],
+    ids=["61-digit", "1000-digit"],
+)
+def test_unfactorable_orders_exit_three_quickly(capsys, tmp_path, order):
+    start = time.perf_counter()
+    code, _, err = _eval_entry(capsys, tmp_path, f"Z/{order}")
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert ENTRY in err
+    assert "within the work budget" in err
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (10**29 + 319, 10**29 + 379),  # close factors: the Fermat step
+        (1000000007, 10**19 + 51),  # 10 by 20 digits: Pollard-Brent rho
+    ],
+    ids=["close", "10x20"],
+)
+def test_semiprime_orders_load(capsys, tmp_path, p, q):
+    code, out, _ = _eval_entry(capsys, tmp_path, f"Z/{p * q}")
+    assert code == 0
+    assert out.strip() == f"Z/{p * q}"
 
 
 def test_schema_error_exits_three(capsys, tmp_path):

@@ -1,0 +1,174 @@
+"""Primality and factorization against independent references."""
+
+import random
+import time
+from math import prod
+
+import pytest
+
+from gottlieb.numtheory import factorint, isprime
+
+# Composites that fool strong Miller-Rabin tests to many small prime bases:
+# the least strong pseudoprimes to the first 4, 9, 12 and 13 prime bases,
+# smaller ones to bases 2 and 2, 3, and strong Lucas pseudoprimes.
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+    5459,
+    5777,
+    10877,
+    16109,
+    18971,
+]
+# The least Carmichael numbers with 3, 4, ..., 10 prime factors.
+CARMICHAEL = [
+    561,
+    41041,
+    825265,
+    321197185,
+    5394826801,
+    232250619601,
+    9746347772161,
+    1436697831295441,
+]
+# Primes on both sides of the Miller-Rabin limit, so BPSW runs too.
+PRIMES = [
+    2**61 - 1,
+    2**89 - 1,
+    3317044064679887385961813,  # the largest prime below the limit
+    2**107 - 1,
+    2**127 - 1,
+    2**521 - 1,
+    10**29 + 319,
+    10**499 + 153,
+]
+P20 = 10**19 + 51  # a 20-digit prime
+
+
+def trial_isprime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def trial_factorint(n):
+    factors, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_isprime_matches_trial_division_up_to_1e5():
+    sieve = bytearray([1]) * 100_001
+    sieve[:2] = b"\0\0"
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, 100_001, i)))
+    assert [n for n in range(100_001) if isprime(n)] == [
+        n for n in range(100_001) if sieve[n]
+    ]
+    assert all(isprime(n) == trial_isprime(n) for n in range(-5, 2000))
+
+
+def test_factorint_matches_trial_division_up_to_3e4():
+    for n in range(1, 30_001):
+        assert factorint(n) == trial_factorint(n), n
+
+
+@pytest.mark.parametrize("n", STRONG_PSEUDOPRIMES + CARMICHAEL)
+def test_pseudoprimes_are_composite(n):
+    assert not isprime(n)
+
+
+@pytest.mark.parametrize("p", PRIMES, ids=lambda p: f"{p.bit_length()}-bit")
+def test_known_primes(p):
+    assert isprime(p)
+    assert not isprime(p * P20)
+    assert not isprime(p * p)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        P20**2,
+        P20**3,
+        P20**5,
+        2**10 * 3 * P20**2,
+        P20**2 * 1000003**3,
+        (10**29 + 319) ** 2,
+        (10**29 + 319) * (10**29 + 379),  # close factors: the Fermat step
+        1000000007 * P20,  # a 10-digit factor: Pollard-Brent rho
+        997**4 * 1009**2 * 65537,
+    ],
+)
+def test_factorization_multiplies_back_to_primes(n):
+    factors = factorint(n)
+    assert prod(p**k for p, k in factors.items()) == n
+    assert all(isprime(p) and k >= 1 for p, k in factors.items())
+
+
+def test_seeded_random_factorizations_multiply_back():
+    rng = random.Random(20170101)
+    for _ in range(300):
+        n = rng.randrange(1, 10 ** rng.randint(1, 22))
+        try:
+            factors = factorint(n)
+        except ValueError:
+            continue  # two factors beyond the rho budget
+        assert prod(p**k for p, k in factors.items()) == n
+        assert all(isprime(p) for p in factors)
+
+
+def test_factorint_rejects_non_positive_and_non_integers():
+    for bad in (0, -6, True, 2.0, "6"):
+        with pytest.raises(ValueError):
+            factorint(bad)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # 30- and 31-digit factors: a 61-digit semiprime.
+        (5 * 10**29 + 9) * (3 * 10**30 + 91),
+        # A 1000-digit product of two primes.
+        (10**499 + 153) * (10**500 + 961),
+    ],
+    ids=["61-digit", "1000-digit"],
+)
+def test_unsplittable_orders_exhaust_the_budget_quickly(n):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="within the work budget"):
+        factorint(n)
+    assert time.perf_counter() - start < 10
+
+
+def test_agrees_with_sympy_on_random_integers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(40)
+    for _ in range(2000):
+        n = rng.randrange(1, 10 ** rng.randint(1, 40))
+        assert isprime(n) == sympy.isprime(n), n
+    exhausted = 0
+    for _ in range(100):
+        n = rng.randrange(1, 10 ** rng.randint(1, 40))
+        try:
+            factors = factorint(n)
+        except ValueError:
+            exhausted += 1  # two prime factors past the rho budget
+            continue
+        # Unique factorization: this is equality with sympy.factorint(n),
+        # without sympy's slow factoring.
+        assert prod(p**k for p, k in factors.items()) == n
+        assert all(sympy.isprime(p) for p in factors), n
+    assert exhausted < 15

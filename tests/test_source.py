@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import gottlieb
 
 
@@ -48,3 +50,29 @@ def test_oracles_name_nothing_from_the_engine():
         if isinstance(name, ast.Name) and name.id in engine
     ]
     assert offenders == []
+
+
+def test_package_imports_no_sympy():
+    # Number theory is gottlieb.numtheory; sympy alone was most of the
+    # cold-start time.
+    root = Path(gottlieb.__file__).parent
+    offenders = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "sympy"
+            ]
+    assert offenders == []
+
+
+def test_project_has_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project.get("dependencies", []) == []
