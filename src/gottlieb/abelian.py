@@ -1,31 +1,42 @@
 """Finitely generated abelian groups in canonical form.
 
-A group is stored as a free rank together with the multiset of prime-power
-orders of its cyclic torsion summands, kept sorted by (prime, exponent).
-The primary decomposition is unique per isomorphism class, so equality of
-values is isomorphism of groups and direct sum is a multiset merge.  The
-invariant-factor chain d_1 | d_2 | ... | d_s is a derived view computed on
-demand.  All arithmetic is exact integer arithmetic; orders are factored
-and primes certified by ``gottlieb.numtheory`` (standard library only).  An
-order that Pollard-Brent rho cannot split within its work budget raises
-``ValueError``, which profile loading reports as a schema error.
+A group is stored as a free rank together with its primary torsion by
+multiplicity: one (prime, exponent, count) triple per distinct cyclic
+summand Z/p^k, kept sorted by (prime, exponent).  The primary decomposition
+is unique per isomorphism class, so equality of values is isomorphism of
+groups, and direct sum adds counts.  ``direct_sum`` and ``scaled`` cost
+O(distinct summands) whatever the multiplicities, which is what a mapping
+space answer needs: a few distinct groups, each repeated C(N, j) times.
+
+Validation happens once, where outside input enters: the constructor checks
+every item (integers, p prime, k >= 1, count >= 1, p^k of at most 4300
+decimal digits, so every admitted summand prints under the interpreter's
+default digit limit), and ``canonicalize`` checks its orders and factors
+them.  Sums and multiples of valid groups are valid, so they skip the
+checks.  The invariant-factor chain d_1 | d_2 | ... | d_s is a derived view
+computed on demand; text output prints a run of n >= 2 equal factors d as
+``(Z/d)^n``.  All arithmetic is exact integer arithmetic; orders are
+factored and primes certified by ``gottlieb.numtheory`` (standard library
+only).  An order that Pollard-Brent rho cannot split within its work budget
+raises ``ValueError``, which profile loading reports as a schema error.
 
 >>> g = canonicalize(1, [6, 4])
 >>> g.torsion
-((2, 1), (2, 2), (3, 1))
+((2, 1, 1), (2, 2, 1), (3, 1, 1))
 >>> g.invariant_factors()
 [2, 12]
 >>> str(g)
 'Z + Z/2 + Z/12'
 >>> str(g.direct_sum(canonicalize(0, [5])))
 'Z + Z/2 + Z/60'
+>>> str(canonicalize(0, [2, 8, 8]).scaled(10**20))
+'(Z/2)^100000000000000000000 + (Z/8)^200000000000000000000'
 >>> canonicalize(0, [6, 35]) == canonicalize(0, [10, 21])
 True
 """
 
 import re
 from dataclasses import dataclass
-from math import prod
 
 from .numtheory import factorint, isprime
 
@@ -39,75 +50,149 @@ __all__ = [
 
 _FREE_RE = re.compile(r"Z\^([0-9]+)\Z")
 _CYCLIC_RE = re.compile(r"Z/([0-9]+)\Z")
+_RUN_RE = re.compile(r"\(Z/([0-9]+)\)\^([0-9]+)\Z")
+
+# An admitted prime power or order has at most this many decimal digits,
+# the interpreter's default limit for int <-> str conversion.
+_MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**_MAX_DIGITS
+_SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # 2^_SAFE_BITS < 10^4300
+
+
+def _too_long(p: int, k: int) -> bool:
+    """True when p^k has more than 4300 digits.
+
+    p^k lies between 2^(k(b-1)) and 2^(kb) for b = p.bit_length(), which
+    settles nearly every case; only a power within a factor 2^k of the
+    bound is formed, and it has at most twice its bits.
+    """
+    bits = p.bit_length()
+    if k * bits <= _SAFE_BITS:
+        return False
+    if k * (bits - 1) > _SAFE_BITS:
+        return True
+    return p**k >= _DIGIT_BOUND
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_rank(rank) -> None:
+    if not _is_int(rank):
+        raise TypeError(f"rank must be an integer, got {rank!r}")
+    if rank < 0:
+        raise ValueError(f"rank must be non-negative, got {rank}")
 
 
 @dataclass(frozen=True)
 class AbelianGroup:
     """A finitely generated abelian group Z^rank + sum of Z/p^k factors.
 
-    ``torsion`` holds one (p, k) pair per cyclic summand of order p^k.
-    The constructor sorts the pairs, so two values compare equal exactly
-    when the groups are isomorphic.
+    ``torsion`` holds one (p, k, count) triple per distinct cyclic summand
+    of order p^k, sorted by (p, k).  The constructor also accepts (p, k)
+    pairs, meaning count 1, validates every item, and merges equal (p, k),
+    so two values compare equal exactly when the groups are isomorphic.
     """
 
     rank: int = 0
-    torsion: tuple[tuple[int, int], ...] = ()
+    torsion: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.rank, bool) or not isinstance(self.rank, int):
-            raise TypeError(f"rank must be an integer, got {self.rank!r}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        pairs = []
-        for pair in self.torsion:
-            p, k = pair
-            if (isinstance(p, bool) or not isinstance(p, int)
-                    or isinstance(k, bool) or not isinstance(k, int)):
-                raise TypeError(f"torsion pair must be two integers, got {pair!r}")
-            if not isprime(p):
-                raise ValueError(f"torsion base must be prime, got {p}")
+        _check_rank(self.rank)
+        triples = []
+        for item in self.torsion:
+            # This loop is the cost of every load, so the common case (plain
+            # ints, a short prime power) takes the cheapest tests first.
+            size = len(item) if isinstance(item, (tuple, list)) else 0
+            if size == 2:
+                p, k = item
+                count = 1
+            elif size == 3:
+                p, k, count = item
+            else:
+                p = k = count = None
+            if not (type(p) is int and type(k) is int and type(count) is int) and not (
+                _is_int(p) and _is_int(k) and _is_int(count)
+            ):
+                raise TypeError(
+                    f"torsion item must be two integers (p, k) or three (p, k, count), "
+                    f"got {item!r}"
+                )
             if k < 1:
                 raise ValueError(f"torsion exponent must be >= 1, got {k}")
-            pairs.append((p, k))
-        object.__setattr__(self, "torsion", tuple(sorted(pairs)))
+            if count < 1:
+                raise ValueError(f"torsion count must be >= 1, got {count}")
+            if k * p.bit_length() > _SAFE_BITS and _too_long(p, k):
+                raise ValueError(f"torsion order p^k exceeds {_MAX_DIGITS} digits")
+            if not isprime(p):
+                raise ValueError(f"torsion base must be prime, got {p}")
+            triples.append((p, k, count))
+        object.__setattr__(self, "torsion", _merged(triples))
 
     @property
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
 
     def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
-        """Direct sum, i.e. rank addition and torsion multiset merge."""
+        """Direct sum: ranks add and the counts of equal summands add."""
         rank = self.rank
-        torsion = list(self.torsion)
+        triples = list(self.torsion)
         for other in others:
             rank += other.rank
-            torsion.extend(other.torsion)
-        return AbelianGroup(rank, tuple(torsion))
+            triples += other.torsion
+        return _trusted(rank, _merged(triples))
 
     def scaled(self, copies: int) -> "AbelianGroup":
         """Direct sum of ``copies`` copies of this group."""
         if not isinstance(copies, int) or copies < 0:
             raise ValueError(f"copy count must be a non-negative integer, got {copies!r}")
-        return AbelianGroup(self.rank * copies, self.torsion * copies)
+        if copies == 0:
+            return TRIVIAL
+        return _trusted(
+            self.rank * copies,
+            tuple((p, k, count * copies) for p, k, count in self.torsion),
+        )
+
+    def _factor_runs(self) -> list[tuple[int, int]]:
+        """The invariant factors as runs (d, n) of n equal factors d, ascending.
+
+        The largest factor collects the highest exponent of every prime, the
+        next factor the second highest, and so on.  The factor only changes
+        where some prime's run of equal exponents ends, so each step takes
+        the shortest remaining run and ends at least one of them.
+        """
+        # Per prime, [exponent, copies left] in ascending order: the top of
+        # each stack is that prime's highest exponent not yet used up.
+        stacks: dict[int, list[list[int]]] = {}
+        for p, k, count in self.torsion:
+            if p in stacks:
+                stacks[p].append([k, count])
+            else:
+                stacks[p] = [[k, count]]
+        runs = []
+        while stacks:
+            step = min([stack[-1][1] for stack in stacks.values()])
+            d = 1
+            for p, stack in list(stacks.items()):
+                top = stack[-1]
+                d *= p ** top[0]
+                top[1] -= step
+                if not top[1]:
+                    stack.pop()
+                    if not stack:
+                        del stacks[p]
+            runs.append((d, step))
+        runs.reverse()
+        return runs
 
     def invariant_factors(self) -> list[int]:
         """The chain d_1 | d_2 | ... | d_s with the group = Z^rank + sum Z/d_i.
 
-        The largest factor collects the highest exponent of every prime, the
-        next factor the second highest, and so on; the chain is returned in
-        ascending (divisibility) order.
+        The chain is returned expanded and in ascending (divisibility)
+        order, one entry per factor, so its length is the total count.
         """
-        per_prime: dict[int, list[int]] = {}
-        for p, k in self.torsion:
-            per_prime.setdefault(p, []).append(k)
-        for exponents in per_prime.values():
-            exponents.sort(reverse=True)
-        depth = max((len(v) for v in per_prime.values()), default=0)
-        factors = [
-            prod(p ** exps[j] for p, exps in per_prime.items() if j < len(exps))
-            for j in range(depth)
-        ]
-        return factors[::-1]
+        return [d for d, n in self._factor_runs() for _ in range(n)]
 
     def __str__(self) -> str:
         parts = []
@@ -115,40 +200,48 @@ class AbelianGroup:
             parts.append("Z")
         elif self.rank > 1:
             parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors())
+        parts.extend(f"Z/{d}" if n == 1 else f"(Z/{d})^{n}" for d, n in self._factor_runs())
         return " + ".join(parts) if parts else "0"
 
     @classmethod
     def from_text(cls, text: str) -> "AbelianGroup":
-        """Parse the ``"Z^r + Z/d + ..."`` codec; ``"0"`` is the trivial group.
+        """Parse the ``"Z^r + Z/d + (Z/e)^n + ..."`` codec; ``"0"`` is trivial.
 
         Summand order does not matter and ``Z`` may repeat; the result is
-        canonicalized, so ``from_text("Z/4 + Z/3")`` equals ``from_text("Z/12")``.
+        canonicalized, so ``from_text("Z/4 + Z/3")`` equals ``from_text("Z/12")``
+        and ``from_text("(Z/2)^2")`` equals ``from_text("Z/2 + Z/2")``.
         """
         if not isinstance(text, str):
             raise TypeError(f"group text expected, got {text!r}")
         stripped = text.strip()
         if stripped == "0":
-            return cls()
+            return TRIVIAL
         rank = 0
-        orders: list[int] = []
+        orders: dict[int, int] = {}
         for part in stripped.split("+"):
             part = part.strip()
             if part == "Z":
                 rank += 1
-            elif m := _FREE_RE.fullmatch(part):
+                continue
+            if m := _FREE_RE.fullmatch(part):
                 r = _summand_int(m.group(1), "free exponent")
                 if r < 1:
                     raise ValueError(f"free exponent must be >= 1 in {part!r}")
                 rank += r
-            elif m := _CYCLIC_RE.fullmatch(part):
-                d = _summand_int(m.group(1), "cyclic order")
-                if d < 2:
-                    raise ValueError(f"cyclic order must be >= 2 in {part!r}")
-                orders.append(d)
+                continue
+            if m := _CYCLIC_RE.fullmatch(part):
+                copies = 1
+            elif m := _RUN_RE.fullmatch(part):
+                copies = _summand_int(m.group(2), "run length")
+                if copies < 1:
+                    raise ValueError(f"run length must be >= 1 in {part!r}")
             else:
                 raise ValueError(f"cannot parse group summand {part!r} in {text!r}")
-        return canonicalize(rank, orders)
+            d = _summand_int(m.group(1), "cyclic order")
+            if d < 2:
+                raise ValueError(f"cyclic order must be >= 2 in {part!r}")
+            orders[d] = orders.get(d, 0) + copies
+        return _from_orders(rank, orders)
 
 
 def _summand_int(digits: str, what: str) -> int:
@@ -160,24 +253,59 @@ def _summand_int(digits: str, what: str) -> int:
         raise ValueError(f"{what} of {len(digits)} digits is too long") from None
 
 
-TRIVIAL = AbelianGroup()
+def _merged(triples: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+    """Sort (p, k, count) triples and add up the counts of equal (p, k)."""
+    triples.sort()
+    merged: list[tuple[int, int, int]] = []
+    for p, k, count in triples:  # equal (p, k) are now adjacent
+        if merged and merged[-1][0] == p and merged[-1][1] == k:
+            merged[-1] = (p, k, merged[-1][2] + count)
+        else:
+            merged.append((p, k, count))
+    return tuple(merged)
+
+
+def _trusted(rank: int, torsion: tuple[tuple[int, int, int], ...]) -> AbelianGroup:
+    """An AbelianGroup from parts already known to be valid and canonical."""
+    group = object.__new__(AbelianGroup)
+    object.__setattr__(group, "rank", rank)
+    object.__setattr__(group, "torsion", torsion)
+    return group
+
+
+def _from_orders(rank: int, orders: dict[int, int]) -> AbelianGroup:
+    """Z^rank plus ``orders[d]`` copies of Z/d, for checked orders d >= 2."""
+    _check_rank(rank)
+    # factorint returns certified primes, so the result needs no check.
+    triples = [
+        (p, k, copies)
+        for order, copies in orders.items()
+        for p, k in factorint(order).items()
+    ]
+    return _trusted(rank, _merged(triples))
+
+
+TRIVIAL = _trusted(0, ())
 
 
 def canonicalize(rank: int, cyclic_orders=()) -> AbelianGroup:
     """Build the canonical form of Z^rank + sum of Z/order summands.
 
     Each order is factored into prime powers, e.g. orders [6, 4] become
-    torsion ((2, 1), (2, 2), (3, 1)).  Orders must be integers >= 2; the
-    free part is passed separately as ``rank``.
+    torsion ((2, 1, 1), (2, 2, 1), (3, 1, 1)).  Orders must be integers
+    >= 2 of at most 4300 digits; the free part is passed separately as
+    ``rank``.
     """
-    torsion: list[tuple[int, int]] = []
+    orders: dict[int, int] = {}
     for order in cyclic_orders:
-        if isinstance(order, bool) or not isinstance(order, int):
+        if not _is_int(order):
             raise TypeError(f"cyclic order must be an integer, got {order!r}")
         if order <= 1:
             raise ValueError(f"cyclic order must be >= 2, got {order}")
-        torsion.extend(factorint(order).items())
-    return AbelianGroup(rank, tuple(torsion))
+        if _too_long(order, 1):
+            raise ValueError(f"cyclic order exceeds {_MAX_DIGITS} digits")
+        orders[order] = orders.get(order, 0) + 1
+    return _from_orders(rank, orders)
 
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:

@@ -16,7 +16,7 @@ from .decompose import DecomposeError, decompose
 from .formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, RelTerm
 from .fox import fox_gottlieb, iterated_loop_homotopy
 from .oracle import crosscheck, random_splittable_expr
-from .profiles import Incomplete, ProfileDb, ProfileError, evaluate, load
+from .profiles import Incomplete, ProfileDb, ProfileError, evaluate, group_to_json, load
 from .ranks import (
     HypothesisError,
     free_loop_necessary_condition,
@@ -132,8 +132,7 @@ def _sum_obj(formal_sum: FormalSum) -> list[dict]:
 
 
 def _group_obj(group) -> dict:
-    return {"rank": group.rank, "torsion": [[p, k] for p, k in group.torsion],
-            "text": str(group)}
+    return {**group_to_json(group), "text": str(group)}
 
 
 def _atom_name(args_expr: str, what: str) -> str:

@@ -63,9 +63,9 @@ def isprime(n: int) -> bool:
 
 @lru_cache(maxsize=1024)
 def _isprime_large(n: int) -> bool:
-    # Profiles validate the same large primes again and again (every
-    # AbelianGroup re-checks its pairs, a save and load checks them once
-    # more), so the verdicts are memoized, a bounded number per process.
+    # Profiles validate the same large primes again and again (a text order
+    # and a structured item may share a prime, a save and load checks them
+    # once more), so the verdicts are memoized, a bounded number per process.
     if n < _MR_LIMIT:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)

@@ -25,9 +25,14 @@ A profile document is a JSON object::
     }
 
 Entry degrees are decimal strings >= 1.  Groups are written either in the
-text codec ("Z^r + Z/d + ...") or structurally as {"rank": r, "torsion":
-[[p, k], ...]}; ``save`` always emits the structural form.  Unknown keys
-are rejected everywhere.  A graded table maps a degree to a group when an
+text codec ("Z^r + Z/d + (Z/e)^n + ...", where (Z/e)^n is n copies of Z/e)
+or structurally as {"rank": r, "torsion": [[p, k], [p, k, count], ...]},
+where [p, k] is one summand Z/p^k and [p, k, count] is count of them;
+``save`` always emits the structural form, with [p, k] for a count of 1.
+A structured p^k may have at most 4300 digits, the limit the text codec
+has for every integer, so every loaded group prints.  JSON integers past
+the interpreter's digit limit are schema errors.  Unknown keys are
+rejected everywhere.  A graded table maps a degree to a group when an
 entry exists, to the trivial group when the degree exceeds ``zero_above``,
 and to "unknown" otherwise; evaluation of a formal sum returns either an
 AbelianGroup or an ``Incomplete`` report listing what was missing.
@@ -60,6 +65,7 @@ __all__ = [
     "SpaceProfile",
     "evaluate",
     "gottlieb_table_of_map_space",
+    "group_to_json",
     "load",
     "save",
 ]
@@ -387,14 +393,16 @@ def _group_from_json(value, path: str) -> AbelianGroup:
     rank = obj.get("rank", 0)
     torsion = obj.get("torsion", [])
     if not isinstance(torsion, list):
-        raise ProfileError("torsion must be a list of [prime, exponent] pairs", path)
-    pairs = []
+        raise ProfileError("torsion must be a list of [prime, exponent(, count)] items", path)
     for item in torsion:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ProfileError(f"torsion item {item!r} is not a [prime, exponent] pair", path)
-        pairs.append((item[0], item[1]))
+        if not isinstance(item, list) or len(item) not in (2, 3):
+            raise ProfileError(
+                f"torsion item {item!r} is not a [prime, exponent] pair "
+                "or a [prime, exponent, count] triple",
+                path,
+            )
     try:
-        return AbelianGroup(rank, tuple(pairs))
+        return AbelianGroup(rank, tuple(torsion))
     except (TypeError, ValueError) as exc:
         raise ProfileError(str(exc), path) from exc
 
@@ -409,7 +417,13 @@ def _graded_from_json(value, path: str) -> GradedGroup:
             raise ProfileError(
                 f"degree key {key!r} must be a decimal string >= 1", f"{path}.entries"
             )
-        entries[int(key)] = _group_from_json(group_value, f"{path}.entries.{key}")
+        try:
+            degree = int(key)
+        except ValueError:  # past the interpreter's digit limit
+            raise ProfileError(
+                f"degree key of {len(key)} digits is too long", f"{path}.entries"
+            ) from None
+        entries[degree] = _group_from_json(group_value, f"{path}.entries.{key}")
     zero_above = obj.get("zero_above")
     if zero_above is not None and (isinstance(zero_above, bool) or not isinstance(zero_above, int)):
         raise ProfileError("zero_above must be an integer", f"{path}.zero_above")
@@ -491,6 +505,10 @@ def load(document: str) -> ProfileDb:
         raise ProfileError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ProfileError("JSON document is nested too deeply") from exc
+    except ValueError:
+        # json.loads turns an integer literal past the interpreter's digit
+        # limit into a plain ValueError whose advice does not apply here.
+        raise ProfileError("JSON document holds an integer with too many digits") from None
     _require_object(doc, "document")
     _check_keys(doc, {"spaces", "maps"}, "document")
     spaces_obj = _require_object(doc.get("spaces", {}), "spaces")
@@ -511,12 +529,16 @@ def load(document: str) -> ProfileDb:
         raise ProfileError(str(exc), "document") from exc
 
 
-def _group_to_json(group: AbelianGroup) -> dict:
-    return {"rank": group.rank, "torsion": [[p, k] for p, k in group.torsion]}
+def group_to_json(group: AbelianGroup) -> dict:
+    """The structured form: [p, k] for one summand Z/p^k, [p, k, count] for more."""
+    return {
+        "rank": group.rank,
+        "torsion": [[p, k] if count == 1 else [p, k, count] for p, k, count in group.torsion],
+    }
 
 
 def _graded_to_json(table: GradedGroup) -> dict:
-    out: dict = {"entries": {str(d): _group_to_json(g) for d, g in sorted(table.entries.items())}}
+    out: dict = {"entries": {str(d): group_to_json(g) for d, g in sorted(table.entries.items())}}
     if table.zero_above is not None:
         out["zero_above"] = table.zero_above
     return out

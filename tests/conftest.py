@@ -42,16 +42,21 @@ def census(orders) -> Counter:
 
 
 def torsion_orders(group: AbelianGroup) -> list[int]:
-    return [p**k for p, k in group.torsion]
+    return [p**k for p, k, count in group.torsion for _ in range(count)]
 
 
 # --- hypothesis strategies -------------------------------------------------
 
 def groups_strategy():
+    # Orders may repeat, so runs of equal summands and invariant factors occur.
     return st.builds(
         canonicalize,
         st.integers(0, 4),
-        st.lists(st.integers(2, 120), max_size=4),
+        st.lists(st.integers(2, 120), max_size=4).flatmap(
+            lambda orders: st.lists(st.sampled_from(orders), max_size=3).map(
+                lambda repeats: orders + repeats
+            ) if orders else st.just(orders)
+        ),
     )
 
 

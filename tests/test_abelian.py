@@ -17,10 +17,10 @@ def test_canonicalize_examples():
     assert canonicalize(0) == TRIVIAL
     assert canonicalize(1).rank == 1
     assert canonicalize(1).torsion == ()
-    # Frozen form of Z/6 + Z/4: primary parts 2, 4, 3.
-    assert canonicalize(0, [6, 4]).torsion == ((2, 1), (2, 2), (3, 1))
-    assert canonicalize(0, [12]).torsion == ((2, 2), (3, 1))
-    assert canonicalize(2, [2, 2]).torsion == ((2, 1), (2, 1))
+    # Frozen form of Z/6 + Z/4: primary parts 2, 4, 3, one of each.
+    assert canonicalize(0, [6, 4]).torsion == ((2, 1, 1), (2, 2, 1), (3, 1, 1))
+    assert canonicalize(0, [12]).torsion == ((2, 2, 1), (3, 1, 1))
+    assert canonicalize(2, [2, 2]).torsion == ((2, 1, 2),)
 
 
 def test_census_oracle_confirms_primary_decomposition():
@@ -44,6 +44,10 @@ def test_canonicalize_rejects_bad_input():
         canonicalize(0, [2.5])
     with pytest.raises(TypeError):
         canonicalize(1.0)
+    # Every admitted order prints under the interpreter's 4300-digit limit.
+    assert len(str(canonicalize(0, [2**14284]))) == len("Z/") + 4300
+    with pytest.raises(ValueError, match="exceeds 4300 digits"):
+        canonicalize(0, [2**14285])
 
 
 def test_direct_sum_examples():
@@ -61,6 +65,11 @@ def test_scaled():
     assert g.scaled(0) == TRIVIAL
     with pytest.raises(ValueError):
         g.scaled(-1)
+    # Past sys.maxsize copies: the counts grow, nothing is expanded.
+    big = canonicalize(1, [2, 4]).scaled(10**30)
+    assert big.torsion == ((2, 1, 10**30), (2, 2, 10**30))
+    n = "1" + "0" * 30
+    assert str(big) == f"Z^{n} + (Z/2)^{n} + (Z/4)^{n}"
 
 
 def test_invariant_factors_examples():
@@ -77,26 +86,33 @@ def test_text_codec_examples():
     # Output uses the invariant-factor view of the torsion part.
     assert str(canonicalize(2, [2, 12])) == "Z^2 + Z/2 + Z/12"
     assert str(canonicalize(0, [4, 3])) == "Z/12"
+    # A run of equal invariant factors prints once, with its length.
+    assert str(canonicalize(0, [2, 8, 8])) == "Z/2 + (Z/8)^2"
+    assert str(canonicalize(1, [6, 6, 2, 3, 4])) == "Z + Z/2 + (Z/6)^2 + Z/12"
     assert parse_group("0") == TRIVIAL
     assert parse_group("Z") == canonicalize(1)
     assert parse_group("Z + Z") == canonicalize(2)
     assert parse_group("Z^3 + Z/2 + Z/2") == canonicalize(3, [2, 2])
     # Arbitrary cyclic orders are folded into primary form on the way in.
     assert parse_group("Z/12") == parse_group("Z/4 + Z/3")
+    assert parse_group("(Z/8)^2 + Z/2") == canonicalize(0, [2, 8, 8])
+    assert parse_group("(Z/6)^1 + (Z/6)^2") == canonicalize(0, [6, 6, 6])
 
 
 def test_text_codec_rejects_garbage():
-    for bad in ("", "Z^0", "Z/1", "Z/0", "Q", "Z +", "Z^-2", "2Z", "Z / 4x"):
+    for bad in ("", "Z^0", "Z/1", "Z/0", "Q", "Z +", "Z^-2", "2Z", "Z / 4x",
+                "(Z/2)^0", "(Z/1)^2", "(Z/2)", "(Z/2)^", "(Z)^2", "Z/2^2"):
         with pytest.raises(ValueError):
             parse_group(bad)
 
 
-@pytest.mark.parametrize("summand", ["Z/", "Z^"])
+@pytest.mark.parametrize("summand", ["Z/", "Z^", "(Z/2)^", "(Z/"])
 def test_text_codec_bounds_overlong_integers(summand):
     # Past the interpreter's 4300-digit limit for int(); the message is
     # our own and does not echo the digits.
+    text = summand + "7" * 5000 + (")^2" if summand == "(Z/" else "")
     with pytest.raises(ValueError, match="of 5000 digits is too long") as err:
-        parse_group(summand + "7" * 5000)
+        parse_group(text)
     assert "set_int_max_str_digits" not in str(err.value)
     assert len(str(err.value)) < 100
 
@@ -109,7 +125,7 @@ def test_torsion_pairs_reject_booleans(pair):
 
 def test_large_prime_orders():
     p20 = 10**19 + 51
-    assert canonicalize(0, [p20**2 * 12]).torsion == ((2, 2), (3, 1), (p20, 2))
+    assert canonicalize(0, [p20**2 * 12]).torsion == ((2, 2, 1), (3, 1, 1), (p20, 2, 1))
     assert AbelianGroup(0, ((p20, 3),)) == canonicalize(0, [p20**3])
     with pytest.raises(ValueError, match="must be prime"):
         AbelianGroup(0, ((p20 * 3, 1),))
@@ -119,9 +135,10 @@ def test_from_text_is_classmethod_alias():
     assert AbelianGroup.from_text("Z^2 + Z/9") == canonicalize(2, [9])
 
 
-@given(groups_strategy())
-def test_codec_round_trip(group):
+@given(groups_strategy(), st.sampled_from([1, 2, 10**30]))
+def test_codec_round_trip(group, copies):
     assert parse_group(str(group)) == group
+    assert parse_group(str(group.scaled(copies))) == group.scaled(copies)
 
 
 @given(groups_strategy())
@@ -146,11 +163,12 @@ def test_direct_sum_associates(a, b, c):
     assert a.direct_sum(b).direct_sum(c) == a.direct_sum(b.direct_sum(c))
 
 
-@given(groups_strategy(), groups_strategy())
-def test_rank_and_torsion_are_additive(a, b):
+@given(groups_strategy(), groups_strategy(), st.integers(0, 4))
+def test_rank_and_torsion_are_additive(a, b, n):
     total = a.direct_sum(b)
     assert total.rank == a.rank + b.rank
-    assert sorted(total.torsion) == sorted(a.torsion + b.torsion)
+    assert sorted(torsion_orders(total)) == sorted(torsion_orders(a) + torsion_orders(b))
+    assert a.scaled(n) == direct_sum(*[a] * n)
 
 
 @given(st.integers(2, 300), st.integers(2, 300))

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,9 @@ DOC = {
         "idY": {"source": "Y", "target": "Y", "is_identity": True},
     },
 }
+
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -210,6 +214,56 @@ def test_overlong_group_integers_exit_three(capsys, tmp_path, text):
     assert ENTRY in err
     assert "5000 digits is too long" in err
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize(
+    "graded",
+    [
+        '{"entries": {"1": {"torsion": [[' + "7" * 5000 + ", 1]]}}}",
+        '{"entries": {}, "zero_above": ' + "9" * 4400 + "}",
+    ],
+    ids=["torsion", "zero_above"],
+)
+def test_overlong_json_integers_exit_three(capsys, tmp_path, graded):
+    # json.loads itself refuses these integers, with CPython's advice to
+    # raise the digit limit; the loader reports a schema error instead.
+    path = tmp_path / "long.json"
+    path.write_text('{"spaces": {"Y": {"gottlieb": ' + graded + "}}}")
+    code, _, err = run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
+    assert code == 3
+    assert "too many digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_overlong_degree_key_exits_three(capsys, tmp_path):
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps({"spaces": {"Y": {"gottlieb": {"entries": {"1" * 5000: "Z"}}}}}))
+    code, _, err = run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
+    assert code == 3
+    assert "5000 digits is too long" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("exponent", [10**30 - 1, 100_000_000])
+def test_structured_exponent_past_the_digit_cap_exits_three(capsys, tmp_path, exponent):
+    # 2^k would take unbounded time to form and could not be printed.
+    start = time.perf_counter()
+    code, _, err = _eval_entry(capsys, tmp_path, {"torsion": [[2, exponent]]})
+    assert time.perf_counter() - start < 10
+    assert code == 3
+    assert ENTRY in err
+    assert "exceeds 4300 digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_structured_items_at_the_digit_cap(capsys, tmp_path):
+    # 2^14284 has 4300 digits and prints; 2^14285 has 4301.
+    code, out, _ = _eval_entry(capsys, tmp_path, {"torsion": [[2, 14284, 3]]})
+    assert code == 0
+    assert out.strip() == f"(Z/{2**14284})^3"
+    code, _, err = _eval_entry(capsys, tmp_path, {"torsion": [[2, 14285]]})
+    assert code == 3
+    assert "exceeds 4300 digits" in err
 
 
 @pytest.mark.parametrize(
@@ -382,7 +436,30 @@ def test_relative(capsys, profile_path):
     lines = out.strip().splitlines()
     assert lines[0] == "factors: G[2](C) + 2*Grel[3](f)"
     assert lines[1] == "structure: direct-sum"
-    assert lines[2] == "Z/2 + Z/8 + Z/8"
+    assert lines[2] == "Z/2 + (Z/8)^2"
+
+
+def test_relative_with_a_huge_bouquet_width(capsys):
+    # More circles than sys.maxsize: the multiplicity stays a count.
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "relative", "--map", "f", "--degree", "3", "--m", str(10**23),
+        "--profiles", str(REPO / "profiles" / "synthetic_demo.json"),
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines()[0] == f"factors: G[3](X) + {10**23}*Grel[4](f)"
+
+
+def test_eval_deep_loop_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "eval", "--expr", "loop(Y, 40)", "--degree", "2",
+        "--profiles", str(REPO / "profiles" / "synthetic_demo.json"),
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "(Z/3)^" in out
 
 
 def test_relative_degree_one_marks_split_extension(capsys, profile_path):
@@ -402,7 +479,7 @@ def test_relative_identity_reduces(capsys, profile_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "factors: G[2](Y) + 3*G[3](Y)"
-    assert lines[2] == "Z + Z/2 + Z/2 + Z/2"
+    assert lines[2] == "Z + (Z/2)^3"
 
 
 def test_relative_unsupported_iterations_exit_two(capsys, profile_path):

@@ -132,6 +132,17 @@ def test_randomized_strategy_follows_the_answer_not_the_multiset(expr):
     assert elapsed < 0.5, elapsed
 
 
+def test_derived_profile_follows_the_answer_not_the_multiset():
+    # bloop(Y, 3, 10) at degree 1 is (1 + 3t)^10: 4^10 table lookups
+    # summed, in 11 distinct degrees.
+    start = time.perf_counter()
+    report = crosscheck("bloop(Y, 3, 10)", [1], strategies=["derived-profile"])
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert [e.right for e in report.entries] == ["derived-profile recursion"]
+    assert elapsed < 2, elapsed
+
+
 def test_randomized_decompose_rejects_bad_targets():
     with pytest.raises(ValueError):
         randomized_decompose(Sphere(2), 1)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import db_of, random_group, synthetic_space
-from gottlieb.abelian import TRIVIAL, canonicalize, parse_group
+from gottlieb.abelian import TRIVIAL, AbelianGroup, canonicalize, direct_sum, parse_group
 from gottlieb.decompose import decompose
 from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, RelTerm
 from gottlieb.profiles import (
@@ -24,6 +24,10 @@ from gottlieb.profiles import (
 from gottlieb.spaces import Atom, Sphere, parse_space
 
 import random
+import time
+from pathlib import Path
+
+DEMO = Path(__file__).resolve().parents[1] / "profiles" / "synthetic_demo.json"
 
 
 def _table(**entries):
@@ -72,6 +76,21 @@ def test_group_codecs_in_documents():
     db = load(json.dumps(doc))
     table = db.space("Y").gottlieb
     assert table.lookup(1) == table.lookup(2) == canonicalize(1, [2])
+
+
+def test_structured_items_carry_counts():
+    def group(torsion):
+        doc = {"spaces": {"Y": {"gottlieb": {"entries": {"1": {"torsion": torsion}}}}}}
+        return load(json.dumps(doc)).space("Y").gottlieb.lookup(1)
+
+    assert group([[2, 1, 3], [3, 1]]) == parse_group("Z/2 + Z/2 + Z/6")
+    # Equal pairs merge, so both spellings load as the same group.
+    assert group([[2, 1], [2, 1], [2, 1, 2]]) == group([[2, 1, 4]])
+    assert group([[2, 1, 4]]).torsion == ((2, 1, 4),)
+    for bad in ([[2, 1, 0]], [[2, 1, True]], [[2, 1, 1.5]], [[2]], [[2, 1, 1, 1]]):
+        with pytest.raises(ProfileError) as err:
+            group(bad)
+        assert err.value.path == "spaces.Y.gottlieb.entries.1"
 
 
 def test_degree_keys_must_be_canonical_decimals():
@@ -216,9 +235,11 @@ def test_evaluate_is_additive_when_complete():
 
 def test_save_load_round_trip_is_field_exact():
     rng = random.Random(11)
+    entries = {d: random_group(rng) for d in range(1, 6)}
+    entries[7] = random_group(rng).scaled(3).direct_sum(canonicalize(0, [4]).scaled(10**30))
     y = SpaceProfile(
         "Y",
-        gottlieb=GradedGroup({d: random_group(rng) for d in range(1, 6)}, zero_above=8),
+        gottlieb=GradedGroup(entries, zero_above=8),
         homotopy=GradedGroup({2: canonicalize(1)}),
         betti=(1, 0, 2),
         flags=Flags(simply_connected=True, finite=True, g_space=False, t_space=None),
@@ -236,6 +257,13 @@ def test_save_emits_structured_groups():
     assert document["spaces"]["Y"]["gottlieb"]["entries"]["1"] == {
         "rank": 1,
         "torsion": [[2, 2]],
+    }
+    # A count above 1 is the third element of its item.
+    db = db_of(SpaceProfile("Y", gottlieb=_table(**{"1": "Z/2 + (Z/12)^3"})))
+    document = json.loads(save(db))
+    assert document["spaces"]["Y"]["gottlieb"]["entries"]["1"] == {
+        "rank": 0,
+        "torsion": [[2, 1], [2, 2, 3], [3, 1, 3]],
     }
 
 
@@ -291,6 +319,41 @@ def test_derived_table_matches_decompose_evaluation():
     for degree in range(1, 6):
         direct = evaluate(decompose(parse_space("map(T2, Y)"), degree), db)
         assert derived.lookup(degree) == direct
+
+
+def test_sums_of_loaded_groups_skip_validation(monkeypatch):
+    # Groups validated on load stay valid under sums and multiples, so the
+    # internal arithmetic never tests primality again.
+    db = load(DEMO.read_text(encoding="utf-8"))
+    formal_sum = decompose(parse_space("bloop(Y, 3, 4)"), 1, db.atom_shifts())
+
+    def refuse(n):
+        raise ValueError("isprime called")
+
+    monkeypatch.setattr("gottlieb.abelian.isprime", refuse)
+    a, b = db.space("Y").gottlieb.lookup(2), db.space("Y").gottlieb.lookup(3)
+    assert a.direct_sum(b, a) == direct_sum(a.scaled(2), b)
+    assert isinstance(evaluate(formal_sum, db), AbelianGroup)
+    assert isinstance(gottlieb_table_of_map_space(parse_space("T3"), "Y", [1, 2], db), GradedGroup)
+    # Outside input is still checked.
+    with pytest.raises(ValueError, match="isprime called"):
+        AbelianGroup(0, ((4, 1),))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="must be prime"):
+        AbelianGroup(0, ((4, 1),))
+
+
+def test_evaluate_cost_follows_distinct_summands():
+    # Total multiplicity in the millions, four distinct summands.
+    db = load(DEMO.read_text(encoding="utf-8"))
+    formal_sum = decompose(parse_space("bloop(Y, 3, 12)"), 1, db.atom_shifts())
+    start = time.perf_counter()
+    value = evaluate(formal_sum, db)
+    assert time.perf_counter() - start < 1
+    assert value.rank == sum(
+        multiplicity * db.space("Y").gottlieb.lookup(term.degree).rank
+        for term, multiplicity in formal_sum
+    )
 
 
 def test_profile_error_paths_are_informative():

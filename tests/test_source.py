@@ -76,3 +76,16 @@ def test_project_has_no_runtime_dependencies():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_package_never_expands_invariant_factors():
+    # invariant_factors() lists one entry per cyclic summand, which can be
+    # astronomically many; the package prints runs of equal factors instead.
+    root = Path(gottlieb.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "invariant_factors"
+    ]
+    assert offenders == []
