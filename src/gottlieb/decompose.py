@@ -16,12 +16,30 @@ degree-n Gottlieb group of ``expr``.  Rules, applied deterministically:
 
 The engine makes one pass down the curried chain of mapping spaces,
 carrying the product of the shift polynomials split so far: the live
-degrees are n + i with multiplicity c_i.  A splitting level multiplies
-that polynomial by its own; a residual level emits one ``Gen`` term per
-live degree and passes the polynomial on unchanged; the core atom emits
-``G[n + i](Y)`` with multiplicity c_i.  The pass needs no recursion, so
-the depth of an iterated loop space is not bounded by the interpreter's
-recursion limit.
+degrees are n + i with multiplicity c_i.  A residual level emits one
+``Gen`` term per live degree and passes the polynomial on unchanged; the
+core atom emits ``G[n + i](Y)`` with multiplicity c_i.  The pass needs no
+recursion, so the depth of an iterated loop space is not bounded by the
+interpreter's recursion limit.
+
+Splitting levels are taken in runs.  Consecutive sources with the same
+shift polynomial p, whether they come from a ``map(S1, map(S1, ...))``
+chain, from the factors of a product, from ``loop``/``bloop`` (N copies
+of S1 or of the m-circle bouquet, whose polynomial is 1 + m t) or from
+``T<N>`` (N copies of S1), fold into one step ``acc * p**run``; the power
+uses Miller's recurrence (see ``ShiftPolynomial.__pow__``).  The sugar is
+read where it stands and never expanded on the way, and each distinct
+source is split once per call.  Product factors are walked by index: the
+curried target ``map(prod(rest), Y)`` is built only when a nested product
+or a residual needs it, and residual sources and targets are printed in
+desugared form.
+
+Before any power is formed, its run is charged to a ``SizeBudget``: the
+answer's degree (sum of run * max_shift) and the digits of its largest
+multiplicity (sum of run * log10 p(1)).  Past ``MAX_DEGREE`` or
+``MAX_DIGITS`` the call raises ``DecomposeError`` naming the estimate and
+the ceiling, so ``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail at once
+instead of computing numbers too long to print.
 """
 
 from math import comb
@@ -29,22 +47,84 @@ from math import comb
 from .formal import FormalSum, GenGottliebTerm, GottliebTerm, Term
 from .spaces import (
     Atom,
+    Bouquet,
+    BouquetSpace,
+    Loop,
     MapSpace,
     Point,
     Product,
     SpaceExpr,
+    Sphere,
     Susp,
+    Torus,
     atom_name,
     desugar,
     format_space,
 )
-from .splitting import ShiftPolynomial, sphere_splitting
+from .splitting import DecomposeError, ShiftPolynomial, SizeBudget, sphere_splitting
 
 __all__ = ["DecomposeError", "closed_form_bouquet", "decompose"]
 
+_CIRCLE = Sphere(1)
 
-class DecomposeError(ValueError):
-    """The expression has no decomposition rule (e.g. a bare sphere target)."""
+
+class _Walk:
+    """State of one pass: the live polynomial, the open run and the terms."""
+
+    def __init__(self, degree: int, atom_shifts) -> None:
+        self.degree = degree
+        self.atom_shifts = atom_shifts
+        self.counts: dict[Term, int] = {}
+        self.acc = ShiftPolynomial.one()
+        self.budget = SizeBudget()
+        self.splits: dict[SpaceExpr, ShiftPolynomial | None] = {}
+        self.source: SpaceExpr | None = None  # last splittable source seen
+        self.poly = self.acc  # its polynomial, the one the open run repeats
+        self.run = 0
+
+    def take(self, source: SpaceExpr, count: int = 1) -> bool:
+        """Add ``count`` levels of ``source`` to the open run; False if it is blocked."""
+        if source is not self.source:
+            if isinstance(source, Torus):
+                return self.take(_CIRCLE, count * source.factors)
+            if source in self.splits:
+                poly = self.splits[source]
+            else:
+                poly = self.splits[source] = sphere_splitting(source, self.atom_shifts).poly
+            if poly is None:
+                return False
+            if poly != self.poly:
+                self.flush()
+                self.poly = poly
+            self.source = source
+        self.run += count
+        return True
+
+    def flush(self) -> None:
+        if self.run:
+            self.budget.charge(self.poly, self.run)
+            self.acc = self.acc * self.poly**self.run
+            self.run = 0
+
+    def residual(self, source: SpaceExpr, target: SpaceExpr) -> None:
+        # The target is kept verbatim inside the symbolic term, and the walk
+        # goes on into it with the polynomial unchanged.
+        self.flush()
+        residual_source, suspensions = desugar(source), 0
+        if isinstance(residual_source, Susp):
+            residual_source, suspensions = residual_source.child, residual_source.count
+        target = desugar(target)
+        base = self.degree + suspensions
+        for shift, count in self.acc.coeffs:
+            self.counts[GenGottliebTerm(residual_source, base + shift, target)] = count
+
+
+def _rest(factors: tuple[SpaceExpr, ...], i: int, target: SpaceExpr) -> SpaceExpr:
+    """The curried target map(prod(factors[i + 1:]), target) of factor i."""
+    rest = factors[i + 1:]
+    if not rest:
+        return target
+    return MapSpace(rest[0] if len(rest) == 1 else Product(rest), target)
 
 
 def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
@@ -57,37 +137,41 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
         raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    counts: dict[Term, int] = {}
-    acc = ShiftPolynomial.one()
-    e = desugar(expr)
-    while isinstance(e, MapSpace):
-        source, target = e.source, e.target
-        if isinstance(source, Product):
+    walk = _Walk(degree, atom_shifts)
+    e = expr
+    while True:
+        if isinstance(e, MapSpace):
+            source, target = e.source, e.target
+            e = target
+            if not isinstance(source, Product):
+                if not walk.take(source):
+                    walk.residual(source, target)
+                continue
             factors = source.children
-            if len(factors) > 1:
-                rest = factors[1] if len(factors) == 2 else Product(factors[1:])
-                target = MapSpace(rest, target)
-            e = MapSpace(factors[0], target)
-            continue
-        splitting = sphere_splitting(source, atom_shifts)
-        if splitting.splittable:
-            acc = acc * splitting.poly
+            for i, factor in enumerate(factors):
+                if isinstance(factor, Product):
+                    # Curry the nested product off; the later factors wait
+                    # in its target.
+                    e = MapSpace(factor, _rest(factors, i, target))
+                    break
+                if not walk.take(factor):
+                    walk.residual(factor, _rest(factors, i, target))
+        elif isinstance(e, Loop):
+            walk.take(_CIRCLE, e.iterations)
+            e = e.target
+        elif isinstance(e, BouquetSpace):
+            walk.take(Bouquet(e.circles), e.iterations)
+            e = e.target
         else:
-            # Residual: the target is kept verbatim inside the symbolic term,
-            # and the walk goes on into it with the polynomial unchanged.
-            residual_source, suspensions = source, 0
-            if isinstance(source, Susp):
-                residual_source, suspensions = source.child, source.count
-            for shift, count in acc.coeffs:
-                term = GenGottliebTerm(residual_source, degree + shift + suspensions, target)
-                counts[term] = count
-        e = target
+            break
+    walk.flush()
+    counts = walk.counts
     if isinstance(e, Atom):
-        for shift, count in acc.coeffs:
+        for shift, count in walk.acc.coeffs:
             counts[GottliebTerm(e.name, degree + shift)] = count
     elif not isinstance(e, Point):
         raise DecomposeError(
-            f"no decomposition rule for target {format_space(e)!r}; "
+            f"no decomposition rule for target {format_space(desugar(e))!r}; "
             "targets must be atoms, points, or mapping spaces"
         )
     return FormalSum.from_pairs(counts.items())

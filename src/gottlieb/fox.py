@@ -15,12 +15,17 @@ closed form), which pins the summands at G_{1+j} rather than any shifted
 variant.
 """
 
-from math import comb
-
 from .formal import FormalSum, GottliebTerm, PiTerm
 from .spaces import atom_name
+from .splitting import ShiftPolynomial
 
 __all__ = ["fox_gottlieb", "iterated_loop_homotopy"]
+
+
+def _binomial_sum(term, name: str, start: int, iterations: int) -> FormalSum:
+    """C(iterations, j) copies of term(name, start + j), off the budgeted (1 + t)^iterations."""
+    power = ShiftPolynomial.from_shifts([1]) ** iterations
+    return FormalSum.from_pairs((term(name, start + j), c) for j, c in power.coeffs)
 
 
 def iterated_loop_homotopy(degree: int, iterations: int, target) -> FormalSum:
@@ -32,10 +37,7 @@ def iterated_loop_homotopy(degree: int, iterations: int, target) -> FormalSum:
         )
     if iterations < 1:
         raise ValueError(f"iteration count must be >= 1, got {iterations}")
-    name = atom_name(target)
-    return FormalSum.from_pairs(
-        (PiTerm(name, degree + r), comb(iterations, r)) for r in range(iterations + 1)
-    )
+    return _binomial_sum(PiTerm, atom_name(target), degree, iterations)
 
 
 def fox_gottlieb(degree: int, target) -> FormalSum:
@@ -46,7 +48,4 @@ def fox_gottlieb(degree: int, target) -> FormalSum:
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    name = atom_name(target)
-    return FormalSum.from_pairs(
-        (GottliebTerm(name, 1 + j), comb(degree - 1, j)) for j in range(degree)
-    )
+    return _binomial_sum(GottliebTerm, atom_name(target), 1, degree - 1)

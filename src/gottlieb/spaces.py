@@ -381,8 +381,32 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
     Torus(N) becomes a product of N circles, Bouquet(m) a wedge of m
     circles, Loop and BouquetSpace become nested MapSpace nodes (outermost
     iteration outermost), and Susp(Susp(x, a), b) becomes Susp(x, a + b).
-    The result is a fixed point of ``desugar``.
+    The result is a fixed point of ``desugar``.  Chains of mapping spaces
+    are walked along their targets in a loop, so a deep iterated loop
+    space, sugared or already desugared, is not bounded by the
+    interpreter's recursion limit.
     """
+    levels: list[tuple[SpaceExpr, int]] = []  # (source, repeats), outermost first
+    e = expr
+    while True:
+        match e:
+            case MapSpace(source, target):
+                levels.append((desugar(source), 1))
+            case Loop(target, iterations):
+                levels.append((Sphere(1), iterations))
+            case BouquetSpace(target, circles, iterations):
+                levels.append((_desugar_node(Bouquet(circles)), iterations))
+            case _:
+                break
+        e = target
+    out = _desugar_node(e)
+    for source, repeats in reversed(levels):
+        for _ in range(repeats):
+            out = MapSpace(source, out)
+    return out
+
+
+def _desugar_node(expr: SpaceExpr) -> SpaceExpr:
     match expr:
         case Atom() | Sphere() | Point():
             return expr
@@ -395,8 +419,6 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
             if isinstance(inner, Susp):
                 return Susp(inner.child, inner.count + count)
             return Susp(inner, count)
-        case MapSpace(source, target):
-            return MapSpace(desugar(source), desugar(target))
         case Torus(factors):
             if factors == 1:
                 return Sphere(1)
@@ -405,15 +427,4 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
             if circles == 1:
                 return Sphere(1)
             return Wedge((Sphere(1),) * circles)
-        case Loop(target, iterations):
-            out = desugar(target)
-            for _ in range(iterations):
-                out = MapSpace(Sphere(1), out)
-            return out
-        case BouquetSpace(target, circles, iterations):
-            source = desugar(Bouquet(circles))
-            out = desugar(target)
-            for _ in range(iterations):
-                out = MapSpace(source, out)
-            return out
     raise TypeError(f"not a space expression: {expr!r}")

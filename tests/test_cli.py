@@ -167,6 +167,38 @@ def test_deep_loop_decomposes(capsys):
     assert out.startswith("G[1](Y) + 2000*G[2](Y) + 1999000*G[3](Y) + ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--expr", "bloop(Y, 10, 5000)", "--degree", "1"),
+        ("decompose", "--expr", "map(T200000, Y)", "--degree", "1"),
+        ("fox", "--expr", "Y", "--degree", "20000"),
+        ("loop-homotopy", "--expr", "Y", "--degree", "2", "--iterations", "20000"),
+    ],
+)
+def test_oversized_answers_exit_two_at_once(capsys, argv):
+    # The size budget is checked before any power is formed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert "answer too large" in err and "the size budget of" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("circles", [10**20, 10**9])
+def test_wide_bouquet_evaluates_without_building_the_wedge(capsys, circles):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "eval", "--expr", f"bloop(Y, {circles}, 1)", "--degree", "2",
+        "--profiles", str(REPO / "profiles" / "synthetic_demo.json"),
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert f"(Z/2)^{circles}" in out
+
+
 def test_deeply_nested_profile_document_exits_three(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

@@ -1,5 +1,8 @@
 """The decomposition rewrite engine and its closed bouquet form."""
 
+import importlib
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from gottlieb.spaces import (
     Product,
     Sphere,
     Susp,
+    desugar,
     parse_space,
 )
 
@@ -136,6 +140,72 @@ def test_closed_form_matches_engine_on_deep_towers():
 def test_loop_depth_is_not_bounded_by_the_recursion_limit():
     expr = parse_space("loop(Y, 2000)")
     assert decompose(expr, 1) == closed_form_bouquet(1, 2000, 1, "Y")
+
+
+@pytest.mark.parametrize(
+    "text", ["loop(Y, 2000)", "bloop(Y, 2, 1500)", "loop(map(susp(A, 2), Y), 2000)"]
+)
+def test_desugared_deep_chains_decompose(text):
+    # desugar walks target chains in a loop: the desugared tree, and
+    # desugaring it again, decompose like the sugared one.  Compared as
+    # decompositions, since dataclass == on deep trees recurses itself.
+    expected = decompose(parse_space(text), 1)
+    once = desugar(parse_space(text))
+    assert decompose(once, 1) == expected
+    assert decompose(desugar(once), 1) == expected
+
+
+@pytest.mark.parametrize("text, terms", [("loop(Y, 2000)", 2001), ("map(T1000, Y)", 1001)])
+def test_deep_chains_are_fast(text, terms):
+    # One power per run: 3.0 s and 0.55 s when each level was a product.
+    expr = parse_space(text)
+    start = time.perf_counter()
+    result = decompose(expr, 1)
+    assert time.perf_counter() - start < 0.5
+    assert len(result) == terms
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bloop(Y, 10, 5000)", "5207 digits exceed the size budget of 4000 digits"),
+        ("map(T200000, Y)", "200000 exceeds the size budget of 10000"),
+        ("loop(loop(Y, 6000), 6000)", "12000 exceeds the size budget of 10000"),
+        ("map(prod(S1, S2), loop(Y, 9999))", "10002 exceeds the size budget of 10000"),
+    ],
+)
+def test_size_budget_is_checked_before_any_power(text, message):
+    start = time.perf_counter()
+    with pytest.raises(DecomposeError) as err:
+        decompose(parse_space(text), 1)
+    assert time.perf_counter() - start < 1
+    assert message in str(err.value)
+
+
+def test_runs_split_each_distinct_source_once(monkeypatch):
+    # The package root re-exports the function under the module's name.
+    engine = importlib.import_module("gottlieb.decompose")
+    calls = []
+
+    def counting(source, atom_shifts=None):
+        calls.append(source)
+        return engine_split(source, atom_shifts)
+
+    engine_split = engine.sphere_splitting
+    monkeypatch.setattr(engine, "sphere_splitting", counting)
+    expr = parse_space("map(prod(S1, S2, S1, T3), map(A, map(S2, loop(map(S1, Y), 5))))")
+    result = decompose(expr, 1)
+    assert sorted(map(str, calls)) == ["A", "S1", "S2"]
+    assert result == decompose(desugar(expr), 1)
+    assert str(result).startswith("G[1](Y) + 11*G[2](Y) + ")
+
+
+def test_residual_targets_print_desugared():
+    result = decompose(parse_space("map(prod(A, T2, B2), bloop(Y, 2, 2))"), 1)
+    assert str(result).endswith(
+        "Gen[Σ^1 A -> map(prod(prod(S1, S1), wedge(S1, S1)), "
+        "map(wedge(S1, S1), map(wedge(S1, S1), Y)))]"
+    )
 
 
 @settings(max_examples=60)

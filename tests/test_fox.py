@@ -1,11 +1,12 @@
 """Torus-indexed Gottlieb groups and iterated free-loop homotopy."""
 
 import random
+import time
 
 import pytest
 
 from conftest import db_of, random_group, synthetic_space
-from gottlieb.decompose import decompose
+from gottlieb.decompose import DecomposeError, closed_form_bouquet, decompose
 from gottlieb.formal import FormalSum, GottliebTerm, PiTerm
 from gottlieb.fox import fox_gottlieb, iterated_loop_homotopy
 from gottlieb.oracle import recursive_bouquet_coefficients
@@ -36,6 +37,29 @@ def test_fox_coefficients_match_recursion_oracle():
         sum_ = fox_gottlieb(n, "Y")
         for j, count in poly.as_dict().items():
             assert sum_.multiplicity(GottliebTerm("Y", 1 + j)) == count
+
+
+def test_fox_matches_the_binomial_closed_form_at_large_degree():
+    # closed_form_bouquet uses math.comb, an independent route to (1 + t)^N.
+    start = time.perf_counter()
+    result = fox_gottlieb(2000, "Y")
+    assert time.perf_counter() - start < 0.5
+    assert result == closed_form_bouquet(1, 1999, 1, "Y")
+    pi = iterated_loop_homotopy(3, 2000, "Y")
+    assert {t.degree - 3: m for t, m in pi} == {
+        t.degree - 1: m for t, m in closed_form_bouquet(1, 2000, 1, "Y")
+    }
+
+
+def test_fox_and_loop_homotopy_share_the_size_budget():
+    for call in (lambda: fox_gottlieb(20_000, "Y"),
+                 lambda: iterated_loop_homotopy(2, 20_000, "Y"),
+                 lambda: fox_gottlieb(10**30, "Y")):
+        start = time.perf_counter()
+        with pytest.raises(DecomposeError) as err:
+            call()
+        assert time.perf_counter() - start < 1
+        assert "the size budget of" in str(err.value)
 
 
 def test_loop_homotopy_examples():

@@ -111,6 +111,28 @@ def test_randomized_decompose_agrees_on_residual_chains(sources, core, degree):
         assert randomized_decompose(expr, degree, _SHIFTS, random.Random(seed)) == expected
 
 
+def test_wrong_power_is_caught_by_the_oracles(monkeypatch):
+    # The engine takes runs as powers; the oracles multiply one level at a
+    # time or use binomials, so a faulty power cannot agree with them.
+    from gottlieb.splitting import ShiftPolynomial
+
+    assert crosscheck("loop(Y, 4)", [1, 2, 3]).passed
+    right = ShiftPolynomial.__pow__
+
+    def wrong(self, exponent):
+        power = right(self, exponent)
+        return ShiftPolynomial(power.coeffs + ((power.max_shift + 1, 1),))
+
+    monkeypatch.setattr(ShiftPolynomial, "__pow__", wrong)
+    report = crosscheck("loop(Y, 4)", [1, 2, 3])
+    assert not report.passed
+    failed = {(e.left, e.right) for e in report.entries if not e.passed}
+    others = {"randomized", "closed-form", "recursion", "polynomial", "tuple-enumeration"}
+    assert failed >= {("deterministic", name) for name in others}
+    assert all(e.passed for e in report.entries if "deterministic" not in e.left
+               and e.left != "evaluated decompose")
+
+
 def test_randomized_decompose_walks_deep_loops():
     # The walk carries a dict down the chain, so depth is not bounded by
     # the recursion limit.

@@ -22,6 +22,9 @@ from gottlieb.spaces import (
     parse_space,
 )
 from gottlieb.splitting import (
+    MAX_DEGREE,
+    MAX_DIGITS,
+    DecomposeError,
     NotSplittableError,
     ShiftPolynomial,
     sphere_splitting,
@@ -107,6 +110,57 @@ def test_polynomial_algebra():
     assert (p * q).as_dict() == {0: 1, 1: 1, 2: 1, 3: 1}
     assert (p**3).as_dict() == {0: 1, 1: 3, 2: 3, 3: 1}
     assert p**0 == ShiftPolynomial.one()
+
+
+_SPARSE_POLYS = st.dictionaries(st.integers(1, 40), st.integers(1, 5), max_size=4).map(
+    lambda counts: ShiftPolynomial.from_dict({0: 1, **counts})
+)
+
+
+@given(_SPARSE_POLYS, st.integers(0, 12))
+def test_power_matches_repeated_products(p, k):
+    expected = ShiftPolynomial.one()
+    for _ in range(k):
+        expected = expected * p
+    power = p**k
+    assert power == expected
+    # The unchecked internal result is what the checking constructor builds.
+    assert ShiftPolynomial(power.coeffs) == power
+
+
+def test_power_of_sparse_polynomial_follows_the_answer():
+    # Shifts are divided by their gcd first: 1 + t^5000 squared is 3 terms.
+    assert (ShiftPolynomial.from_shifts([5000]) ** 2).as_dict() == {0: 1, 5000: 2, 10000: 1}
+    assert (ShiftPolynomial.from_shifts([2, 4]) ** 3).as_dict() == (
+        ShiftPolynomial.from_shifts([2, 4]) * ShiftPolynomial.from_shifts([2, 4])
+        * ShiftPolynomial.from_shifts([2, 4])
+    ).as_dict()
+
+
+def test_power_is_charged_to_the_size_budget():
+    circle = ShiftPolynomial.from_shifts([1])
+    assert (circle**MAX_DEGREE).coefficient(1) == MAX_DEGREE
+    with pytest.raises(DecomposeError) as err:
+        circle ** (MAX_DEGREE + 1)
+    assert f"{MAX_DEGREE + 1} exceeds the size budget of {MAX_DEGREE}" in str(err.value)
+    with pytest.raises(DecomposeError) as err:
+        ShiftPolynomial.from_dict({0: 1, 1: 10}) ** 5000
+    assert f"5207 digits exceed the size budget of {MAX_DIGITS} digits" in str(err.value)
+    with pytest.raises(DecomposeError):
+        circle ** 10**30
+    with pytest.raises(ValueError):
+        circle ** -1
+    assert ShiftPolynomial.one() ** 10**30 == ShiftPolynomial.one()
+
+
+def test_sugar_splits_without_expansion():
+    # B<m> is 1 + m t and T<N> is (1 + t)^N, with no wedge or product built.
+    assert sphere_splitting(Bouquet(10**20)).poly.as_dict() == {0: 1, 1: 10**20}
+    assert shift_polynomial(Torus(2000)).coefficient(1000) == comb(2000, 1000)
+    with pytest.raises(DecomposeError):
+        sphere_splitting(Susp(Torus(200_000)))
+    with pytest.raises(DecomposeError):
+        sphere_splitting(Product((Sphere(6000), Sphere(6000))))
 
 
 def test_torus_power_matches_binomials():
