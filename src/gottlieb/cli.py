@@ -104,6 +104,8 @@ def _load_db(args) -> ProfileDb | None:
             return load(handle.read())
     except OSError as exc:
         raise ProfileError(f"cannot read profile document: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProfileError(f"profile document is not UTF-8: {exc}") from exc
 
 
 def _shifts(db: ProfileDb | None) -> dict:

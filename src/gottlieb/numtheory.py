@@ -6,6 +6,8 @@ there (Sorenson and Webster, Math. Comp. 86, 2017).  Above that it runs the
 strong Baillie-PSW test: base 2, then a strong Lucas test with Selfridge's
 parameters (Baillie and Wagstaff, Math. Comp. 35, 1980), to which no
 counterexample is known.  This is the rule ``sympy.isprime`` applies.
+For n >= 10^6 the verdict is memoized, 1024 verdicts per process, and the
+memo is looked up before any arithmetic, trial division included.
 
 ``factorint`` returns ``{prime: exponent}``.  After trial division by the
 primes below 1000 it splits what is left with a few Fermat steps (close
@@ -55,10 +57,10 @@ def isprime(n: int) -> bool:
     """True exactly when the integer ``n`` is prime."""
     if n < _TRIAL_BOUND:
         return n in _SMALL_SET
-    if gcd(n, _PRIMORIAL) != 1:
-        return False
-    # No prime factor below 1000: below 1000^2 that makes n prime.
-    return n < _TRIAL_BOUND**2 or _isprime_large(n)
+    if n < _TRIAL_BOUND**2:
+        # No prime factor below 1000 makes n prime.
+        return gcd(n, _PRIMORIAL) == 1
+    return _isprime_large(n)
 
 
 @lru_cache(maxsize=1024)
@@ -66,6 +68,10 @@ def _isprime_large(n: int) -> bool:
     # Profiles validate the same large primes again and again (a text order
     # and a structured item may share a prime, a save and load checks them
     # once more), so the verdicts are memoized, a bounded number per process.
+    # The memo comes first: a hit costs a lookup, not a gcd with the
+    # 1400-bit primorial.
+    if gcd(n, _PRIMORIAL) != 1:
+        return False
     if n < _MR_LIMIT:
         return all(_strong_probable_prime(n, a) for a in _MR_BASES)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)

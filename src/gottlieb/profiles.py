@@ -29,6 +29,9 @@ text codec ("Z^r + Z/d + (Z/e)^n + ...", where (Z/e)^n is n copies of Z/e)
 or structurally as {"rank": r, "torsion": [[p, k], [p, k, count], ...]},
 where [p, k] is one summand Z/p^k and [p, k, count] is count of them;
 ``save`` always emits the structural form, with [p, k] for a count of 1.
+It writes the indent-2, key-sorted layout of ``json.dumps`` directly (the
+standard encoder is pure Python when it indents), and a test pins its
+bytes to the standard encoder's output.
 A structured p^k may have at most 4300 digits, the limit the text codec
 has for every integer, so every loaded group prints.  JSON integers past
 the interpreter's digit limit are schema errors.  Unknown keys are
@@ -41,6 +44,8 @@ AbelianGroup or an ``Incomplete`` report listing what was missing.
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cache
+from json.encoder import encode_basestring_ascii as _dump_str
 from typing import Iterable, Mapping
 
 from .abelian import TRIVIAL, AbelianGroup
@@ -169,10 +174,10 @@ class SpaceProfile:
                 raise ProfileError(f"betti numbers of {self.name!r} must be integers >= 0")
             object.__setattr__(self, "betti", betti)
         if self.suspension_shifts is not None:
-            shifts = tuple(sorted(self.suspension_shifts))
+            shifts = tuple(self.suspension_shifts)
             if any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in shifts):
                 raise ProfileError(f"suspension shifts of {self.name!r} must be integers >= 1")
-            object.__setattr__(self, "suspension_shifts", shifts)
+            object.__setattr__(self, "suspension_shifts", tuple(sorted(shifts)))
         if self.flags.g_space is True and self.homotopy is not None:
             # A G-space has Gottlieb groups equal to its homotopy groups;
             # check wherever both tables answer.
@@ -538,10 +543,70 @@ def group_to_json(group: AbelianGroup) -> dict:
 
 
 def _graded_to_json(table: GradedGroup) -> dict:
-    out: dict = {"entries": {str(d): group_to_json(g) for d, g in sorted(table.entries.items())}}
+    # Groups stay AbelianGroup values here; ``_dump`` writes them.
+    out: dict = {"entries": {str(d): g for d, g in table.entries.items()}}
     if table.zero_above is not None:
         out["zero_above"] = table.zero_above
     return out
+
+
+def _dump(value, level: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
+
+    ``value`` is what ``save`` builds: dicts, lists, strings, ints, bools
+    and AbelianGroup values, which ``_dump_group`` writes in the form of
+    ``group_to_json``.  ``level`` is the depth of ``value`` in the document.
+    """
+    if isinstance(value, AbelianGroup):
+        return _dump_group(value, level)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = "\n" + "  " * (level + 1)
+        items = [
+            f"{_dump_str(key)}: {_dump(item, level + 1)}" for key, item in sorted(value.items())
+        ]
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        pad = "\n" + "  " * (level + 1)
+        items = [_dump(item, level + 1) for item in value]
+        return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _dump_str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dump_group(group: AbelianGroup, level: int) -> str:
+    # The [p, k] and [p, k, count] items are most of a saved document, so
+    # each is one %-format of a template built once for its depth.
+    empty, full, pair, triple, sep = _group_layout(level)
+    if not group.torsion:
+        return empty % group.rank
+    items = sep.join([
+        pair % (p, k) if count == 1 else triple % (p, k, count) for p, k, count in group.torsion
+    ])
+    return full % (group.rank, items)
+
+
+@cache
+def _group_layout(level: int) -> tuple[str, str, str, str, str]:
+    pad0, pad1, pad2, pad3 = ("\n" + "  " * (level + i) for i in range(4))
+    rank = "{" + pad1 + '"rank": %d,' + pad1 + '"torsion": '
+    return (
+        rank + "[]" + pad0 + "}",
+        rank + "[" + pad2 + "%s" + pad1 + "]" + pad0 + "}",
+        "[" + pad3 + "%d," + pad3 + "%d" + pad2 + "]",
+        "[" + pad3 + "%d," + pad3 + "%d," + pad3 + "%d" + pad2 + "]",
+        "," + pad2,
+    )
 
 
 def save(db: ProfileDb) -> str:
@@ -575,4 +640,4 @@ def save(db: ProfileDb) -> str:
         if not profile.relative_gottlieb.is_empty:
             obj["relative_gottlieb"] = _graded_to_json(profile.relative_gottlieb)
         maps[name] = obj
-    return json.dumps({"spaces": spaces, "maps": maps}, indent=2, sort_keys=True)
+    return _dump({"spaces": spaces, "maps": maps}, 0)

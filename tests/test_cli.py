@@ -221,6 +221,16 @@ def test_missing_profile_file_exits_three(capsys, tmp_path):
     assert "cannot read profile document" in err
 
 
+def test_profile_file_that_is_not_utf8_exits_three(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"spaces": {"Y\xff": {}}}')
+    code, _, err = run(
+        capsys, "eval", "--expr", "loop(Y,1)", "--degree", "1", "--profiles", str(path)
+    )
+    assert code == 3
+    assert "not UTF-8" in err
+
+
 def _eval_entry(capsys, tmp_path, group):
     doc = {"spaces": {"Y": {"gottlieb": {"entries": {"1": group}}}}}
     path = tmp_path / "entry.json"

@@ -2,7 +2,7 @@
 
 import random
 import time
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -172,3 +172,39 @@ def test_agrees_with_sympy_on_random_integers():
         assert prod(p**k for p, k in factors.items()) == n
         assert all(sympy.isprime(p) for p in factors), n
     assert exhausted < 15
+
+
+# Above 10^6 the verdict memo is looked up before trial division, so these
+# composites with a factor below 1000 reach the memo first: check the
+# verdict on a miss and on the hit that follows, against the factors the
+# number was built from.
+@pytest.mark.parametrize("p", [1000003, P20] + PRIMES[:6], ids=lambda p: f"{p.bit_length()}-bit")
+def test_large_multiples_of_small_primes_are_composite(p):
+    for small in ({2: 1}, {997: 1}, {3: 1, 7: 1}, {2: 3, 991: 1}):
+        n = p * prod(q**k for q, k in small.items())
+        for _ in range(2):
+            assert not isprime(n)
+        assert factorint(n) == {**small, p: 1}
+
+
+def test_isprime_matches_trial_division_above_the_memo_bound():
+    rng = random.Random(15)
+    numbers = list(range(10**6 - 50, 10**6 + 50))
+    numbers += [rng.randrange(10**6, 10**9) for _ in range(200)]
+    for n in numbers:
+        assert isprime(n) == trial_isprime(n) == isprime(n), n
+
+
+def test_a_memoized_verdict_costs_no_gcd(monkeypatch):
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr("gottlieb.numtheory.gcd", counting_gcd)
+    for n in (2**127 - 1, 10**29 + 319, 2 * (2**89 - 1)):
+        first = isprime(n)
+        calls.clear()
+        assert isprime(n) is first
+        assert calls == []

@@ -140,6 +140,14 @@ def test_suspension_shifts_are_sorted_and_positive():
         SpaceProfile("X", suspension_shifts=(0,))
 
 
+@pytest.mark.parametrize("shifts", [[None, None], [2, "a"], [1.5, 2]])
+def test_unorderable_suspension_shifts_are_schema_errors(shifts):
+    # Checked before they are sorted, which would raise TypeError.
+    document = json.dumps({"spaces": {"Y": {"suspension_shifts": shifts}}})
+    with pytest.raises(ProfileError, match="suspension shifts of 'Y' must be integers"):
+        load(document)
+
+
 def test_space_name_must_be_a_usable_atom():
     with pytest.raises(ProfileError):
         SpaceProfile("S3")
