@@ -6,28 +6,24 @@ Gottlieb, homotopy, and relative terms, evaluates those sums against
 user-supplied group tables, computes rational ranks, propagates G-space
 and T-space flags, and cross-checks itself with independent oracles.
 No group values are built in; users assert them in profile documents.
+
+``import gottlieb`` loads only the profile layer (``abelian``,
+``numtheory``, ``names`` and ``profiles``), which is all ``load`` needs.
+Every other public name is imported from its submodule on first access
+(PEP 562) and then kept in the package namespace.
+
+``decompose`` is both a submodule and the function it defines, and the
+import system binds a submodule on its package when it first loads it.
+Without a guard, any first import of ``gottlieb.decompose`` (``import
+gottlieb.cli`` does one) would leave ``gottlieb.decompose`` naming the
+module.  The package's module class therefore keeps the function bound.
 """
 
+import importlib
+import sys
+import types
+
 from .abelian import TRIVIAL, AbelianGroup, canonicalize, direct_sum, parse_group
-from .decompose import DecomposeError, closed_form_bouquet, decompose
-from .formal import (
-    FormalSum,
-    GenGottliebTerm,
-    GottliebTerm,
-    PiTerm,
-    RelTerm,
-    term_text,
-)
-from .fox import fox_gottlieb, iterated_loop_homotopy
-from .oracle import (
-    CrosscheckReport,
-    crosscheck,
-    random_splittable_expr,
-    randomized_decompose,
-    recursive_bouquet_coefficients,
-    tuple_enumeration_shifts,
-    uncurry,
-)
 from .profiles import (
     Flags,
     GradedGroup,
@@ -41,43 +37,90 @@ from .profiles import (
     load,
     save,
 )
-from .ranks import (
-    HypothesisError,
-    LoopCheckVerdict,
-    PropagatedFlags,
-    TopDegreeReport,
-    free_loop_necessary_condition,
-    gamma_of_map_space,
-    hypotheses_met,
-    propagate_flags,
-    top_degree_report,
-)
-from .relative import RelativeResult, Structure, relative_decompose
-from .spaces import (
-    Atom,
-    Bouquet,
-    BouquetSpace,
-    Loop,
-    MapSpace,
-    Point,
-    Product,
-    SpaceExpr,
-    SpaceParseError,
-    Sphere,
-    Susp,
-    Torus,
-    Wedge,
-    desugar,
-    format_space,
-    parse_space,
-)
-from .splitting import (
-    NotSplittableError,
-    ShiftPolynomial,
-    SphereSplitting,
-    shift_polynomial,
-    sphere_splitting,
-)
+
+
+class _Package(types.ModuleType):
+    """The package module, keeping the ``decompose`` function bound.
+
+    Importing a submodule sets it as an attribute of its package, and
+    ``gottlieb.decompose`` names both a submodule and its function.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "decompose" and isinstance(value, types.ModuleType):
+            value = value.decompose
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+_SUBMODULE_NAMES = {
+    "decompose": ("DecomposeError", "closed_form_bouquet", "decompose"),
+    "formal": ("FormalSum", "GenGottliebTerm", "GottliebTerm", "PiTerm", "RelTerm", "term_text"),
+    "fox": ("fox_gottlieb", "iterated_loop_homotopy"),
+    "oracle": (
+        "CrosscheckReport",
+        "crosscheck",
+        "random_splittable_expr",
+        "randomized_decompose",
+        "recursive_bouquet_coefficients",
+        "tuple_enumeration_shifts",
+        "uncurry",
+    ),
+    "ranks": (
+        "HypothesisError",
+        "LoopCheckVerdict",
+        "PropagatedFlags",
+        "TopDegreeReport",
+        "free_loop_necessary_condition",
+        "gamma_of_map_space",
+        "hypotheses_met",
+        "propagate_flags",
+        "top_degree_report",
+    ),
+    "relative": ("RelativeResult", "Structure", "relative_decompose"),
+    "spaces": (
+        "Atom",
+        "Bouquet",
+        "BouquetSpace",
+        "Loop",
+        "MapSpace",
+        "Point",
+        "Product",
+        "SpaceExpr",
+        "SpaceParseError",
+        "Sphere",
+        "Susp",
+        "Torus",
+        "Wedge",
+        "desugar",
+        "format_space",
+        "parse_space",
+    ),
+    "splitting": (
+        "NotSplittableError",
+        "ShiftPolynomial",
+        "SphereSplitting",
+        "shift_polynomial",
+        "sphere_splitting",
+    ),
+}
+# Public name -> the submodule that defines it, for names loaded on first use.
+_LAZY = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

@@ -15,10 +15,12 @@ default digit limit), and ``canonicalize`` checks its orders and factors
 them.  Sums and multiples of valid groups are valid, so they skip the
 checks.  The invariant-factor chain d_1 | d_2 | ... | d_s is a derived view
 computed on demand; text output prints a run of n >= 2 equal factors d as
-``(Z/d)^n``.  All arithmetic is exact integer arithmetic; orders are
-factored and primes certified by ``gottlieb.numtheory`` (standard library
-only).  An order that Pollard-Brent rho cannot split within its work budget
-raises ``ValueError``, which profile loading reports as a schema error.
+``(Z/d)^n``.  A sum can still have a factor, count or rank past 4300
+digits; ``str`` then raises ``ValueError`` naming that number's size.
+All arithmetic is exact integer arithmetic; orders are factored and
+primes certified by ``gottlieb.numtheory`` (standard library only).  An
+order that Pollard-Brent rho cannot split within its work budget raises
+``ValueError``, which profile loading reports as a schema error.
 
 >>> g = canonicalize(1, [6, 4])
 >>> g.torsion
@@ -195,12 +197,18 @@ class AbelianGroup:
         return [d for d, n in self._factor_runs() for _ in range(n)]
 
     def __str__(self) -> str:
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        parts.extend(f"Z/{d}" if n == 1 else f"(Z/{d})^{n}" for d, n in self._factor_runs())
+        runs = self._factor_runs()
+        try:
+            parts = []
+            if self.rank == 1:
+                parts.append("Z")
+            elif self.rank > 1:
+                parts.append(f"Z^{self.rank}")
+            parts.extend(f"Z/{d}" if n == 1 else f"(Z/{d})^{n}" for d, n in runs)
+        except ValueError:
+            # A sum of admitted groups can hold a number past the digit
+            # limit; say which one instead of the interpreter's advice.
+            raise ValueError(_unprintable(self.rank, runs)) from None
         return " + ".join(parts) if parts else "0"
 
     @classmethod
@@ -242,6 +250,25 @@ class AbelianGroup:
                 raise ValueError(f"cyclic order must be >= 2 in {part!r}")
             orders[d] = orders.get(d, 0) + copies
         return _from_orders(rank, orders)
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of ``n`` >= 1, without converting it."""
+    estimate = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
+    return estimate + (n >= 10**estimate)
+
+
+def _unprintable(rank: int, runs: list[tuple[int, int]]) -> str:
+    numbers = [("rank", rank)]
+    for d, n in runs:
+        numbers += [("invariant factor", d), ("summand count", n)]
+    for what, value in numbers:
+        if _too_long(value, 1):
+            return (
+                f"group too large to print: its {what} has {_digits(value)} digits, "
+                f"past the {_MAX_DIGITS}-digit limit"
+            )
+    return "group too large to print under the interpreter's digit limit"
 
 
 def _summand_int(digits: str, what: str) -> int:

@@ -12,22 +12,10 @@ import json
 import random
 import sys
 
-from .decompose import DecomposeError, decompose
+from .decompose import decompose
 from .formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, RelTerm
-from .fox import fox_gottlieb, iterated_loop_homotopy
-from .oracle import crosscheck, random_splittable_expr
 from .profiles import Incomplete, ProfileDb, ProfileError, evaluate, group_to_json, load
-from .ranks import (
-    HypothesisError,
-    free_loop_necessary_condition,
-    gamma_of_map_space,
-    hypotheses_met,
-    propagate_flags,
-    top_degree_report,
-)
-from .relative import relative_decompose
-from .spaces import Atom, MapSpace, SpaceParseError, format_space, parse_space
-from .splitting import NotSplittableError
+from .spaces import Atom, MapSpace, format_space, parse_space
 
 __all__ = ["main"]
 
@@ -188,6 +176,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .ranks import gamma_of_map_space, hypotheses_met, top_degree_report
+
     db = _load_db(args)
     expr = parse_space(args.expr)
     if not isinstance(expr, MapSpace) or not isinstance(expr.source, Atom) \
@@ -239,6 +229,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_fox(args) -> int:
+    from .fox import fox_gottlieb
+
     db = _load_db(args)
     name = _atom_name(args.expr, "fox target")
     formal_sum = fox_gottlieb(args.degree, name)
@@ -253,6 +245,8 @@ def _cmd_fox(args) -> int:
 
 
 def _cmd_loop_homotopy(args) -> int:
+    from .fox import iterated_loop_homotopy
+
     db = _load_db(args)
     name = _atom_name(args.expr, "loop-homotopy target")
     formal_sum = iterated_loop_homotopy(args.degree, args.iterations, name)
@@ -268,6 +262,8 @@ def _cmd_loop_homotopy(args) -> int:
 
 
 def _cmd_relative(args) -> int:
+    from .relative import relative_decompose
+
     db = _load_db(args)
     result = relative_decompose(db.map(args.map_name), args.degree,
                                 circles=args.m, iterations=args.iterations)
@@ -283,6 +279,8 @@ def _cmd_relative(args) -> int:
 
 
 def _cmd_flags(args) -> int:
+    from .ranks import propagate_flags
+
     db = _load_db(args)
     expr = parse_space(args.expr)
     if not isinstance(expr, MapSpace) or not isinstance(expr.target, Atom):
@@ -318,6 +316,8 @@ def _parse_window(text: str) -> range:
 
 
 def _cmd_loop_check(args) -> int:
+    from .ranks import free_loop_necessary_condition
+
     db = _load_db(args)
     candidate = db.space(_atom_name(args.candidate, "candidate"))
     base = db.space(_atom_name(args.expr, "base space"))
@@ -342,6 +342,8 @@ def _cmd_loop_check(args) -> int:
 
 
 def _default_check_cases(seed: int) -> list[tuple[str, range]]:
+    from .oracle import random_splittable_expr
+
     cases = [
         ("map(S1, Y)", range(1, 5)),
         ("map(T3, Y)", range(1, 5)),
@@ -358,6 +360,8 @@ def _default_check_cases(seed: int) -> list[tuple[str, range]]:
 
 
 def _cmd_check(args) -> int:
+    from .oracle import crosscheck
+
     db = _load_db(args)
     shifts = _shifts(db)
     if args.expr is not None:
@@ -404,16 +408,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SpaceParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DecomposeError, HypothesisError, NotSplittableError, _UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
+        # Parse, decompose, splitting, hypothesis and usage errors are all
+        # ValueErrors, so this needs none of the modules a command defers.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

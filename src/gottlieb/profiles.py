@@ -33,12 +33,22 @@ It writes the indent-2, key-sorted layout of ``json.dumps`` directly (the
 standard encoder is pure Python when it indents), and a test pins its
 bytes to the standard encoder's output.
 A structured p^k may have at most 4300 digits, the limit the text codec
-has for every integer, so every loaded group prints.  JSON integers past
-the interpreter's digit limit are schema errors.  Unknown keys are
-rejected everywhere.  A graded table maps a degree to a group when an
-entry exists, to the trivial group when the degree exceeds ``zero_above``,
-and to "unknown" otherwise; evaluation of a formal sum returns either an
-AbelianGroup or an ``Incomplete`` report listing what was missing.
+has for every integer (a product of such powers can still be too long to
+print; see ``abelian``).  JSON integers past the interpreter's digit limit
+are schema errors.  Unknown keys are rejected everywhere.  A graded
+table maps a degree to a group when an entry exists, to the trivial group
+when the degree exceeds ``zero_above``, and to "unknown" otherwise;
+evaluation of a formal sum returns either an AbelianGroup or an
+``Incomplete`` report listing what was missing.
+
+Loading a document needs only ``abelian`` and the atom-name lexicon of
+``names``, so those are the only package modules imported here at module
+level.  ``evaluate`` imports the term classes of ``formal``, and
+``gottlieb_table_of_map_space`` imports ``splitting``, inside the call: a
+fresh process that only loads a document (``import gottlieb;
+gottlieb.load(doc)``) then never compiles the expression language, which
+was most of its start-up time.  A repeated function-level import is a
+dictionary lookup, about a microsecond per call.
 """
 
 import json
@@ -46,19 +56,14 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii as _dump_str
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .abelian import TRIVIAL, AbelianGroup
-from .formal import (
-    FormalSum,
-    GenGottliebTerm,
-    GottliebTerm,
-    PiTerm,
-    RelTerm,
-    term_text,
-)
-from .spaces import SpaceExpr, is_valid_atom_name
-from .splitting import shift_polynomial
+from .names import is_valid_atom_name
+
+if TYPE_CHECKING:
+    from .formal import FormalSum
+    from .spaces import SpaceExpr
 
 __all__ = [
     "Flags",
@@ -295,13 +300,15 @@ class Incomplete:
     partial: AbelianGroup | None = None
 
 
-def evaluate(formal_sum: FormalSum, db: ProfileDb) -> AbelianGroup | Incomplete:
+def evaluate(formal_sum: "FormalSum", db: ProfileDb) -> AbelianGroup | Incomplete:
     """Resolve every term of ``formal_sum`` against the tables in ``db``.
 
     Returns the direct sum when everything resolves.  Unknown table values
     and symbolic residuals produce an ``Incomplete`` carrying the partial
     sum; referencing a space or map with no profile at all is an error.
     """
+    from .formal import GenGottliebTerm, GottliebTerm, PiTerm, RelTerm, term_text
+
     total = TRIVIAL
     missing: list[str] = []
     residuals: list[str] = []
@@ -328,7 +335,7 @@ def evaluate(formal_sum: FormalSum, db: ProfileDb) -> AbelianGroup | Incomplete:
 
 
 def gottlieb_table_of_map_space(
-    source: SpaceExpr, target: str, degrees: Iterable[int], db: ProfileDb
+    source: "SpaceExpr", target: str, degrees: Iterable[int], db: ProfileDb
 ) -> GradedGroup | Incomplete:
     """Derived Gottlieb table of map(source, target) on the given degrees.
 
@@ -338,6 +345,8 @@ def gottlieb_table_of_map_space(
     since shifting only raises degrees.  Unknown target degrees make the
     result Incomplete.
     """
+    from .splitting import shift_polynomial
+
     profile = db.space(target)
     poly = shift_polynomial(source, db.atom_shifts())
     table = profile.gottlieb

@@ -28,6 +28,8 @@ idempotent.
 import re
 from dataclasses import dataclass
 
+from .names import IDENT_RE, INDEXED_RE, KEYWORDS, is_valid_atom_name
+
 __all__ = [
     "Atom",
     "Bouquet",
@@ -48,21 +50,6 @@ __all__ = [
     "is_valid_atom_name",
     "parse_space",
 ]
-
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INDEXED_RE = re.compile(r"([STB])([0-9]+)\Z")
-_KEYWORDS = ("wedge", "prod", "susp", "map", "loop", "bloop", "pt")
-
-
-def is_valid_atom_name(name: str) -> bool:
-    """True when ``name`` can denote a user atom (identifier, not reserved)."""
-    return (
-        isinstance(name, str)
-        and _IDENT_RE.fullmatch(name) is not None
-        and name not in _KEYWORDS
-        and _INDEXED_RE.fullmatch(name) is None
-    )
-
 
 class SpaceExpr:
     """Base class for space expression nodes; all nodes are immutable."""
@@ -227,7 +214,7 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
                 raise SpaceParseError(f"number {digits!r} has a leading zero", i)
             tokens.append(("INT", digits, i))
             i += len(digits)
-        elif m := _IDENT_RE.match(text, i):
+        elif m := IDENT_RE.match(text, i):
             tokens.append(("NAME", m.group(0), i))
             i = m.end()
         else:
@@ -277,9 +264,9 @@ class _Parser:
         self.pos += 1
         if value == "pt":
             return Point()
-        if value in _KEYWORDS:
+        if value in KEYWORDS:
             return self.call(value, at)
-        if m := _INDEXED_RE.fullmatch(value):
+        if m := INDEXED_RE.fullmatch(value):
             letter, digits = m.groups()
             if digits.startswith("0"):
                 raise SpaceParseError(

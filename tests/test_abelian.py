@@ -117,6 +117,26 @@ def test_text_codec_bounds_overlong_integers(summand):
     assert len(str(err.value)) < 100
 
 
+@pytest.mark.parametrize(
+    "group, what, digits",
+    [
+        # Each summand is admitted; the sum is not printable.
+        (AbelianGroup(0, ((2, 10000), (3, 6000))), "invariant factor", 5874),
+        (AbelianGroup(0, ((2, 1),)).scaled(10**4300), "summand count", 4301),
+        (AbelianGroup(10**4299).scaled(10**10), "rank", 4310),
+        (AbelianGroup(2).scaled(10**4300 - 1).direct_sum(AbelianGroup(0, ((5, 1),))),
+         "rank", 4301),
+    ],
+    ids=["factor", "count", "rank", "rank-after-sum"],
+)
+def test_text_of_a_group_past_the_digit_limit_names_the_number(group, what, digits):
+    with pytest.raises(ValueError) as err:
+        str(group)
+    assert str(err.value) == (
+        f"group too large to print: its {what} has {digits} digits, past the 4300-digit limit"
+    )
+
+
 @pytest.mark.parametrize("pair", [(2, True), (True, 1), (False, 1), (3, False)])
 def test_torsion_pairs_reject_booleans(pair):
     with pytest.raises(TypeError, match="two integers"):

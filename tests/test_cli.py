@@ -308,6 +308,26 @@ def test_structured_items_at_the_digit_cap(capsys, tmp_path):
     assert "exceeds 4300 digits" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_answer_with_a_factor_past_the_digit_limit_exits_two(capsys, tmp_path, fmt):
+    # Both summands are admitted, but the invariant factor of their sum,
+    # 2^10000 * 3^6000, has 5874 digits and cannot be printed.
+    path = tmp_path / "wide.json"
+    graded = {"entries": {"1": {"rank": 0, "torsion": [[2, 10000]]},
+                          "2": {"rank": 0, "torsion": [[3, 6000]]}},
+              "zero_above": 2}
+    path.write_text(json.dumps({"spaces": {"Y": {"gottlieb": graded}}}))
+    code, out, err = run(capsys, "eval", "--expr", "loop(Y, 1)", "--degree", "1",
+                         "--profiles", str(path), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: group too large to print: its invariant factor has 5874 digits, "
+        "past the 4300-digit limit\n"
+    )
+    assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize(
     "order",
     [
