@@ -211,6 +211,21 @@ class AbelianGroup:
             raise ValueError(_unprintable(self.rank, runs)) from None
         return " + ".join(parts) if parts else "0"
 
+    def describe(self) -> str:
+        """``str(self)``, or a phrase naming the group's size when it cannot print.
+
+        For messages that must not fail: a sum of admitted groups can hold a
+        number past the digit limit, e.g. "a group whose invariant factor
+        has 5874 digits".
+        """
+        try:
+            return str(self)
+        except ValueError:
+            oversized = _oversized(self.rank, self._factor_runs())
+        if oversized is None:
+            return "a group too large to print"
+        return f"a group whose {oversized}"
+
     @classmethod
     def from_text(cls, text: str) -> "AbelianGroup":
         """Parse the ``"Z^r + Z/d + (Z/e)^n + ..."`` codec; ``"0"`` is trivial.
@@ -258,17 +273,22 @@ def _digits(n: int) -> int:
     return estimate + (n >= 10**estimate)
 
 
-def _unprintable(rank: int, runs: list[tuple[int, int]]) -> str:
+def _oversized(rank: int, runs: list[tuple[int, int]]) -> str | None:
+    """``"<number> has N digits"`` for the first number past the limit."""
     numbers = [("rank", rank)]
     for d, n in runs:
         numbers += [("invariant factor", d), ("summand count", n)]
     for what, value in numbers:
         if _too_long(value, 1):
-            return (
-                f"group too large to print: its {what} has {_digits(value)} digits, "
-                f"past the {_MAX_DIGITS}-digit limit"
-            )
-    return "group too large to print under the interpreter's digit limit"
+            return f"{what} has {_digits(value)} digits"
+    return None
+
+
+def _unprintable(rank: int, runs: list[tuple[int, int]]) -> str:
+    oversized = _oversized(rank, runs)
+    if oversized is None:
+        return "group too large to print under the interpreter's digit limit"
+    return f"group too large to print: its {oversized}, past the {_MAX_DIGITS}-digit limit"
 
 
 def _summand_int(digits: str, what: str) -> int:

@@ -5,9 +5,14 @@ loop-check, check.  Exit codes: 0 success, 1 incomplete evaluation
 (partial output is still printed), 2 parse or usage error, 3 profile or
 schema error, 4 cross-check failure.  ``--format json`` prints a single
 sorted-key JSON object, byte-identical across runs.
+
+``main(argv)`` returns the exit code instead of exiting, so a script may
+call it repeatedly in one process; the argument parser is built on the
+first call and reused by every later one.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -24,7 +29,10 @@ class _UsageError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing never mutates the parser, and help
+    # text reads the terminal width when it is formatted, not here.
     parser = argparse.ArgumentParser(
         prog="gottlieb",
         description="Symbolic Gottlieb group calculator for mapping spaces.",

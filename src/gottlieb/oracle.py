@@ -21,6 +21,7 @@ here reuses code from the decomposition engine; ``decompose`` and
 ``closed_form_bouquet`` are only ever invoked as subjects under test.
 """
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -260,8 +261,11 @@ def _synthetic_profile(name: str, degrees: Iterable[int], seed: int) -> SpacePro
     return SpaceProfile(name, gottlieb=GradedGroup(entries))
 
 
+Strategy = Callable[[int], FormalSum]
+
+
 def _derived_profile_counterexample(
-    expr: SpaceExpr,
+    decomposed: Strategy,
     sources: tuple[SpaceExpr, ...],
     core_name: str,
     polys: Sequence[ShiftPolynomial],
@@ -298,14 +302,11 @@ def _derived_profile_counterexample(
             # gap here is a fault in the derivation, reported as a failure.
             return f"derived table incomplete: missing {', '.join(table.missing)}"
     for n in degrees:
-        direct = evaluate(decompose(expr, n, atom_shifts), db)
+        direct = evaluate(decomposed(n), db)
         derived = table.lookup(n)
         if direct != derived:
             return f"degree {n}: direct={direct} derived={derived}"
     return None
-
-
-Strategy = Callable[[int], FormalSum]
 
 
 def crosscheck(
@@ -354,9 +355,13 @@ def crosscheck(
                 name, fn = item
                 custom.append((str(name), fn))
 
+    # The engine's answer per degree, computed on first use: the
+    # deterministic strategy and the derived-profile check both read it.
+    decomposed = functools.cache(lambda n: decompose(expr, n, shifts))
+
     available: dict[str, Strategy] = {}
     if "deterministic" in selected:
-        available["deterministic"] = lambda n: decompose(expr, n, shifts)
+        available["deterministic"] = decomposed
     if "randomized" in selected:
         available["randomized"] = lambda n: randomized_decompose(
             expr, n, shifts, random.Random(f"{seed}:{n}")
@@ -407,7 +412,7 @@ def crosscheck(
         entries.append(CheckEntry(left, right, degrees, counterexample is None, counterexample))
     if "derived-profile" in selected and fully_split and sources:
         counterexample = _derived_profile_counterexample(
-            expr, sources, core.name, polys, degrees, shifts, seed
+            decomposed, sources, core.name, polys, degrees, shifts, seed
         )
         entries.append(CheckEntry("evaluated decompose", "derived-profile recursion",
                                   degrees, counterexample is None, counterexample))

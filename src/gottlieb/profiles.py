@@ -192,8 +192,8 @@ class SpaceProfile:
                 b = self.homotopy.lookup(degree)
                 if a is not None and b is not None and a != b:
                     raise ProfileError(
-                        f"{self.name!r} is flagged g_space but G[{degree}] = {a} "
-                        f"differs from pi[{degree}] = {b}"
+                        f"{self.name!r} is flagged g_space but G[{degree}] = {a.describe()} "
+                        f"differs from pi[{degree}] = {b.describe()}"
                     )
 
     @property
@@ -255,7 +255,8 @@ class ProfileDb:
                     if a is not None and b is not None and a != b:
                         raise ProfileError(
                             f"identity map {name!r} relative table at degree {degree} "
-                            f"({a}) disagrees with the Gottlieb table of {profile.source!r} ({b})"
+                            f"({a.describe()}) disagrees with the Gottlieb table of "
+                            f"{profile.source!r} ({b.describe()})"
                         )
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "maps", maps)

@@ -135,6 +135,12 @@ def test_text_of_a_group_past_the_digit_limit_names_the_number(group, what, digi
     assert str(err.value) == (
         f"group too large to print: its {what} has {digits} digits, past the 4300-digit limit"
     )
+    assert group.describe() == f"a group whose {what} has {digits} digits"
+
+
+def test_describe_is_the_text_of_a_printable_group():
+    group = AbelianGroup(1, ((2, 14284, 3),))
+    assert group.describe() == str(group)
 
 
 @pytest.mark.parametrize("pair", [(2, True), (True, 1), (False, 1), (3, False)])

@@ -1,12 +1,15 @@
 """Command-line interface: every subcommand and every exit code."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from gottlieb.cli import main
+from gottlieb.cli import _COMMANDS, main
 from gottlieb.profiles import Incomplete
 
 
@@ -325,6 +328,34 @@ def test_answer_with_a_factor_past_the_digit_limit_exits_two(capsys, tmp_path, f
         "error: group too large to print: its invariant factor has 5874 digits, "
         "past the 4300-digit limit\n"
     )
+    assert "set_int_max_str_digits" not in err
+
+
+# Two admitted summands whose sum, 2^10000 * 3^6000, has an invariant
+# factor of 5874 digits.
+WIDE = {"rank": 0, "torsion": [[2, 10000], [3, 6000]]}
+# Keyed by the text that names the degree in each mismatch message: the
+# g_space check and the identity-map check.
+MISMATCHED_WIDE_DOCS = {
+    "G[1] =": {"spaces": {"Y": {"flags": {"g_space": True},
+                                "gottlieb": {"entries": {"1": WIDE}},
+                                "homotopy": {"entries": {"1": "Z"}}}}},
+    "at degree 1": {"spaces": {"Y": {"gottlieb": {"entries": {"1": WIDE}}}},
+                    "maps": {"f": {"source": "Y", "target": "Y", "is_identity": True,
+                                   "relative_gottlieb": {"entries": {"1": "Z"}}}}},
+}
+
+
+@pytest.mark.parametrize("degree_text", sorted(MISMATCHED_WIDE_DOCS))
+def test_mismatch_naming_an_unprintable_group_exits_three(capsys, tmp_path, degree_text):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(MISMATCHED_WIDE_DOCS[degree_text]))
+    code, out, err = run(capsys, "eval", "--expr", "Y", "--degree", "1",
+                         "--profiles", str(path))
+    assert code == 3
+    assert out == ""
+    assert degree_text in err
+    assert "a group whose invariant factor has 5874 digits" in err
     assert "set_int_max_str_digits" not in err
 
 
@@ -653,3 +684,51 @@ def test_check_default_suite(capsys):
     assert "all checks passed" in out
     # Six fixed cases plus the randomized corpus.
     assert out.count("crosscheck ") == 31
+
+
+CLI_ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
+
+
+def test_parser_is_built_once_per_process():
+    code = """
+import argparse, json
+from gottlieb.cli import main
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+counts = []
+for _ in range(2):
+    before = len(built)
+    main(["decompose", "--expr", "map(T10, Y)", "--degree", "3", "--format", "json"])
+    counts.append(len(built) - before)
+print(json.dumps(counts))
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=CLI_ENV, timeout=60)
+    assert result.returncode == 0, result.stderr
+    first, second = json.loads(result.stdout.splitlines()[-1])
+    # The top-level parser and one per subcommand, then none.
+    assert first == 1 + len(_COMMANDS)
+    assert second == 0
+
+
+def test_reused_parser_gives_the_output_of_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        ["decompose", "--expr", "map(T2, Y)"],
+        ["no-such-command"],
+        ["--help"],
+        ["check", "--help"],
+        [],
+        ["decompose", "--expr", "map(T10, Y)", "--degree", "3", "--format", "json"],
+    ]
+    in_process = [run(capsys, *argv) for argv in sequence]
+    for argv, got in zip(sequence, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "gottlieb.cli", *argv],
+                               capture_output=True, text=True, env=CLI_ENV, timeout=60)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 2, 0]
+

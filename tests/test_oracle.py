@@ -133,6 +133,54 @@ def test_wrong_power_is_caught_by_the_oracles(monkeypatch):
                and e.left != "evaluated decompose")
 
 
+def _counted_decompose(monkeypatch, extra=None):
+    """Wrap the engine as crosscheck sees it; returns the list of degrees asked."""
+    import gottlieb.oracle as oracle
+
+    calls: list[int] = []
+
+    def counted(expr, degree, atom_shifts=None):
+        calls.append(degree)
+        result = decompose(expr, degree, atom_shifts)
+        return result if extra is None else result + extra(degree)
+
+    monkeypatch.setattr(oracle, "decompose", counted)
+    return calls
+
+
+def test_crosscheck_decomposes_each_degree_once(monkeypatch):
+    calls = _counted_decompose(monkeypatch)
+    report = crosscheck("loop(Y, 4)", [1, 2, 3])
+    assert report.passed
+    assert len(report.entries) == 16
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_wrong_decompose_fails_the_engine_comparisons_and_the_derived_profile(monkeypatch):
+    # The extra term asks for a degree the synthetic table of Y leaves
+    # unknown, so the evaluated answer is incomplete at every degree.
+    calls = _counted_decompose(
+        monkeypatch, extra=lambda n: FormalSum.single(GottliebTerm("Y", n + 50))
+    )
+    report = crosscheck("loop(Y, 4)", [1, 2, 3])
+    failed = {(e.left, e.right) for e in report.entries if not e.passed}
+    others = {"randomized", "closed-form", "recursion", "polynomial", "tuple-enumeration"}
+    assert failed == {("deterministic", name) for name in others} | {
+        ("evaluated decompose", "derived-profile recursion")
+    }
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_derived_profile_alone_decomposes_each_degree_once(monkeypatch):
+    calls = _counted_decompose(monkeypatch)
+    report = crosscheck("map(T2, Y)", [1, 2], strategies=["derived-profile"])
+    assert report.passed
+    assert [(e.left, e.right) for e in report.entries] == [
+        ("evaluated decompose", "derived-profile recursion")
+    ]
+    assert sorted(calls) == [1, 2]
+
+
 def test_randomized_decompose_walks_deep_loops():
     # The walk carries a dict down the chain, so depth is not bounded by
     # the recursion limit.
