@@ -10,19 +10,24 @@ For n >= 10^6 the verdict is memoized, 1024 verdicts per process, and the
 memo is looked up before any arithmetic, trial division included.
 
 ``factorint`` returns ``{prime: exponent}``.  After trial division by the
-primes below 1000 it splits what is left with a few Fermat steps (close
-factors), a perfect-power check and Brent's variant of Pollard's rho
-(BIT 20, 1980).  Rho runs on a work budget that scales with the size of the
-number, so every call ends in bounded time; when the budget runs out it
-raises ``ValueError``.
+primes below 1000, a composite cofactor takes one gcd with the product of
+the primes in [1000, 10^4), which finds all of its prime factors there.
+What is left has no prime factor below 10^4; it is split with a
+perfect-power check, a few Fermat steps (close factors) and Brent's
+variant of Pollard's rho (BIT 20, 1980).  Rho runs on a work budget that
+scales with the size of the number, so every call ends in bounded time;
+when the budget runs out it raises ``ValueError``.  Factors found before
+rho do not use up its budget.
 
 >>> factorint(2**5 * 3 * 1000003**2)
 {2: 5, 3: 1, 1000003: 2}
+>>> factorint(1237**2 * 100000000000031)
+{1237: 2, 100000000000031: 1}
 >>> isprime(3317044064679887385961981)
 False
 """
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt, prod
 
 __all__ = ["factorint", "isprime"]
@@ -44,6 +49,11 @@ _SMALL_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = prod(_SMALL_PRIMES)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981
+# One gcd with the product of the primes in [_TRIAL_BOUND, _GCD_BOUND)
+# finds all of a cofactor's 4-digit prime factors at once (7-11 us on a
+# 30-130-bit cofactor with CPython 3.11 on x86-64, where rho took 50-300 us
+# for each factor).  Past 10^4 the product grows and the gcd stops paying.
+_GCD_BOUND = 10_000
 _FERMAT_STEPS = 8
 # Rho's budget, counted in steps on a number of one machine word.  A step
 # on a b-bit number costs about 1 + (b / 320)^1.7 of those (measured with
@@ -142,9 +152,14 @@ def _half(x: int, n: int) -> int:
 def factorint(n: int) -> dict[int, int]:
     """The prime factorization of the integer ``n >= 1`` as ``{p: k}``.
 
-    Raises ``ValueError`` when Pollard-Brent rho exhausts its work budget
-    on a cofactor, which happens when ``n`` has two prime factors of more
-    than about ten digits that are not close together.
+    Trial division removes the primes below 1000.  If what is left is
+    composite, one gcd removes its primes below 10^4; a perfect-power
+    check, Fermat steps and Pollard-Brent rho split the rest.
+
+    Raises ``ValueError`` when rho exhausts its work budget on a cofactor,
+    which happens when ``n`` has two prime factors of more than about ten
+    digits that are not close together.  Prime factors below 10^4 cost
+    that budget nothing.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"cannot factor {n!r}: expected an integer >= 1")
@@ -161,6 +176,14 @@ def factorint(n: int) -> dict[int, int]:
                 rest //= p
                 k += 1
             factors[p] = k
+    if rest > 1:
+        # The gcd comes after the primality test, so prime cofactors, the
+        # common case, never pay for it.
+        if isprime(rest):
+            factors[rest] = 1
+            rest = 1
+        else:
+            rest = _divide_gcd_primes(rest, factors)
     work = _RHO_WORK
     pending = [(rest, 1)] if rest > 1 else []
     while pending:
@@ -179,6 +202,36 @@ def factorint(n: int) -> dict[int, int]:
     return factors
 
 
+@cache
+def _gcd_primes() -> tuple[list[int], int]:
+    """The 1061 primes in [_TRIAL_BOUND, _GCD_BOUND) and their product."""
+    primes = _primes_below(_GCD_BOUND)[len(_SMALL_PRIMES) :]
+    return primes, prod(primes)
+
+
+def _divide_gcd_primes(m: int, factors: dict[int, int]) -> int:
+    """m without its prime factors in [_TRIAL_BOUND, _GCD_BOUND).
+
+    Those primes go into ``factors`` with their exponents; m has no prime
+    factor below _TRIAL_BOUND.
+    """
+    primes, product = _gcd_primes()
+    g = gcd(m, product % m)
+    candidates = iter(primes)
+    while g > 1:
+        # g is a product of distinct primes of [_TRIAL_BOUND, _GCD_BOUND),
+        # so it is prime exactly when it is below _GCD_BOUND; otherwise
+        # walk on to its next prime factor.
+        p = g if g < _GCD_BOUND else next(q for q in candidates if g % q == 0)
+        g //= p
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        factors[p] = k
+    return m
+
+
 def _fermat(m: int) -> int | None:
     """A factor of m found near its square root, if the two are close."""
     a = isqrt(m - 1) + 1
@@ -192,10 +245,10 @@ def _fermat(m: int) -> int | None:
 
 
 def _perfect_power(m: int) -> tuple[int, int]:
-    # m has no prime factor below _TRIAL_BOUND, so a k-th root needs
-    # k * log2(_TRIAL_BOUND) < log2(m).
+    # m has no prime factor below _GCD_BOUND, so a k-th root r > _GCD_BOUND
+    # needs k * 13 < k * log2(_GCD_BOUND) < log2(m) < m.bit_length().
     for k in _SMALL_PRIMES:
-        if k * (_TRIAL_BOUND.bit_length() - 1) >= m.bit_length():
+        if k * (_GCD_BOUND.bit_length() - 1) >= m.bit_length():
             break
         r = _iroot(m, k)
         if r**k == m:

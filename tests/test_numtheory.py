@@ -208,3 +208,54 @@ def test_a_memoized_verdict_costs_no_gcd(monkeypatch):
         calls.clear()
         assert isprime(n) is first
         assert calls == []
+
+
+# The primes the gcd stage finds, [1000, 10^4), and 15-digit cofactors.
+GCD_PRIMES = [p for p in range(1000, 10_000) if trial_isprime(p)]
+Q15 = [100000000000031, 100000000000067, 100000000000097, 999999999999989]
+
+
+def no_rho(m, work):
+    pytest.fail(f"rho called on {m}")
+
+
+def test_gcd_stage_finds_every_prime_between_1000_and_1e4():
+    rng = random.Random(18)
+    assert len(GCD_PRIMES) == 1061
+    for case in range(400):
+        mid = rng.sample(GCD_PRIMES, rng.randint(0, 4))
+        expected = {p: rng.randint(1, 4) for p in mid}
+        if case % 3 == 1:
+            expected.update({q: rng.randint(1, 3) for q in rng.sample([2, 3, 5, 997], 2)})
+        if case % 3 == 2:
+            expected[rng.choice(Q15)] = 1
+        n = prod(p**k for p, k in expected.items())
+        assert factorint(n) == expected, n
+    # Built only from such primes, with a composite gcd: every tenth of
+    # them at once (all 1061 would spend seconds in the primality test of
+    # the 12898-bit product), the smallest and largest pair, and squares.
+    assert factorint(prod(GCD_PRIMES[::10])) == dict.fromkeys(GCD_PRIMES[::10], 1)
+    assert factorint(1009 * 9973) == {1009: 1, 9973: 1}
+    assert factorint(1009**2 * 9973**2 * Q15[0]) == {1009: 2, 9973: 2, Q15[0]: 1}
+
+
+def test_primes_below_1e4_never_reach_rho(monkeypatch):
+    monkeypatch.setattr("gottlieb.numtheory._brent", no_rho)
+    for p, q in [(1009, Q15[0]), (1237, Q15[1]), (4999, Q15[2]), (9973, Q15[3])]:
+        assert factorint(p * q) == {p: 1, q: 1}
+        assert factorint(p**3 * q) == {p: 3, q: 1}
+    for p in (1009, 1237, 9973):
+        for k in (2, 3, 4):
+            assert factorint(p**k) == {p: k}
+            assert factorint(2 * 3 * p**k * P20) == {2: 1, 3: 1, p: k, P20: 1}
+
+
+def test_perfect_powers_of_primes_just_above_1e4(monkeypatch):
+    # 10007 is the first prime past the gcd stage, so its powers sit at
+    # the perfect-power check's bound.
+    assert factorint(10007**2 * P20) == {10007: 2, P20: 1}
+    monkeypatch.setattr("gottlieb.numtheory._brent", no_rho)
+    assert factorint(10007**3) == {10007: 3}
+    assert factorint(10009**5) == {10009: 5}
+    for k in range(2, 12):
+        assert factorint(10007**k) == {10007: k}
