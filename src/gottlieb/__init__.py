@@ -108,6 +108,13 @@ _SUBMODULE_NAMES = {
 # Public name -> the submodule that defines it, for names loaded on first use.
 _LAZY = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
+__all__ = sorted([
+    "TRIVIAL", "AbelianGroup", "canonicalize", "direct_sum", "parse_group",
+    "Flags", "GradedGroup", "Incomplete", "MapProfile", "ProfileDb", "ProfileError",
+    "SpaceProfile", "evaluate", "gottlieb_table_of_map_space", "load", "save",
+    *_LAZY,
+])
+
 
 def __getattr__(name: str):
     module = _LAZY.get(name)
@@ -123,73 +130,3 @@ def __dir__() -> list[str]:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AbelianGroup",
-    "Atom",
-    "Bouquet",
-    "BouquetSpace",
-    "CrosscheckReport",
-    "DecomposeError",
-    "Flags",
-    "FormalSum",
-    "GenGottliebTerm",
-    "GottliebTerm",
-    "GradedGroup",
-    "HypothesisError",
-    "Incomplete",
-    "Loop",
-    "LoopCheckVerdict",
-    "MapProfile",
-    "MapSpace",
-    "NotSplittableError",
-    "PiTerm",
-    "Point",
-    "Product",
-    "ProfileDb",
-    "ProfileError",
-    "PropagatedFlags",
-    "RelTerm",
-    "RelativeResult",
-    "ShiftPolynomial",
-    "SpaceExpr",
-    "SpaceParseError",
-    "SpaceProfile",
-    "Sphere",
-    "SphereSplitting",
-    "Structure",
-    "Susp",
-    "TRIVIAL",
-    "TopDegreeReport",
-    "Torus",
-    "Wedge",
-    "canonicalize",
-    "closed_form_bouquet",
-    "crosscheck",
-    "decompose",
-    "desugar",
-    "direct_sum",
-    "evaluate",
-    "format_space",
-    "fox_gottlieb",
-    "free_loop_necessary_condition",
-    "gamma_of_map_space",
-    "gottlieb_table_of_map_space",
-    "hypotheses_met",
-    "iterated_loop_homotopy",
-    "load",
-    "parse_group",
-    "parse_space",
-    "propagate_flags",
-    "random_splittable_expr",
-    "randomized_decompose",
-    "recursive_bouquet_coefficients",
-    "relative_decompose",
-    "save",
-    "shift_polynomial",
-    "sphere_splitting",
-    "term_text",
-    "top_degree_report",
-    "tuple_enumeration_shifts",
-    "uncurry",
-]

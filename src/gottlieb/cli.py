@@ -6,6 +6,11 @@ loop-check, check.  Exit codes: 0 success, 1 incomplete evaluation
 schema error, 4 cross-check failure.  ``--format json`` prints a single
 sorted-key JSON object, byte-identical across runs.
 
+Every ``_cmd_*(args, db)`` gets the parsed arguments and the loaded
+profile (None without ``--profiles``) and returns ``(code, obj, lines)``:
+the exit code, the JSON object less its ``"command"`` key, and the text
+lines.  ``main`` alone prints: the object with the command name added, or
+the lines.  ``_incomplete`` alone renders an incomplete result.
 ``main(argv)`` returns the exit code instead of exiting, so a script may
 call it repeatedly in one process; the argument parser is built on the
 first call and reused by every later one.
@@ -61,8 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
             expr="required", degree="optional", profiles="required")
     p.add_argument("--unchecked-hypotheses", action="store_true",
                    help="compute even when finiteness hypotheses are not declared")
-    p = add("fox", "torus-Gottlieb group of a target space",
-            expr="required", degree="required", profiles="optional")
+    add("fox", "torus-Gottlieb group of a target space",
+        expr="required", degree="required", profiles="optional")
     p = add("loop-homotopy", "homotopy of an iterated free loop space",
             expr="required", degree="required", profiles="optional")
     p.add_argument("--iterations", type=int, default=1, help="loop iterations N >= 1")
@@ -83,14 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, human_lines: list[str], obj: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _load_db(args) -> ProfileDb | None:
     path = getattr(args, "profiles", None)
     if path is None:
@@ -109,20 +106,17 @@ def _shifts(db: ProfileDb | None) -> dict:
 
 
 def _term_obj(term, multiplicity: int) -> dict:
-    if isinstance(term, GottliebTerm):
-        return {"kind": "gottlieb", "space": term.space, "degree": term.degree,
-                "multiplicity": multiplicity}
-    if isinstance(term, PiTerm):
-        return {"kind": "pi", "space": term.space, "degree": term.degree,
-                "multiplicity": multiplicity}
-    if isinstance(term, RelTerm):
-        return {"kind": "relative", "map": term.map_name, "degree": term.degree,
-                "multiplicity": multiplicity}
-    if isinstance(term, GenGottliebTerm):
-        return {"kind": "generalized", "source": format_space(term.source),
-                "suspensions": term.suspensions, "target": format_space(term.target),
-                "multiplicity": multiplicity}
-    raise TypeError(f"unknown term {term!r}")  # pragma: no cover
+    if isinstance(term, (GottliebTerm, PiTerm)):
+        kind = "gottlieb" if isinstance(term, GottliebTerm) else "pi"
+        fields = {"kind": kind, "space": term.space, "degree": term.degree}
+    elif isinstance(term, RelTerm):
+        fields = {"kind": "relative", "map": term.map_name, "degree": term.degree}
+    elif isinstance(term, GenGottliebTerm):
+        fields = {"kind": "generalized", "source": format_space(term.source),
+                  "suspensions": term.suspensions, "target": format_space(term.target)}
+    else:  # pragma: no cover
+        raise TypeError(f"unknown term {term!r}")
+    return {**fields, "multiplicity": multiplicity}
 
 
 def _sum_obj(formal_sum: FormalSum) -> list[dict]:
@@ -140,182 +134,132 @@ def _atom_name(args_expr: str, what: str) -> str:
     return expr.name
 
 
+def _incomplete(obj: dict, lines: list[str], result: Incomplete) -> int:
+    """Render an incomplete result into the output; returns its exit code.
+
+    Only an evaluation has a partial group, and residuals, to report.
+    """
+    obj["status"] = "incomplete"
+    obj["missing"] = list(result.missing)
+    if result.partial is not None:
+        obj["residuals"] = list(result.residuals)
+        obj["partial"] = _group_obj(result.partial)
+        lines.append(f"partial: {result.partial}")
+    lines.append("incomplete")
+    lines.extend(f"  unknown: {item}" for item in result.missing)
+    lines.extend(f"  residual: {item}" for item in result.residuals)
+    return 1
+
+
 def _evaluation(obj: dict, lines: list[str], result) -> int:
     """Fold an evaluation result into the output; returns the exit code."""
     if isinstance(result, Incomplete):
-        obj["status"] = "incomplete"
-        obj["missing"] = list(result.missing)
-        obj["residuals"] = list(result.residuals)
-        if result.partial is not None:
-            obj["partial"] = _group_obj(result.partial)
-            lines.append(f"partial: {result.partial}")
-        lines.append("incomplete")
-        for item in result.missing:
-            lines.append(f"  unknown: {item}")
-        for item in result.residuals:
-            lines.append(f"  residual: {item}")
-        return 1
+        return _incomplete(obj, lines, result)
     obj["status"] = "complete"
     obj["group"] = _group_obj(result)
     lines.append(str(result))
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    db = _load_db(args)
+def _cmd_decompose(args, db):
+    """``decompose`` prints the formal sum; ``eval`` evaluates it against the profile."""
     expr = parse_space(args.expr)
     formal_sum = decompose(expr, args.degree, _shifts(db))
-    obj = {"command": "decompose", "expr": format_space(expr), "degree": args.degree,
-           "terms": _sum_obj(formal_sum), "text": str(formal_sum)}
-    _emit(args, [str(formal_sum)], obj)
-    return 0
+    obj = {"expr": format_space(expr), "degree": args.degree, "terms": _sum_obj(formal_sum)}
+    if args.command == "eval":
+        lines: list[str] = []
+        return _evaluation(obj, lines, evaluate(formal_sum, db)), obj, lines
+    obj["text"] = str(formal_sum)
+    return 0, obj, [obj["text"]]
 
 
-def _cmd_eval(args) -> int:
-    db = _load_db(args)
-    expr = parse_space(args.expr)
-    formal_sum = decompose(expr, args.degree, _shifts(db))
-    obj = {"command": "eval", "expr": format_space(expr), "degree": args.degree,
-           "terms": _sum_obj(formal_sum)}
-    lines: list[str] = []
-    code = _evaluation(obj, lines, evaluate(formal_sum, db))
-    _emit(args, lines, obj)
-    return code
-
-
-def _cmd_rank(args) -> int:
+def _cmd_rank(args, db):
     from .ranks import gamma_of_map_space, hypotheses_met, top_degree_report
 
-    db = _load_db(args)
     expr = parse_space(args.expr)
-    if not isinstance(expr, MapSpace) or not isinstance(expr.source, Atom) \
-            or not isinstance(expr.target, Atom):
-        raise _UsageError(
-            "rank needs --expr of the form map(X, Y) with X and Y profiled atoms"
-        )
+    if not (isinstance(expr, MapSpace) and isinstance(expr.source, Atom)
+            and isinstance(expr.target, Atom)):
+        raise _UsageError("rank needs --expr of the form map(X, Y) with X and Y profiled atoms")
     x = db.space(expr.source.name)
     y = db.space(expr.target.name)
     unchecked = args.unchecked_hypotheses
     verified = hypotheses_met(x, y)
-    obj = {"command": "rank", "expr": format_space(expr),
-           "hypotheses_verified": verified}
+    obj = {"expr": format_space(expr), "hypotheses_verified": verified}
     lines: list[str] = []
     if args.degree is None:
-        report = top_degree_report(x, y, unchecked=unchecked)
-        if isinstance(report, Incomplete):
-            obj["status"] = "incomplete"
-            obj["missing"] = list(report.missing)
-            lines.append("incomplete")
-            lines.extend(f"  unknown: {item}" for item in report.missing)
-            _emit(args, lines, obj)
-            return 1
-        obj["status"] = "complete"
-        if report.all_zero:
-            obj["all_zero"] = True
-            lines.append("all ranks zero")
-        else:
-            obj["top_degree"] = report.degree
-            obj["gamma_top"] = report.gamma_top
-            lines.append(f"top degree {report.degree}: gamma = {report.gamma_top}")
+        result = top_degree_report(x, y, unchecked=unchecked)
     else:
-        value = gamma_of_map_space(x, y, args.degree, unchecked=unchecked)
         obj["degree"] = args.degree
-        if isinstance(value, Incomplete):
-            obj["status"] = "incomplete"
-            obj["missing"] = list(value.missing)
-            lines.append("incomplete")
-            lines.extend(f"  unknown: {item}" for item in value.missing)
-            _emit(args, lines, obj)
-            return 1
-        obj["status"] = "complete"
-        obj["gamma"] = value
-        lines.append(f"gamma[{args.degree}]({format_space(expr)}) = {value}")
+        result = gamma_of_map_space(x, y, args.degree, unchecked=unchecked)
+    if isinstance(result, Incomplete):
+        return _incomplete(obj, lines, result), obj, lines
+    obj["status"] = "complete"
+    if args.degree is not None:
+        obj["gamma"] = result
+        lines.append(f"gamma[{args.degree}]({format_space(expr)}) = {result}")
+    elif result.all_zero:
+        obj["all_zero"] = True
+        lines.append("all ranks zero")
+    else:
+        obj["top_degree"] = result.degree
+        obj["gamma_top"] = result.gamma_top
+        lines.append(f"top degree {result.degree}: gamma = {result.gamma_top}")
     if unchecked and not verified:
         lines.append("warning: hypotheses not verified")
-    _emit(args, lines, obj)
-    return 0
+    return 0, obj, lines
 
 
-def _cmd_fox(args) -> int:
-    from .fox import fox_gottlieb
+def _cmd_fox(args, db):
+    """``fox`` and ``loop-homotopy``: a binomial sum over an atom, evaluated with a profile."""
+    from .fox import fox_gottlieb, iterated_loop_homotopy
 
-    db = _load_db(args)
-    name = _atom_name(args.expr, "fox target")
-    formal_sum = fox_gottlieb(args.degree, name)
-    obj = {"command": "fox", "target": name, "degree": args.degree,
-           "terms": _sum_obj(formal_sum), "text": str(formal_sum)}
+    name = _atom_name(args.expr, f"{args.command} target")
+    obj = {"target": name, "degree": args.degree}
+    if args.command == "fox":
+        formal_sum = fox_gottlieb(args.degree, name)
+    else:
+        formal_sum = iterated_loop_homotopy(args.degree, args.iterations, name)
+        obj["iterations"] = args.iterations
+    obj.update(terms=_sum_obj(formal_sum), text=str(formal_sum))
     lines = [str(formal_sum)]
-    code = 0
-    if db is not None:
-        code = _evaluation(obj, lines, evaluate(formal_sum, db))
-    _emit(args, lines, obj)
-    return code
+    code = 0 if db is None else _evaluation(obj, lines, evaluate(formal_sum, db))
+    return code, obj, lines
 
 
-def _cmd_loop_homotopy(args) -> int:
-    from .fox import iterated_loop_homotopy
-
-    db = _load_db(args)
-    name = _atom_name(args.expr, "loop-homotopy target")
-    formal_sum = iterated_loop_homotopy(args.degree, args.iterations, name)
-    obj = {"command": "loop-homotopy", "target": name, "degree": args.degree,
-           "iterations": args.iterations, "terms": _sum_obj(formal_sum),
-           "text": str(formal_sum)}
-    lines = [str(formal_sum)]
-    code = 0
-    if db is not None:
-        code = _evaluation(obj, lines, evaluate(formal_sum, db))
-    _emit(args, lines, obj)
-    return code
-
-
-def _cmd_relative(args) -> int:
+def _cmd_relative(args, db):
     from .relative import relative_decompose
 
-    db = _load_db(args)
     result = relative_decompose(db.map(args.map_name), args.degree,
                                 circles=args.m, iterations=args.iterations)
-    obj = {"command": "relative", "map": args.map_name, "degree": args.degree,
+    obj = {"map": args.map_name, "degree": args.degree,
            "structure": result.structure.value, "terms": _sum_obj(result.summands),
            "text": str(result.summands)}
     lines = [f"factors: {result.summands}", f"structure: {result.structure.value}"]
     code = _evaluation(obj, lines, evaluate(result.summands, db))
     if result.structure.value == "split-extension":
         lines.append("note: degree-1 factors only; the extension is not asserted to be a direct sum")
-    _emit(args, lines, obj)
-    return code
+    return code, obj, lines
 
 
-def _cmd_flags(args) -> int:
+def _cmd_flags(args, db):
     from .ranks import propagate_flags
 
-    db = _load_db(args)
     expr = parse_space(args.expr)
     if not isinstance(expr, MapSpace) or not isinstance(expr.target, Atom):
-        raise _UsageError(
-            "flags needs --expr of the form map(X, Y) with Y a profiled atom"
-        )
+        raise _UsageError("flags needs --expr of the form map(X, Y) with Y a profiled atom")
     result = propagate_flags(expr.source, db.space(expr.target.name), _shifts(db))
-
-    def show(value) -> str:
-        return "unknown" if value is None else ("true" if value else "false")
-
-    obj = {"command": "flags", "expr": format_space(expr),
-           "g_space": result.g_space, "t_space": result.t_space}
-    _emit(args, [f"g_space: {show(result.g_space)}",
-                 f"t_space: {show(result.t_space)}"], obj)
-    return 0
+    flags = {"g_space": result.g_space, "t_space": result.t_space}
+    lines = [f"{key}: {'unknown' if value is None else str(value).lower()}"
+             for key, value in flags.items()]
+    return 0, {"expr": format_space(expr), **flags}, lines
 
 
 def _parse_window(text: str) -> range:
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            start = stop = int(parts[0])
-        elif len(parts) == 2:
-            start, stop = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        start, stop = int(parts[0]), int(parts[-1])
     except ValueError:
         raise _UsageError(f"--degrees expects N or A..B, got {text!r}") from None
     if start < 1 or stop < start:
@@ -323,30 +267,24 @@ def _parse_window(text: str) -> range:
     return range(start, stop + 1)
 
 
-def _cmd_loop_check(args) -> int:
+def _cmd_loop_check(args, db):
     from .ranks import free_loop_necessary_condition
 
-    db = _load_db(args)
     candidate = db.space(_atom_name(args.candidate, "candidate"))
     base = db.space(_atom_name(args.expr, "base space"))
     window = _parse_window(args.degrees)
     verdict = free_loop_necessary_condition(candidate.gottlieb, base.gottlieb, window)
-    obj = {"command": "loop-check", "candidate": candidate.name, "base": base.name,
-           "degrees": list(window), "status": verdict.status}
-    lines = [verdict.status]
-    if verdict.status == "fail":
-        obj["failing_degree"] = verdict.failing_degree
-        obj["detail"] = verdict.detail
-        lines.append(verdict.detail)
-        code = 4
-    elif verdict.status == "incomplete":
-        obj["missing"] = list(verdict.missing)
-        lines.extend(f"  unknown: {item}" for item in verdict.missing)
-        code = 1
-    else:
-        code = 0
-    _emit(args, lines, obj)
-    return code
+    obj = {"candidate": candidate.name, "base": base.name, "degrees": list(window)}
+    lines: list[str] = []
+    if verdict.status == "incomplete":
+        return _incomplete(obj, lines, Incomplete(verdict.missing)), obj, lines
+    obj["status"] = verdict.status
+    lines.append(verdict.status)
+    if verdict.passed:
+        return 0, obj, lines
+    obj.update(failing_degree=verdict.failing_degree, detail=verdict.detail)
+    lines.append(verdict.detail)
+    return 4, obj, lines
 
 
 def _default_check_cases(seed: int) -> list[tuple[str, range]]:
@@ -367,40 +305,37 @@ def _default_check_cases(seed: int) -> list[tuple[str, range]]:
     return cases
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, db):
     from .oracle import crosscheck
 
-    db = _load_db(args)
-    shifts = _shifts(db)
     if args.expr is not None:
         top = args.degree if args.degree is not None else 4
         cases = [(args.expr, range(1, top + 1))]
+    elif args.degree is not None:
+        raise _UsageError("check --degree needs --expr; the default suite has fixed windows")
     else:
         cases = _default_check_cases(args.seed)
-    reports = [crosscheck(expr, window, atom_shifts=shifts, seed=args.seed)
+    reports = [crosscheck(expr, window, atom_shifts=_shifts(db), seed=args.seed)
                for expr, window in cases]
     passed = all(report.passed for report in reports)
-    lines: list[str] = []
-    for report in reports:
-        lines.extend(report.lines())
+    lines = [line for report in reports for line in report.lines()]
     lines.append("all checks passed" if passed else "CHECK FAILURES FOUND")
-    obj = {"command": "check", "passed": passed,
+    obj = {"passed": passed,
            "reports": [{"expr": report.expr,
                         "entries": [{"left": e.left, "right": e.right,
                                      "degrees": list(e.degrees), "passed": e.passed,
                                      "counterexample": e.counterexample}
                                     for e in report.entries]}
                        for report in reports]}
-    _emit(args, lines, obj)
-    return 0 if passed else 4
+    return (0 if passed else 4), obj, lines
 
 
 _COMMANDS = {
     "decompose": _cmd_decompose,
-    "eval": _cmd_eval,
+    "eval": _cmd_decompose,
     "rank": _cmd_rank,
     "fox": _cmd_fox,
-    "loop-homotopy": _cmd_loop_homotopy,
+    "loop-homotopy": _cmd_fox,
     "relative": _cmd_relative,
     "flags": _cmd_flags,
     "loop-check": _cmd_loop_check,
@@ -415,7 +350,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code, obj, lines = _COMMANDS[args.command](args, _load_db(args))
+        if args.format == "json":
+            print(json.dumps({**obj, "command": args.command}, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -56,7 +56,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii as _dump_str
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
 from .abelian import TRIVIAL, AbelianGroup
 from .names import is_valid_atom_name
@@ -64,6 +64,8 @@ from .names import is_valid_atom_name
 if TYPE_CHECKING:
     from .formal import FormalSum
     from .spaces import SpaceExpr
+
+_T = TypeVar("_T")
 
 __all__ = [
     "Flags",
@@ -385,6 +387,16 @@ _FLAG_KEYS = {"simply_connected", "finite", "g_space", "t_space"}
 _GROUP_KEYS = {"rank", "torsion"}
 
 
+def _located(path: str, build: Callable[[], _T]) -> _T:
+    """``build()``, with ``path`` put on a ProfileError that was raised without one."""
+    try:
+        return build()
+    except ProfileError as exc:
+        if exc.path:
+            raise
+        raise ProfileError(str(exc), path) from exc
+
+
 def _require_object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ProfileError("expected an object", path)
@@ -442,10 +454,7 @@ def _graded_from_json(value, path: str) -> GradedGroup:
     zero_above = obj.get("zero_above")
     if zero_above is not None and (isinstance(zero_above, bool) or not isinstance(zero_above, int)):
         raise ProfileError("zero_above must be an integer", f"{path}.zero_above")
-    try:
-        return GradedGroup(entries, zero_above)
-    except ProfileError as exc:
-        raise ProfileError(str(exc), path) from exc
+    return _located(path, lambda: GradedGroup(entries, zero_above))
 
 
 def _flags_from_json(value, path: str) -> Flags:
@@ -468,23 +477,18 @@ def _space_from_json(name: str, value, path: str) -> SpaceProfile:
     shifts = obj.get("suspension_shifts")
     if shifts is not None and not isinstance(shifts, list):
         raise ProfileError("suspension_shifts must be a list", f"{path}.suspension_shifts")
-    try:
-        return SpaceProfile(
-            name=name,
-            gottlieb=_graded_from_json(obj.get("gottlieb", {}), f"{path}.gottlieb"),
-            homotopy=(
-                _graded_from_json(obj["homotopy"], f"{path}.homotopy")
-                if "homotopy" in obj and obj["homotopy"] is not None
-                else None
-            ),
-            betti=tuple(betti) if betti is not None else None,
-            suspension_shifts=tuple(shifts) if shifts is not None else None,
-            flags=_flags_from_json(obj.get("flags", {}), f"{path}.flags"),
-        )
-    except ProfileError as exc:
-        if exc.path:
-            raise
-        raise ProfileError(str(exc), path) from exc
+    return _located(path, lambda: SpaceProfile(
+        name=name,
+        gottlieb=_graded_from_json(obj.get("gottlieb", {}), f"{path}.gottlieb"),
+        homotopy=(
+            _graded_from_json(obj["homotopy"], f"{path}.homotopy")
+            if "homotopy" in obj and obj["homotopy"] is not None
+            else None
+        ),
+        betti=tuple(betti) if betti is not None else None,
+        suspension_shifts=tuple(shifts) if shifts is not None else None,
+        flags=_flags_from_json(obj.get("flags", {}), f"{path}.flags"),
+    ))
 
 
 def _map_from_json(name: str, value, path: str) -> MapProfile:
@@ -496,20 +500,15 @@ def _map_from_json(name: str, value, path: str) -> MapProfile:
     is_identity = obj.get("is_identity", False)
     if not isinstance(is_identity, bool):
         raise ProfileError("is_identity must be a boolean", f"{path}.is_identity")
-    try:
-        return MapProfile(
-            name=name,
-            source=obj["source"],
-            target=obj["target"],
-            relative_gottlieb=_graded_from_json(
-                obj.get("relative_gottlieb", {}), f"{path}.relative_gottlieb"
-            ),
-            is_identity=is_identity,
-        )
-    except ProfileError as exc:
-        if exc.path:
-            raise
-        raise ProfileError(str(exc), path) from exc
+    return _located(path, lambda: MapProfile(
+        name=name,
+        source=obj["source"],
+        target=obj["target"],
+        relative_gottlieb=_graded_from_json(
+            obj.get("relative_gottlieb", {}), f"{path}.relative_gottlieb"
+        ),
+        is_identity=is_identity,
+    ))
 
 
 def load(document: str) -> ProfileDb:
@@ -536,12 +535,7 @@ def load(document: str) -> ProfileDb:
         name: _map_from_json(name, value, f"maps.{name}")
         for name, value in maps_obj.items()
     }
-    try:
-        return ProfileDb(spaces, maps)
-    except ProfileError as exc:
-        if exc.path:
-            raise
-        raise ProfileError(str(exc), "document") from exc
+    return _located("document", lambda: ProfileDb(spaces, maps))
 
 
 def group_to_json(group: AbelianGroup) -> dict:

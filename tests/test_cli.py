@@ -667,6 +667,14 @@ def test_check_incomplete_derived_table_exits_four(capsys, monkeypatch):
     assert "derived table incomplete: missing G[9](Y)" in out
 
 
+def test_check_degree_without_expr_exits_two(capsys):
+    # The default suite has its own windows; a --degree it would ignore is refused.
+    code, out, err = run(capsys, "check", "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: check --degree needs --expr; the default suite has fixed windows\n"
+
+
 def test_check_json(capsys):
     code, out, _ = run(
         capsys, "check", "--expr", "bloop(Y, 2, 2)", "--format", "json"

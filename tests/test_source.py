@@ -89,3 +89,21 @@ def test_package_never_expands_invariant_factors():
         if isinstance(node, ast.Attribute) and node.attr == "invariant_factors"
     ]
     assert offenders == []
+
+
+
+def test_only_main_prints_in_the_cli():
+    # Commands return (code, obj, lines); main is the one output point.
+    tree = ast.parse((Path(gottlieb.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    main = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    in_main = {id(node) for node in ast.walk(main)}
+    output = [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print")
+        or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))
+    ]
+    assert any(id(node) in in_main for node in output)
+    assert [node.lineno for node in output if id(node) not in in_main] == []
