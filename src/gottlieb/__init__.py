@@ -1,4 +1,4 @@
-"""Symbolic calculator for Gottlieb groups of based mapping spaces.
+"""Symbolic calculator for Gottlieb groups of free mapping spaces.
 
 The package rewrites mapping-space expressions (free loop spaces, bouquet
 mapping spaces, products, wedges, suspensions) into formal direct sums of

@@ -210,15 +210,15 @@ def _cmd_rank(args, db):
 
 
 def _cmd_fox(args, db):
-    """``fox`` and ``loop-homotopy``: a binomial sum over an atom, evaluated with a profile."""
+    """``fox`` and ``loop-homotopy``: the engine's walk over loop(E, N), evaluated with a profile."""
     from .fox import fox_gottlieb, iterated_loop_homotopy
 
-    name = _atom_name(args.expr, f"{args.command} target")
-    obj = {"target": name, "degree": args.degree}
+    expr = parse_space(args.expr)
+    obj = {"target": format_space(expr), "degree": args.degree}
     if args.command == "fox":
-        formal_sum = fox_gottlieb(args.degree, name)
+        formal_sum = fox_gottlieb(args.degree, expr, _shifts(db))
     else:
-        formal_sum = iterated_loop_homotopy(args.degree, args.iterations, name)
+        formal_sum = iterated_loop_homotopy(args.degree, args.iterations, expr, _shifts(db))
         obj["iterations"] = args.iterations
     obj.update(terms=_sum_obj(formal_sum), text=str(formal_sum))
     lines = [str(formal_sum)]

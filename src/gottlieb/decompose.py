@@ -18,9 +18,9 @@ The engine makes one pass down the curried chain of mapping spaces,
 carrying the product of the shift polynomials split so far: the live
 degrees are n + i with multiplicity c_i.  A residual level emits one
 ``Gen`` term per live degree and passes the polynomial on unchanged; the
-core atom emits ``G[n + i](Y)`` with multiplicity c_i.  The pass needs no
-recursion, so the depth of an iterated loop space is not bounded by the
-interpreter's recursion limit.
+core atom emits ``G[n + i](Y)`` with multiplicity c_i, or ``pi[n + i](Y)``
+for ``fox``.  The pass needs no recursion, so the depth of an iterated
+loop space is not bounded by the interpreter's recursion limit.
 
 Splitting levels are taken in runs.  Consecutive sources with the same
 shift polynomial p, whether they come from a ``map(S1, map(S1, ...))``
@@ -137,8 +137,12 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
         raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
+    return _walk_chain(expr, degree, atom_shifts, GottliebTerm)
+
+
+def _walk_chain(e: SpaceExpr, degree: int, atom_shifts, core) -> FormalSum:
+    """The pass behind ``decompose``: the core atom Y emits ``core(Y, degree + i)``."""
     walk = _Walk(degree, atom_shifts)
-    e = expr
     while True:
         if isinstance(e, MapSpace):
             source, target = e.source, e.target
@@ -168,7 +172,7 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
     counts = walk.counts
     if isinstance(e, Atom):
         for shift, count in walk.acc.coeffs:
-            counts[GottliebTerm(e.name, degree + shift)] = count
+            counts[core(e.name, degree + shift)] = count
     elif not isinstance(e, Point):
         raise DecomposeError(
             f"no decomposition rule for target {format_space(desugar(e))!r}; "

@@ -1,34 +1,26 @@
-"""Homotopy of iterated free loop spaces and Fox torus-Gottlieb groups.
+"""Fox torus-Gottlieb groups and homotopy of iterated free loop spaces.
 
-For an iterated free loop space, the degree-i homotopy group (i >= 2)
-splits as the binomially weighted sum of the target's homotopy groups:
-pi_i of loop(Y, N) is the direct sum over r = 0..N of C(N, r) copies of
-pi_{i+r}(Y).  Degree 1 is refused: the fundamental group is only a split
-extension (a semidirect product of pi_2 by pi_1 data), and extension data
-is not computed here.
+Both run the engine's walk over loop(E, N), for any chain E that
+``decompose`` takes; a string target is an atom name.  The degree-n Fox
+group of E is G_1 of loop(E, n-1) = map(T^{n-1}, E; 0), and G_1(E) at n = 1.
 
-The degree-n Fox torus-Gottlieb group of Y is the degree-1 Gottlieb group
-of loop(Y, n-1).  Decomposing that loop space gives the direct sum over
-j = 0..n-1 of C(n-1, j) copies of G_{1+j}(Y); the indexing is forced by
-consistency with iterated looping (the degree-1 instance of the bouquet
-closed form), which pins the summands at G_{1+j} rather than any shifted
-variant.
+pi_i of loop(E, N) is the same walk with pi in place of G.  For i >= 2, a
+finite X with Sigma X a wedge of spheres (shift polynomial 1 + sum c_s t^s)
+and any T, the constant maps are a section of the evaluation fibration of
+map(X, T; 0), so pi_i(map(X, T; 0)) = pi_i(T) + sum_s c_s pi_{i+s}(T).
+Every source must split, or ``NotSplittableError`` names the blocker, and
+degree 1 is refused: pi_1 is only a split extension, not computed here.
 """
 
-from .formal import FormalSum, GottliebTerm, PiTerm
-from .spaces import atom_name
-from .splitting import ShiftPolynomial
+from .decompose import _walk_chain, decompose
+from .formal import FormalSum, GenGottliebTerm, PiTerm
+from .spaces import Atom, Loop
+from .splitting import shift_polynomial
 
 __all__ = ["fox_gottlieb", "iterated_loop_homotopy"]
 
 
-def _binomial_sum(term, name: str, start: int, iterations: int) -> FormalSum:
-    """C(iterations, j) copies of term(name, start + j), off the budgeted (1 + t)^iterations."""
-    power = ShiftPolynomial.from_shifts([1]) ** iterations
-    return FormalSum.from_pairs((term(name, start + j), c) for j, c in power.coeffs)
-
-
-def iterated_loop_homotopy(degree: int, iterations: int, target) -> FormalSum:
+def iterated_loop_homotopy(degree: int, iterations: int, target, atom_shifts=None) -> FormalSum:
     """Formal sum for pi_degree of loop(target, iterations), degree >= 2."""
     if degree < 2:
         raise ValueError(
@@ -37,15 +29,17 @@ def iterated_loop_homotopy(degree: int, iterations: int, target) -> FormalSum:
         )
     if iterations < 1:
         raise ValueError(f"iteration count must be >= 1, got {iterations}")
-    return _binomial_sum(PiTerm, atom_name(target), degree, iterations)
+    target = Atom(target) if isinstance(target, str) else target
+    result = _walk_chain(Loop(target, iterations), degree, atom_shifts, PiTerm)
+    for term, _ in result:
+        if isinstance(term, GenGottliebTerm):
+            shift_polynomial(term.source, atom_shifts)  # a residual's source is blocked: raises
+    return result
 
 
-def fox_gottlieb(degree: int, target) -> FormalSum:
-    """Formal sum for the degree-n Fox torus-Gottlieb group of the target.
-
-    Degree 1 is the plain Gottlieb group G_1; degree n >= 2 decomposes as
-    the direct sum of C(n-1, j) copies of G_{1+j}(target) for j = 0..n-1.
-    """
+def fox_gottlieb(degree: int, target, atom_shifts=None) -> FormalSum:
+    """Formal sum for the degree-n Fox torus-Gottlieb group of the target."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    return _binomial_sum(GottliebTerm, atom_name(target), 1, degree - 1)
+    target = Atom(target) if isinstance(target, str) else target
+    return decompose(Loop(target, degree - 1) if degree > 1 else target, 1, atom_shifts)

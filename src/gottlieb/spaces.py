@@ -13,8 +13,9 @@ Concrete syntax (whitespace-insensitive, ASCII)::
     Nat   ::= decimal integer >= 1, no leading zeros
 
 ``S5`` is the 5-sphere, ``pt`` the one-point space, ``T3`` the 3-torus,
-``B2`` the wedge of two circles.  ``map(X, Y)`` is the null component of
-the based mapping space; ``loop(Y, N)`` is the N-fold iterated free loop
+``B2`` the wedge of two circles.  ``map(X, Y)`` is map(X, Y; 0), the
+component of the constant maps in the free (unbased) mapping space, so
+``loop(Y) = map(S1, Y)``; ``loop(Y, N)`` is the N-fold iterated free loop
 space and ``bloop(Y, m, N)`` its m-circle bouquet analogue, both kept as
 explicit nodes so closed forms can fire before desugaring.
 
@@ -127,7 +128,7 @@ class Susp(SpaceExpr):
 
 @dataclass(frozen=True)
 class MapSpace(SpaceExpr):
-    """Null component of the based mapping space from ``source`` to ``target``."""
+    """Constant-map component of the free mapping space from ``source`` to ``target``."""
 
     source: SpaceExpr
     target: SpaceExpr

@@ -494,10 +494,24 @@ def test_fox_symbolic_and_evaluated(capsys, profile_path):
     assert out.strip().splitlines() == ["G[1](Y) + 2*G[2](Y) + G[3](Y)", "Z^2 + Z/2 + Z/4"]
 
 
-def test_fox_requires_atom_target(capsys):
-    code, _, err = run(capsys, "fox", "--expr", "map(S1, Y)", "--degree", "2")
+def test_fox_of_a_chain_is_the_decomposition_of_its_loop_space(capsys):
+    fox = run(capsys, "fox", "--expr", "map(S2, Y)", "--degree", "3")
+    loop = run(capsys, "decompose", "--expr", "loop(map(S2, Y), 2)", "--degree", "1")
+    assert fox == loop
+    assert fox[0] == 0
+
+
+def test_loop_homotopy_of_a_chain(capsys):
+    code, out, _ = run(capsys, "loop-homotopy", "--expr", "map(S2, Y)", "--degree", "2")
+    assert code == 0
+    assert out == "pi[2](Y) + pi[3](Y) + pi[4](Y) + pi[5](Y)\n"
+
+
+def test_loop_homotopy_of_a_blocked_chain_names_the_blocker(capsys):
+    code, out, err = run(capsys, "loop-homotopy", "--expr", "map(B, Y)", "--degree", "2")
     assert code == 2
-    assert "bare atom" in err
+    assert out == ""
+    assert err == "error: B does not split: atom has no declared suspension shifts\n"
 
 
 def test_loop_homotopy(capsys, profile_path):

@@ -6,12 +6,17 @@ import time
 import pytest
 
 from conftest import db_of, random_group, synthetic_space
-from gottlieb.decompose import DecomposeError, closed_form_bouquet, decompose
+from gottlieb.decompose import DecomposeError, closed_form_bouquet
 from gottlieb.formal import FormalSum, GottliebTerm, PiTerm
 from gottlieb.fox import fox_gottlieb, iterated_loop_homotopy
-from gottlieb.oracle import recursive_bouquet_coefficients
+from gottlieb.oracle import (
+    random_splittable_expr,
+    randomized_decompose,
+    recursive_bouquet_coefficients,
+)
 from gottlieb.profiles import GradedGroup, SpaceProfile, evaluate, gottlieb_table_of_map_space
-from gottlieb.spaces import Atom, Sphere, parse_space
+from gottlieb.spaces import Atom, Loop, MapSpace, Sphere, Wedge, parse_space
+from gottlieb.splitting import sphere_splitting
 
 
 def test_fox_examples():
@@ -27,8 +32,9 @@ def test_fox_validation():
 
 
 def test_fox_equals_torus_mapping_space_in_degree_one():
+    # fox runs the engine's walk, so the randomized oracle is the check here.
     for n in range(2, 9):
-        assert fox_gottlieb(n, "Y") == decompose(parse_space(f"map(T{n - 1}, Y)"), 1)
+        assert fox_gottlieb(n, "Y") == randomized_decompose(parse_space(f"map(T{n - 1}, Y)"), 1)
 
 
 def test_fox_coefficients_match_recursion_oracle():
@@ -123,3 +129,38 @@ def test_loop_homotopy_commutes_with_single_looping():
                 combined = evaluate(iterated_loop_homotopy(degree, n_iter + 1, "Y"), db)
                 stepped = evaluate(iterated_loop_homotopy(degree, n_iter, "LY"), db)
                 assert combined == stepped, (seed, degree, n_iter)
+
+
+def _random_chain(sources):
+    """map(X1, map(X2, ... map(Xk, Y)))."""
+    chain = Atom("Y")
+    for source in reversed(sources):
+        chain = MapSpace(source, chain)
+    return chain
+
+
+def test_chains_run_the_engine_walk():
+    for seed in range(40):
+        rng = random.Random(f"chain:{seed}")
+        sources = [random_splittable_expr(rng) for _ in range(rng.randint(1, 3))]
+        chain = _random_chain(sources)
+        degree, iterations = rng.randint(2, 5), rng.randint(1, 4)
+        poly = recursive_bouquet_coefficients(1, iterations)
+        for source in sources:
+            poly = poly * sphere_splitting(source).poly
+        pi = iterated_loop_homotopy(degree, iterations, chain)
+        assert {t.degree - degree: m for t, m in pi} == poly.as_dict(), seed
+        assert all(t.space == "Y" for t, _ in pi)
+        for n in range(1, 5):
+            expr = Loop(chain, n - 1) if n > 1 else chain
+            assert fox_gottlieb(n, chain) == randomized_decompose(expr, 1, rng=rng), (seed, n)
+
+
+def test_loop_homotopy_names_an_undeclared_source_atom():
+    for seed in range(20):
+        rng = random.Random(f"blocked:{seed}")
+        sources = [random_splittable_expr(rng) for _ in range(rng.randint(1, 3))]
+        blocked = Atom("A") if rng.random() < 0.5 else Wedge((sources[0], Atom("A")))
+        sources.insert(rng.randint(0, len(sources)), blocked)
+        with pytest.raises(ValueError, match="^A does not split: atom has no declared"):
+            iterated_loop_homotopy(2, rng.randint(1, 3), _random_chain(sources))
