@@ -13,10 +13,14 @@ every item (integers, p prime, k >= 1, count >= 1, p^k of at most 4300
 decimal digits, so every admitted summand prints under the interpreter's
 default digit limit), and ``canonicalize`` checks its orders and factors
 them.  Sums and multiples of valid groups are valid, so they skip the
-checks.  The invariant-factor chain d_1 | d_2 | ... | d_s is a derived view
-computed on demand; text output prints a run of n >= 2 equal factors d as
-``(Z/d)^n``.  A sum can still have a factor, count or rank past 4300
-digits; ``str`` then raises ``ValueError`` naming that number's size.
+checks.  A weighted sum m_1 g_1 + ... + m_t g_t, which is what evaluating
+a formal sum makes, merges once: every summand's count times its weight
+goes into one map keyed by (p, k), which costs O(terms x summands per
+term), and the distinct keys are sorted once.  The invariant-factor chain
+d_1 | d_2 | ... | d_s is a derived view computed on demand; text output
+prints a run of n >= 2 equal factors d as ``(Z/d)^n``.  A sum can still
+have a factor, count or rank past 4300 digits; ``str`` then raises
+``ValueError`` naming that number's size.
 All arithmetic is exact integer arithmetic; orders are factored and
 primes certified by ``gottlieb.numtheory`` (standard library only).  An
 order that Pollard-Brent rho cannot split within its work budget raises
@@ -38,6 +42,7 @@ True
 """
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .numtheory import factorint, isprime
@@ -137,7 +142,12 @@ class AbelianGroup:
         return self.rank == 0 and not self.torsion
 
     def direct_sum(self, *others: "AbelianGroup") -> "AbelianGroup":
-        """Direct sum: ranks add and the counts of equal summands add."""
+        """Direct sum: ranks add and the counts of equal summands add.
+
+        Unit weights need no scaling, so the triples are concatenated and
+        sorted once: for the few small groups such sums take, that is
+        cheaper than the count map of ``_weighted_sum``.
+        """
         rank = self.rank
         triples = list(self.torsion)
         for other in others:
@@ -310,6 +320,25 @@ def _merged(triples: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], 
         else:
             merged.append((p, k, count))
     return tuple(merged)
+
+
+def _weighted_sum(parts: Iterable[tuple[AbelianGroup, int]]) -> AbelianGroup:
+    """The direct sum of ``copies >= 1`` copies of each valid group, in one merge.
+
+    Every summand's count times its copies goes into one map keyed by
+    (p, k), and the distinct keys are sorted once, so a sum of many groups
+    that share a few summands never re-sorts what it has already merged.
+    """
+    rank = 0
+    counts: dict[tuple[int, int], int] = {}
+    get = counts.get
+    for group, copies in parts:
+        rank += group.rank * copies
+        for p, k, count in group.torsion:
+            key = p, k
+            counts[key] = get(key, 0) + count * copies
+    # Keys are distinct, so sorting the triples never compares counts.
+    return _trusted(rank, tuple(sorted([(p, k, c) for (p, k), c in counts.items()])))
 
 
 def _trusted(rank: int, torsion: tuple[tuple[int, int, int], ...]) -> AbelianGroup:

@@ -20,7 +20,10 @@ degrees are n + i with multiplicity c_i.  A residual level emits one
 ``Gen`` term per live degree and passes the polynomial on unchanged; the
 core atom emits ``G[n + i](Y)`` with multiplicity c_i, or ``pi[n + i](Y)``
 for ``fox``.  The pass needs no recursion, so the depth of an iterated
-loop space is not bounded by the interpreter's recursion limit.
+loop space is not bounded by the interpreter's recursion limit.  Its
+terms are distinct by construction and the core's come out in degree
+order, so the answer is built without a second merge, and sorted only
+when residuals were emitted.
 
 Splitting levels are taken in runs.  Consecutive sources with the same
 shift polynomial p, whether they come from a ``map(S1, map(S1, ...))``
@@ -61,7 +64,13 @@ from .spaces import (
     desugar,
     format_space,
 )
-from .splitting import DecomposeError, ShiftPolynomial, SizeBudget, sphere_splitting
+from .splitting import (
+    DecomposeError,
+    ShiftPolynomial,
+    SizeBudget,
+    shift_polynomial,
+    sphere_splitting,
+)
 
 __all__ = ["DecomposeError", "closed_form_bouquet", "decompose"]
 
@@ -71,9 +80,10 @@ _CIRCLE = Sphere(1)
 class _Walk:
     """State of one pass: the live polynomial, the open run and the terms."""
 
-    def __init__(self, degree: int, atom_shifts) -> None:
+    def __init__(self, degree: int, atom_shifts, residuals: bool) -> None:
         self.degree = degree
         self.atom_shifts = atom_shifts
+        self.residuals = residuals  # False: the first blocked level raises
         self.counts: dict[Term, int] = {}
         self.acc = ShiftPolynomial.one()
         self.budget = SizeBudget()
@@ -113,6 +123,10 @@ class _Walk:
         residual_source, suspensions = desugar(source), 0
         if isinstance(residual_source, Susp):
             residual_source, suspensions = residual_source.child, residual_source.count
+        if not self.residuals:
+            # Levels are met outermost first, so this names the outermost
+            # blocked level; the source is blocked, so this raises.
+            shift_polynomial(residual_source, self.atom_shifts)
         target = desugar(target)
         base = self.degree + suspensions
         for shift, count in self.acc.coeffs:
@@ -140,9 +154,15 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
     return _walk_chain(expr, degree, atom_shifts, GottliebTerm)
 
 
-def _walk_chain(e: SpaceExpr, degree: int, atom_shifts, core) -> FormalSum:
-    """The pass behind ``decompose``: the core atom Y emits ``core(Y, degree + i)``."""
-    walk = _Walk(degree, atom_shifts)
+def _walk_chain(
+    e: SpaceExpr, degree: int, atom_shifts, core, residuals: bool = True
+) -> FormalSum:
+    """The pass behind ``decompose``: the core atom Y emits ``core(Y, degree + i)``.
+
+    Without ``residuals``, a blocked level raises ``NotSplittableError``
+    naming the outermost one instead of leaving a ``Gen`` term.
+    """
+    walk = _Walk(degree, atom_shifts, residuals)
     while True:
         if isinstance(e, MapSpace):
             source, target = e.source, e.target
@@ -169,16 +189,17 @@ def _walk_chain(e: SpaceExpr, degree: int, atom_shifts, core) -> FormalSum:
         else:
             break
     walk.flush()
-    counts = walk.counts
+    # The core terms come in degree order, which is canonical, since the
+    # coefficients are sorted by shift; only residuals make a sort needed.
+    terms = list(walk.counts.items())
     if isinstance(e, Atom):
-        for shift, count in walk.acc.coeffs:
-            counts[core(e.name, degree + shift)] = count
+        terms += [(core(e.name, degree + shift), count) for shift, count in walk.acc.coeffs]
     elif not isinstance(e, Point):
         raise DecomposeError(
             f"no decomposition rule for target {format_space(desugar(e))!r}; "
             "targets must be atoms, points, or mapping spaces"
         )
-    return FormalSum.from_pairs(counts.items())
+    return FormalSum._trusted(terms, ordered=not walk.counts)
 
 
 def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> FormalSum:

@@ -123,6 +123,19 @@ class FormalSum:
         object.__setattr__(self, "terms", canon)
 
     @classmethod
+    def _trusted(cls, pairs: Iterable[tuple[Term, int]], ordered: bool) -> "FormalSum":
+        """A FormalSum from distinct valid terms with multiplicities >= 1, unchecked.
+
+        Sorts only when the pairs are not ``ordered`` canonically already.
+        """
+        terms = tuple(pairs)
+        if not ordered:
+            terms = tuple(sorted(terms, key=lambda pair: _term_key(pair[0])))
+        formal_sum = object.__new__(cls)
+        object.__setattr__(formal_sum, "terms", terms)
+        return formal_sum
+
+    @classmethod
     def zero(cls) -> "FormalSum":
         return cls()
 

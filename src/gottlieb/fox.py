@@ -8,14 +8,14 @@ pi_i of loop(E, N) is the same walk with pi in place of G.  For i >= 2, a
 finite X with Sigma X a wedge of spheres (shift polynomial 1 + sum c_s t^s)
 and any T, the constant maps are a section of the evaluation fibration of
 map(X, T; 0), so pi_i(map(X, T; 0)) = pi_i(T) + sum_s c_s pi_{i+s}(T).
-Every source must split, or ``NotSplittableError`` names the blocker, and
-degree 1 is refused: pi_1 is only a split extension, not computed here.
+Every source must split, or ``NotSplittableError`` names the outermost
+blocked level, and degree 1 is refused: pi_1 is only a split extension,
+not computed here.
 """
 
 from .decompose import _walk_chain, decompose
-from .formal import FormalSum, GenGottliebTerm, PiTerm
+from .formal import FormalSum, PiTerm
 from .spaces import Atom, Loop
-from .splitting import shift_polynomial
 
 __all__ = ["fox_gottlieb", "iterated_loop_homotopy"]
 
@@ -30,11 +30,7 @@ def iterated_loop_homotopy(degree: int, iterations: int, target, atom_shifts=Non
     if iterations < 1:
         raise ValueError(f"iteration count must be >= 1, got {iterations}")
     target = Atom(target) if isinstance(target, str) else target
-    result = _walk_chain(Loop(target, iterations), degree, atom_shifts, PiTerm)
-    for term, _ in result:
-        if isinstance(term, GenGottliebTerm):
-            shift_polynomial(term.source, atom_shifts)  # a residual's source is blocked: raises
-    return result
+    return _walk_chain(Loop(target, iterations), degree, atom_shifts, PiTerm, residuals=False)
 
 
 def fox_gottlieb(degree: int, target, atom_shifts=None) -> FormalSum:

@@ -152,9 +152,11 @@ def _half(x: int, n: int) -> int:
 def factorint(n: int) -> dict[int, int]:
     """The prime factorization of the integer ``n >= 1`` as ``{p: k}``.
 
-    Trial division removes the primes below 1000.  If what is left is
-    composite, one gcd removes its primes below 10^4; a perfect-power
-    check, Fermat steps and Pollard-Brent rho split the rest.
+    Trial division removes the primes below 1000.  What is left goes
+    through a primality test and a perfect-power check; the first composite
+    that is not a perfect power sheds its primes below 10^4 in one gcd, and
+    Fermat steps and Pollard-Brent rho split the rest.  So prime cofactors
+    and powers of a prime never pay for the gcd.
 
     Raises ``ValueError`` when rho exhausts its work budget on a cofactor,
     which happens when ``n`` has two prime factors of more than about ten
@@ -176,25 +178,27 @@ def factorint(n: int) -> dict[int, int]:
                 rest //= p
                 k += 1
             factors[p] = k
-    if rest > 1:
-        # The gcd comes after the primality test, so prime cofactors, the
-        # common case, never pay for it.
-        if isprime(rest):
-            factors[rest] = 1
-            rest = 1
-        else:
-            rest = _divide_gcd_primes(rest, factors)
     work = _RHO_WORK
+    least = _TRIAL_BOUND  # every pending number has no prime factor below this
     pending = [(rest, 1)] if rest > 1 else []
     while pending:
         m, e = pending.pop()
         if isprime(m):
             factors[m] = factors.get(m, 0) + e
             continue
-        root, k = _perfect_power(m)
+        root, k = _perfect_power(m, least)
         if k > 1:
             pending.append((root, e * k))
             continue
+        if least < _GCD_BOUND:
+            # Until now each step left one number, so m is all that is left
+            # of n, and after this gcd no factor of it is below _GCD_BOUND.
+            least = _GCD_BOUND
+            rest = _divide_gcd_primes(m, e, factors)
+            if rest < m:
+                if rest > 1:
+                    pending.append((rest, e))
+                continue
         f = _fermat(m)
         if f is None:
             f, work = _brent(m, work)
@@ -209,11 +213,11 @@ def _gcd_primes() -> tuple[list[int], int]:
     return primes, prod(primes)
 
 
-def _divide_gcd_primes(m: int, factors: dict[int, int]) -> int:
+def _divide_gcd_primes(m: int, e: int, factors: dict[int, int]) -> int:
     """m without its prime factors in [_TRIAL_BOUND, _GCD_BOUND).
 
-    Those primes go into ``factors`` with their exponents; m has no prime
-    factor below _TRIAL_BOUND.
+    Those primes go into ``factors`` with their exponents in m^e; m has no
+    prime factor below _TRIAL_BOUND.
     """
     primes, product = _gcd_primes()
     g = gcd(m, product % m)
@@ -228,7 +232,7 @@ def _divide_gcd_primes(m: int, factors: dict[int, int]) -> int:
         while m % p == 0:
             m //= p
             k += 1
-        factors[p] = k
+        factors[p] = k * e
     return m
 
 
@@ -244,11 +248,16 @@ def _fermat(m: int) -> int | None:
     return None
 
 
-def _perfect_power(m: int) -> tuple[int, int]:
-    # m has no prime factor below _GCD_BOUND, so a k-th root r > _GCD_BOUND
-    # needs k * 13 < k * log2(_GCD_BOUND) < log2(m) < m.bit_length().
+def _perfect_power(m: int, least: int) -> tuple[int, int]:
+    """(r, k) with m = r^k for the least prime k that has a root, else (m, 1).
+
+    m has no prime factor below ``least``, so a k-th root r >= least >= 2^b,
+    for b = least.bit_length() - 1 (9 for 1000, 13 for 10^4), makes
+    m >= 2^(k b): only k with k * b < m.bit_length() can have a root.
+    """
+    bits = least.bit_length() - 1
     for k in _SMALL_PRIMES:
-        if k * (_GCD_BOUND.bit_length() - 1) >= m.bit_length():
+        if k * bits >= m.bit_length():
             break
         r = _iroot(m, k)
         if r**k == m:
@@ -257,8 +266,18 @@ def _perfect_power(m: int) -> tuple[int, int]:
 
 
 def _iroot(m: int, k: int) -> int:
-    """The integer part of the k-th root of m, by Newton's method."""
-    x = 1 << -(-m.bit_length() // k)
+    """The integer part of the k-th root of m, by Newton's method.
+
+    Newton's steps fall to the root from any start above it.  Below 2^1000
+    a float estimate, raised past its rounding error, is such a start one
+    or two steps away; above, the start is a power of two.
+    """
+    if k == 2:
+        return isqrt(m)
+    if m.bit_length() <= 1000:
+        x = int(m ** (1.0 / k) * (1 + 2.0**-40)) + 1
+    else:
+        x = 1 << -(-m.bit_length() // k)
     while True:
         y = ((k - 1) * x + m // x ** (k - 1)) // k
         if y >= x:

@@ -58,7 +58,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _dump_str
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
-from .abelian import TRIVIAL, AbelianGroup
+from .abelian import TRIVIAL, AbelianGroup, _weighted_sum
 from .names import is_valid_atom_name
 
 if TYPE_CHECKING:
@@ -309,10 +309,12 @@ def evaluate(formal_sum: "FormalSum", db: ProfileDb) -> AbelianGroup | Incomplet
     Returns the direct sum when everything resolves.  Unknown table values
     and symbolic residuals produce an ``Incomplete`` carrying the partial
     sum; referencing a space or map with no profile at all is an error.
+    The resolved terms are summed in one merge, O(terms x summands per
+    term) plus one sort of the answer's distinct summands.
     """
     from .formal import GenGottliebTerm, GottliebTerm, PiTerm, RelTerm, term_text
 
-    total = TRIVIAL
+    resolved: list[tuple[AbelianGroup, int]] = []
     missing: list[str] = []
     residuals: list[str] = []
     for term, multiplicity in formal_sum:
@@ -331,7 +333,8 @@ def evaluate(formal_sum: "FormalSum", db: ProfileDb) -> AbelianGroup | Incomplet
         if value is None:
             missing.append(term_text(term))
         else:
-            total = total.direct_sum(value.scaled(multiplicity))
+            resolved.append((value, multiplicity))
+    total = _weighted_sum(resolved)
     if missing or residuals:
         return Incomplete(tuple(missing), tuple(residuals), total)
     return total
@@ -344,9 +347,9 @@ def gottlieb_table_of_map_space(
 
     The source must split into spheres (its shift polynomial drives the
     degree shifts); the entry at degree d is the direct sum of c_i copies
-    of G_{d+i}(target).  The triviality bound of the target is inherited,
-    since shifting only raises degrees.  Unknown target degrees make the
-    result Incomplete.
+    of G_{d+i}(target), formed in one merge per degree.  The triviality
+    bound of the target is inherited, since shifting only raises degrees.
+    Unknown target degrees make the result Incomplete.
     """
     from .splitting import shift_polynomial
 
@@ -361,17 +364,15 @@ def gottlieb_table_of_map_space(
             raise ValueError(f"degree must be >= 1, got {degree}")
         if bound is not None and degree > bound:
             continue  # implied trivial by the inherited bound
-        value = TRIVIAL
-        resolved = True
+        parts = []
         for shift, count in poly.coeffs:
-            looked_up = table.lookup(degree + shift)
-            if looked_up is None:
+            value = table.lookup(degree + shift)
+            if value is None:
                 missing.append(f"G[{degree + shift}]({target})")
-                resolved = False
-            elif resolved:
-                value = value.direct_sum(looked_up.scaled(count))
-        if resolved:
-            entries[degree] = value
+            else:
+                parts.append((value, count))
+        if len(parts) == len(poly.coeffs):
+            entries[degree] = _weighted_sum(parts)
     if missing:
         return Incomplete(tuple(dict.fromkeys(missing)), ())
     return GradedGroup(entries, zero_above=bound)

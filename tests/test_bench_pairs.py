@@ -1,0 +1,77 @@
+"""The summary of ``scripts/bench_pairs.py`` on hand-made result lines."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+END_TO_END = [
+    {"name": "query_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "queries_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def line(p50, qps, correct=True, attempted=100, failed=0):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"query_p50_ms": {"value": p50, "unit": "ms"},
+                        "queries_per_s": {"value": qps, "unit": "1/s"}}}
+
+
+def runs_of(workload, parent, change, first_seed=1):
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        first = "parent" if pair % 2 == 0 else "change"
+        for side, result in (("parent", p), ("change", c)):
+            runs.append({"pair": pair, "seed": first_seed + pair, "workload": workload,
+                         "side": side, "first": first, "result": result})
+    return runs
+
+
+def test_summary_of_a_gain(bench_pairs):
+    parent = [line(p50, qps) for p50, qps in
+              ((0.20, 1000), (0.22, 900), (0.24, 1100), (0.26, 1000), (0.28, 950))]
+    change = [line(p50, qps) for p50, qps in
+              ((0.15, 1200), (0.16, 880), (0.17, 1300), (0.30, 1250), (0.14, 1240))]
+    summary = bench_pairs.summarize(runs_of("w", parent, change), END_TO_END)
+    p50 = summary["w"]["query_p50_ms"]
+    assert p50["parent_q1_median_q3"] == [0.22, 0.24, 0.26]
+    assert p50["change_q1_median_q3"] == [0.15, 0.16, 0.17]
+    assert p50["change_wins"] == "4/5"
+    assert p50["change_worse_by"] == round((0.16 - 0.24) / 0.24, 4)
+    assert p50["within_bound"] is True
+    qps = summary["w"]["queries_per_s"]
+    assert qps["parent_q1_median_q3"] == [950, 1000, 1000]
+    assert qps["change_wins"] == "4/5"
+    assert qps["change_worse_by"] == round((1000 - 1240) / 1000, 4)
+    assert summary["w"]["parent"] == {"correct": True, "attempted": 500, "failed": 0}
+
+
+def test_summary_of_a_loss_past_the_bound(bench_pairs):
+    parent = [line(1.0, 100), line(1.0, 100), line(1.0, 100)]
+    change = [line(1.3, 70), line(1.2, 90, failed=2), line(1.3, 70, correct=False)]
+    entry = bench_pairs.summarize(runs_of("w", parent, change), END_TO_END)["w"]
+    assert entry["query_p50_ms"]["change_wins"] == "0/3"
+    assert entry["query_p50_ms"]["change_worse_by"] == 0.3
+    assert entry["query_p50_ms"]["within_bound"] is False
+    assert entry["queries_per_s"]["change_worse_by"] == 0.3
+    assert entry["queries_per_s"]["within_bound"] is False
+    assert entry["change"] == {"correct": False, "attempted": 300, "failed": 2}
+
+
+def test_workloads_are_summarized_apart_whatever_the_run_order(bench_pairs):
+    a = runs_of("a", [line(1.0, 10)] * 2, [line(0.5, 20)] * 2)
+    b = runs_of("b", [line(2.0, 10)] * 2, [line(4.0, 5)] * 2)
+    summary = bench_pairs.summarize(list(reversed(a + b)), END_TO_END)
+    assert list(summary) == ["b", "a"]
+    assert summary["a"]["query_p50_ms"]["change_worse_by"] == -0.5
+    assert summary["b"]["query_p50_ms"]["change_worse_by"] == 1.0
+    assert summary["b"]["queries_per_s"]["change_wins"] == "0/2"

@@ -514,6 +514,13 @@ def test_loop_homotopy_of_a_blocked_chain_names_the_blocker(capsys):
     assert err == "error: B does not split: atom has no declared suspension shifts\n"
 
 
+def test_loop_homotopy_names_the_outermost_blocked_level(capsys):
+    code, out, err = run(capsys, "loop-homotopy", "--expr", "map(B, map(A, Y))", "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: B does not split: atom has no declared suspension shifts\n"
+
+
 def test_loop_homotopy(capsys, profile_path):
     code, out, _ = run(
         capsys, "loop-homotopy", "--expr", "Y", "--degree", "2", "--iterations", "2"

@@ -164,3 +164,20 @@ def test_loop_homotopy_names_an_undeclared_source_atom():
         sources.insert(rng.randint(0, len(sources)), blocked)
         with pytest.raises(ValueError, match="^A does not split: atom has no declared"):
             iterated_loop_homotopy(2, rng.randint(1, 3), _random_chain(sources))
+
+
+def test_loop_homotopy_names_the_outermost_blocked_level():
+    # The sum's canonical order would put A first; the walk meets B first.
+    with pytest.raises(ValueError, match="^B does not split: atom has no declared"):
+        iterated_loop_homotopy(2, 1, parse_space("map(B, map(A, Y))"))
+    with pytest.raises(ValueError, match="^C does not split: atom has no declared"):
+        iterated_loop_homotopy(2, 1, parse_space("map(prod(S2, C, A), Y)"))
+    for seed in range(20):
+        rng = random.Random(f"outermost:{seed}")
+        sources = [random_splittable_expr(rng) for _ in range(rng.randint(0, 3))]
+        names = rng.sample("ABCD", rng.randint(2, 4))
+        for name in names:
+            sources.insert(rng.randint(0, len(sources)), Atom(name))
+        first = next(s.name for s in sources if isinstance(s, Atom))
+        with pytest.raises(ValueError, match=f"^{first} does not split"):
+            iterated_loop_homotopy(rng.randint(2, 4), rng.randint(1, 3), _random_chain(sources))
