@@ -8,8 +8,9 @@ groups, and direct sum adds counts.  ``direct_sum`` and ``scaled`` cost
 O(distinct summands) whatever the multiplicities, which is what a mapping
 space answer needs: a few distinct groups, each repeated C(N, j) times.
 
-Validation happens once, where outside input enters: the constructor checks
-every item (integers, p prime, k >= 1, count >= 1, p^k of at most 4300
+Validation happens once, where outside input enters: the constructor, and
+the profile reader through the same ``_checked_torsion``, check every
+item (integers, p prime, k >= 1, count >= 1, p^k of at most 4300
 decimal digits, so every admitted summand prints under the interpreter's
 default digit limit), and ``canonicalize`` checks its orders and factors
 them.  Sums and multiples of valid groups are valid, so they skip the
@@ -43,7 +44,7 @@ True
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .numtheory import factorint, isprime
 
@@ -55,15 +56,18 @@ __all__ = [
     "parse_group",
 ]
 
-_FREE_RE = re.compile(r"Z\^([0-9]+)\Z")
-_CYCLIC_RE = re.compile(r"Z/([0-9]+)\Z")
-_RUN_RE = re.compile(r"\(Z/([0-9]+)\)\^([0-9]+)\Z")
+# One summand of the text codec: Z, Z^r, Z/d or (Z/d)^n.
+_SUMMAND_RE = re.compile(r"Z(?:\^([0-9]+))?|Z/([0-9]+)|\(Z/([0-9]+)\)\^([0-9]+)")
 
 # An admitted prime power or order has at most this many decimal digits,
 # the interpreter's default limit for int <-> str conversion.
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**_MAX_DIGITS
 _SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # 2^_SAFE_BITS < 10^4300
+
+
+# Sets a field of a record, whose own __setattr__ refuses every assignment.
+_set = object.__setattr__
 
 
 def _too_long(p: int, k: int) -> bool:
@@ -92,8 +96,87 @@ def _check_rank(rank) -> None:
         raise ValueError(f"rank must be non-negative, got {rank}")
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _Record:
+    """Base of the frozen value records of the profile layer.
+
+    A subclass names its fields, two or more, in ``__slots__`` in constructor
+    order, and sets each once in ``__init__`` through ``object.__setattr__``.  It gets
+    what a frozen dataclass gives: field-wise ``==`` within one class
+    (``NotImplemented`` against any other), a hash of the field values, so
+    a record holding a dict is unhashable, the ``Name(field=value, ...)``
+    repr, ``__match_args__`` and ``AttributeError`` on any assignment or
+    deletion.  ``dataclasses`` is not used because importing it loads
+    ``inspect`` and ``ast`` and generating each class's methods runs
+    ``exec``: together about half of ``import gottlieb``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._values = attrgetter(*cls.__slots__)  # the tuple of field values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
+def _checked_torsion(items) -> list[tuple[int, int, int]]:
+    """Validated (p, k, count) triples from (p, k) pairs and (p, k, count) triples.
+
+    Raises ``TypeError`` for an item that is not two or three integers and
+    ``ValueError`` for k < 1, count < 1, p^k past 4300 digits or p not prime.
+    """
+    triples = []
+    for item in items:
+        # This loop is the cost of every load, so the common case (plain
+        # ints, a short prime power) takes the cheapest tests first.
+        size = len(item) if isinstance(item, (tuple, list)) else 0
+        if size == 2:
+            p, k = item
+            count = 1
+        elif size == 3:
+            p, k, count = item
+        else:
+            p = k = count = None
+        if not (type(p) is int and type(k) is int and type(count) is int) and not (
+            _is_int(p) and _is_int(k) and _is_int(count)
+        ):
+            raise TypeError(
+                f"torsion item must be two integers (p, k) or three (p, k, count), "
+                f"got {item!r}"
+            )
+        if k < 1:
+            raise ValueError(f"torsion exponent must be >= 1, got {k}")
+        if count < 1:
+            raise ValueError(f"torsion count must be >= 1, got {count}")
+        if k * p.bit_length() > _SAFE_BITS and _too_long(p, k):
+            raise ValueError(f"torsion order p^k exceeds {_MAX_DIGITS} digits")
+        if not isprime(p):
+            raise ValueError(f"torsion base must be prime, got {p}")
+        triples.append((p, k, count))
+    return triples
+
+
+class AbelianGroup(_Record):
     """A finitely generated abelian group Z^rank + sum of Z/p^k factors.
 
     ``torsion`` holds one (p, k, count) triple per distinct cyclic summand
@@ -102,40 +185,14 @@ class AbelianGroup:
     so two values compare equal exactly when the groups are isomorphic.
     """
 
-    rank: int = 0
-    torsion: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("rank", "torsion")
+    rank: int
+    torsion: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        _check_rank(self.rank)
-        triples = []
-        for item in self.torsion:
-            # This loop is the cost of every load, so the common case (plain
-            # ints, a short prime power) takes the cheapest tests first.
-            size = len(item) if isinstance(item, (tuple, list)) else 0
-            if size == 2:
-                p, k = item
-                count = 1
-            elif size == 3:
-                p, k, count = item
-            else:
-                p = k = count = None
-            if not (type(p) is int and type(k) is int and type(count) is int) and not (
-                _is_int(p) and _is_int(k) and _is_int(count)
-            ):
-                raise TypeError(
-                    f"torsion item must be two integers (p, k) or three (p, k, count), "
-                    f"got {item!r}"
-                )
-            if k < 1:
-                raise ValueError(f"torsion exponent must be >= 1, got {k}")
-            if count < 1:
-                raise ValueError(f"torsion count must be >= 1, got {count}")
-            if k * p.bit_length() > _SAFE_BITS and _too_long(p, k):
-                raise ValueError(f"torsion order p^k exceeds {_MAX_DIGITS} digits")
-            if not isprime(p):
-                raise ValueError(f"torsion base must be prime, got {p}")
-            triples.append((p, k, count))
-        object.__setattr__(self, "torsion", _merged(triples))
+    def __init__(self, rank: int = 0, torsion=()) -> None:
+        _check_rank(rank)
+        _set(self, "rank", rank)
+        _set(self, "torsion", _merged(_checked_torsion(torsion)))
 
     @property
     def is_trivial(self) -> bool:
@@ -253,24 +310,24 @@ class AbelianGroup:
         orders: dict[int, int] = {}
         for part in stripped.split("+"):
             part = part.strip()
-            if part == "Z":
-                rank += 1
-                continue
-            if m := _FREE_RE.fullmatch(part):
-                r = _summand_int(m.group(1), "free exponent")
+            m = _SUMMAND_RE.fullmatch(part)
+            if m is None:
+                raise ValueError(f"cannot parse group summand {part!r} in {text!r}")
+            free, order, run_order, run_length = m.groups()
+            if order is not None:
+                copies = 1
+            elif run_order is not None:
+                order = run_order
+                copies = _summand_int(run_length, "run length")
+                if copies < 1:
+                    raise ValueError(f"run length must be >= 1 in {part!r}")
+            else:
+                r = 1 if free is None else _summand_int(free, "free exponent")
                 if r < 1:
                     raise ValueError(f"free exponent must be >= 1 in {part!r}")
                 rank += r
                 continue
-            if m := _CYCLIC_RE.fullmatch(part):
-                copies = 1
-            elif m := _RUN_RE.fullmatch(part):
-                copies = _summand_int(m.group(2), "run length")
-                if copies < 1:
-                    raise ValueError(f"run length must be >= 1 in {part!r}")
-            else:
-                raise ValueError(f"cannot parse group summand {part!r} in {text!r}")
-            d = _summand_int(m.group(1), "cyclic order")
+            d = _summand_int(order, "cyclic order")
             if d < 2:
                 raise ValueError(f"cyclic order must be >= 2 in {part!r}")
             orders[d] = orders.get(d, 0) + copies
@@ -344,8 +401,8 @@ def _weighted_sum(parts: Iterable[tuple[AbelianGroup, int]]) -> AbelianGroup:
 def _trusted(rank: int, torsion: tuple[tuple[int, int, int], ...]) -> AbelianGroup:
     """An AbelianGroup from parts already known to be valid and canonical."""
     group = object.__new__(AbelianGroup)
-    object.__setattr__(group, "rank", rank)
-    object.__setattr__(group, "torsion", torsion)
+    _set(group, "rank", rank)
+    _set(group, "torsion", torsion)
     return group
 
 

@@ -47,7 +47,7 @@ instead of computing numbers too long to print.
 
 from math import comb
 
-from .formal import FormalSum, GenGottliebTerm, GottliebTerm, Term
+from .formal import FormalSum, GottliebTerm, Term, _trusted_gen, _trusted_term
 from .spaces import (
     Atom,
     Bouquet,
@@ -130,7 +130,7 @@ class _Walk:
         target = desugar(target)
         base = self.degree + suspensions
         for shift, count in self.acc.coeffs:
-            self.counts[GenGottliebTerm(residual_source, base + shift, target)] = count
+            self.counts[_trusted_gen(residual_source, base + shift, target)] = count
 
 
 def _rest(factors: tuple[SpaceExpr, ...], i: int, target: SpaceExpr) -> SpaceExpr:
@@ -159,6 +159,7 @@ def _walk_chain(
 ) -> FormalSum:
     """The pass behind ``decompose``: the core atom Y emits ``core(Y, degree + i)``.
 
+    ``degree`` must be an integer >= 1, since the terms are built unchecked.
     Without ``residuals``, a blocked level raises ``NotSplittableError``
     naming the outermost one instead of leaving a ``Gen`` term.
     """
@@ -193,7 +194,10 @@ def _walk_chain(
     # coefficients are sorted by shift; only residuals make a sort needed.
     terms = list(walk.counts.items())
     if isinstance(e, Atom):
-        terms += [(core(e.name, degree + shift), count) for shift, count in walk.acc.coeffs]
+        terms += [
+            (_trusted_term(core, e.name, degree + shift), count)
+            for shift, count in walk.acc.coeffs
+        ]
     elif not isinstance(e, Point):
         raise DecomposeError(
             f"no decomposition rule for target {format_space(desugar(e))!r}; "

@@ -75,6 +75,29 @@ class GenGottliebTerm:
         _check_degree(self.suspensions, "suspension count")
 
 
+def _trusted_term(cls: type, space: str, degree: int) -> "GottliebTerm | PiTerm":
+    """A ``GottliebTerm`` or ``PiTerm`` whose degree is known to be >= 1, unchecked.
+
+    For the engine, whose degrees are >= 1 by construction: the public
+    constructors check every degree again in ``__post_init__``.
+    """
+    term = object.__new__(cls)
+    fields = term.__dict__
+    fields["space"] = space
+    fields["degree"] = degree
+    return term
+
+
+def _trusted_gen(source: SpaceExpr, suspensions: int, target: SpaceExpr) -> GenGottliebTerm:
+    """A ``GenGottliebTerm`` whose suspension count is known to be >= 1, unchecked."""
+    term = object.__new__(GenGottliebTerm)
+    fields = term.__dict__
+    fields["source"] = source
+    fields["suspensions"] = suspensions
+    fields["target"] = target
+    return term
+
+
 Term = Union[GottliebTerm, PiTerm, RelTerm, GenGottliebTerm]
 
 _KIND_ORDER = {GottliebTerm: 0, PiTerm: 1, RelTerm: 2, GenGottliebTerm: 3}

@@ -29,6 +29,8 @@ def iterated_loop_homotopy(degree: int, iterations: int, target, atom_shifts=Non
         )
     if iterations < 1:
         raise ValueError(f"iteration count must be >= 1, got {iterations}")
+    if not isinstance(degree, int):  # the walk builds its terms unchecked
+        raise TypeError(f"homotopy degree must be an integer, got {degree!r}")
     target = Atom(target) if isinstance(target, str) else target
     return _walk_chain(Loop(target, iterations), degree, atom_shifts, PiTerm, residuals=False)
 

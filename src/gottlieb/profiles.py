@@ -53,12 +53,21 @@ dictionary lookup, about a microsecond per call.
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cache
 from json.encoder import encode_basestring_ascii as _dump_str
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
-from .abelian import TRIVIAL, AbelianGroup, _weighted_sum
+from .abelian import (
+    TRIVIAL,
+    AbelianGroup,
+    _check_rank,
+    _checked_torsion,
+    _merged,
+    _Record,
+    _set,
+    _trusted,
+    _weighted_sum,
+)
 from .names import is_valid_atom_name
 
 if TYPE_CHECKING:
@@ -94,8 +103,18 @@ class ProfileError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+def _check_bound(table: dict, bound, path: str = "") -> None:
+    """Refuse a ``zero_above`` that is not an integer >= 0 or lies below an entry."""
+    if bound is None:
+        return
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ProfileError(f"zero_above must be an integer >= 0, got {bound!r}", path)
+    beyond = min((d for d in table if d > bound), default=None)
+    if beyond is not None:
+        raise ProfileError(f"explicit entry at degree {beyond} exceeds zero_above={bound}", path)
+
+
+class GradedGroup(_Record):
     """Partial table degree -> group, with an optional triviality bound.
 
     Degrees above ``zero_above`` are implicitly the trivial group; absent
@@ -103,27 +122,31 @@ class GradedGroup:
     are unknown.  Explicit entries above the bound are rejected.
     """
 
-    entries: Mapping[int, AbelianGroup] = field(default_factory=dict)
-    zero_above: int | None = None
+    __slots__ = ("entries", "zero_above")
+    entries: dict[int, AbelianGroup]
+    zero_above: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, entries: Mapping[int, AbelianGroup] | None = None, zero_above: int | None = None
+    ) -> None:
         table: dict[int, AbelianGroup] = {}
-        for degree, group in dict(self.entries).items():
+        for degree, group in ({} if entries is None else dict(entries)).items():
             if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
                 raise ProfileError(f"entry degree must be an integer >= 1, got {degree!r}")
             if not isinstance(group, AbelianGroup):
                 raise ProfileError(f"entry at degree {degree} is not a group: {group!r}")
             table[degree] = group
-        if self.zero_above is not None:
-            bound = self.zero_above
-            if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-                raise ProfileError(f"zero_above must be an integer >= 0, got {bound!r}")
-            beyond = sorted(d for d in table if d > bound)
-            if beyond:
-                raise ProfileError(
-                    f"explicit entry at degree {beyond[0]} exceeds zero_above={bound}"
-                )
-        object.__setattr__(self, "entries", table)
+        _check_bound(table, zero_above)
+        _set(self, "entries", table)
+        _set(self, "zero_above", zero_above)
+
+    @classmethod
+    def _trusted(cls, entries: dict[int, AbelianGroup], zero_above: int | None) -> "GradedGroup":
+        """A table from entries and a bound already checked, taking ``entries`` as is."""
+        table = object.__new__(cls)
+        _set(table, "entries", entries)
+        _set(table, "zero_above", zero_above)
+        return table
 
     def lookup(self, degree: int) -> AbelianGroup | None:
         """The group at ``degree``, or None when the table does not know it."""
@@ -143,60 +166,83 @@ class GradedGroup:
         return not self.entries and self.zero_above is None
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(_Record):
     """Tri-state space properties; None means the user did not say."""
 
-    simply_connected: bool | None = None
-    finite: bool | None = None
-    g_space: bool | None = None
-    t_space: bool | None = None
+    __slots__ = ("simply_connected", "finite", "g_space", "t_space")
+    simply_connected: bool | None
+    finite: bool | None
+    g_space: bool | None
+    t_space: bool | None
 
-    def __post_init__(self) -> None:
-        for name in ("simply_connected", "finite", "g_space", "t_space"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        simply_connected: bool | None = None,
+        finite: bool | None = None,
+        g_space: bool | None = None,
+        t_space: bool | None = None,
+    ) -> None:
+        for name, value in zip(self.__slots__, (simply_connected, finite, g_space, t_space)):
             if value is not None and not isinstance(value, bool):
                 raise ProfileError(f"flag {name!r} must be true, false, or absent")
+            _set(self, name, value)
 
 
-@dataclass(frozen=True)
-class SpaceProfile:
+class SpaceProfile(_Record):
     """Everything the user asserts about one named space."""
 
+    __slots__ = ("name", "gottlieb", "homotopy", "betti", "suspension_shifts", "flags")
     name: str
-    gottlieb: GradedGroup = field(default_factory=GradedGroup)
-    homotopy: GradedGroup | None = None
-    betti: tuple[int, ...] | None = None
-    suspension_shifts: tuple[int, ...] | None = None
-    flags: Flags = field(default_factory=Flags)
+    gottlieb: GradedGroup
+    homotopy: GradedGroup | None
+    betti: tuple[int, ...] | None
+    suspension_shifts: tuple[int, ...] | None
+    flags: Flags
 
-    def __post_init__(self) -> None:
-        if not is_valid_atom_name(self.name):
-            raise ProfileError(f"space name {self.name!r} is not a usable atom name")
-        if self.betti is not None:
-            betti = tuple(self.betti)
+    def __init__(
+        self,
+        name: str,
+        gottlieb: GradedGroup | None = None,
+        homotopy: GradedGroup | None = None,
+        betti: Iterable[int] | None = None,
+        suspension_shifts: Iterable[int] | None = None,
+        flags: Flags | None = None,
+    ) -> None:
+        if gottlieb is None:
+            gottlieb = GradedGroup()
+        if flags is None:
+            flags = Flags()
+        if not is_valid_atom_name(name):
+            raise ProfileError(f"space name {name!r} is not a usable atom name")
+        if betti is not None:
+            betti = tuple(betti)
             if not betti or betti[0] != 1:
-                raise ProfileError(f"betti numbers of {self.name!r} must start with 1")
+                raise ProfileError(f"betti numbers of {name!r} must start with 1")
             if any(isinstance(b, bool) or not isinstance(b, int) or b < 0 for b in betti):
-                raise ProfileError(f"betti numbers of {self.name!r} must be integers >= 0")
-            object.__setattr__(self, "betti", betti)
-        if self.suspension_shifts is not None:
-            shifts = tuple(self.suspension_shifts)
+                raise ProfileError(f"betti numbers of {name!r} must be integers >= 0")
+        if suspension_shifts is not None:
+            shifts = tuple(suspension_shifts)
             if any(isinstance(s, bool) or not isinstance(s, int) or s < 1 for s in shifts):
-                raise ProfileError(f"suspension shifts of {self.name!r} must be integers >= 1")
-            object.__setattr__(self, "suspension_shifts", tuple(sorted(shifts)))
-        if self.flags.g_space is True and self.homotopy is not None:
+                raise ProfileError(f"suspension shifts of {name!r} must be integers >= 1")
+            suspension_shifts = tuple(sorted(shifts))
+        if flags.g_space is True and homotopy is not None:
             # A G-space has Gottlieb groups equal to its homotopy groups;
             # check wherever both tables answer.
-            degrees = set(self.gottlieb.entries) | set(self.homotopy.entries)
+            degrees = set(gottlieb.entries) | set(homotopy.entries)
             for degree in sorted(degrees):
-                a = self.gottlieb.lookup(degree)
-                b = self.homotopy.lookup(degree)
+                a = gottlieb.lookup(degree)
+                b = homotopy.lookup(degree)
                 if a is not None and b is not None and a != b:
                     raise ProfileError(
-                        f"{self.name!r} is flagged g_space but G[{degree}] = {a.describe()} "
+                        f"{name!r} is flagged g_space but G[{degree}] = {a.describe()} "
                         f"differs from pi[{degree}] = {b.describe()}"
                     )
+        _set(self, "name", name)
+        _set(self, "gottlieb", gottlieb)
+        _set(self, "homotopy", homotopy)
+        _set(self, "betti", betti)
+        _set(self, "suspension_shifts", suspension_shifts)
+        _set(self, "flags", flags)
 
     @property
     def dim(self) -> int | None:
@@ -204,39 +250,57 @@ class SpaceProfile:
         return None if self.betti is None else len(self.betti) - 1
 
 
-@dataclass(frozen=True)
-class MapProfile:
+class MapProfile(_Record):
     """A named map together with its asserted relative Gottlieb table."""
 
+    __slots__ = ("name", "source", "target", "relative_gottlieb", "is_identity")
     name: str
     source: str
     target: str
-    relative_gottlieb: GradedGroup = field(default_factory=GradedGroup)
-    is_identity: bool = False
+    relative_gottlieb: GradedGroup
+    is_identity: bool
 
-    def __post_init__(self) -> None:
-        if not _NAME_RE.fullmatch(self.name or ""):
-            raise ProfileError(f"map name {self.name!r} is not an identifier")
-        for role, space in (("source", self.source), ("target", self.target)):
+    def __init__(
+        self,
+        name: str,
+        source: str,
+        target: str,
+        relative_gottlieb: GradedGroup | None = None,
+        is_identity: bool = False,
+    ) -> None:
+        if relative_gottlieb is None:
+            relative_gottlieb = GradedGroup()
+        if not _NAME_RE.fullmatch(name or ""):
+            raise ProfileError(f"map name {name!r} is not an identifier")
+        for role, space in (("source", source), ("target", target)):
             if not is_valid_atom_name(space):
-                raise ProfileError(f"map {self.name!r} {role} {space!r} is not an atom name")
-        if self.is_identity and self.source != self.target:
+                raise ProfileError(f"map {name!r} {role} {space!r} is not an atom name")
+        if is_identity and source != target:
             raise ProfileError(
-                f"map {self.name!r} is flagged is_identity but source {self.source!r} "
-                f"differs from target {self.target!r}"
+                f"map {name!r} is flagged is_identity but source {source!r} "
+                f"differs from target {target!r}"
             )
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "relative_gottlieb", relative_gottlieb)
+        _set(self, "is_identity", is_identity)
 
 
-@dataclass(frozen=True)
-class ProfileDb:
+class ProfileDb(_Record):
     """Validated collection of space and map profiles."""
 
-    spaces: Mapping[str, SpaceProfile] = field(default_factory=dict)
-    maps: Mapping[str, MapProfile] = field(default_factory=dict)
+    __slots__ = ("spaces", "maps")
+    spaces: dict[str, SpaceProfile]
+    maps: dict[str, MapProfile]
 
-    def __post_init__(self) -> None:
-        spaces = dict(self.spaces)
-        maps = dict(self.maps)
+    def __init__(
+        self,
+        spaces: Mapping[str, SpaceProfile] | None = None,
+        maps: Mapping[str, MapProfile] | None = None,
+    ) -> None:
+        spaces = {} if spaces is None else dict(spaces)
+        maps = {} if maps is None else dict(maps)
         for name, profile in spaces.items():
             if name != profile.name:
                 raise ProfileError(f"space key {name!r} does not match profile name {profile.name!r}")
@@ -260,8 +324,8 @@ class ProfileDb:
                             f"({a.describe()}) disagrees with the Gottlieb table of "
                             f"{profile.source!r} ({b.describe()})"
                         )
-        object.__setattr__(self, "spaces", spaces)
-        object.__setattr__(self, "maps", maps)
+        _set(self, "spaces", spaces)
+        _set(self, "maps", maps)
 
     @classmethod
     def of(cls, spaces: Iterable[SpaceProfile] = (), maps: Iterable[MapProfile] = ()) -> "ProfileDb":
@@ -288,8 +352,7 @@ class ProfileDb:
         }
 
 
-@dataclass(frozen=True)
-class Incomplete:
+class Incomplete(_Record):
     """A partial evaluation: what resolved, what did not, and why.
 
     ``missing`` lists terms whose tables had no answer, ``residuals`` the
@@ -298,9 +361,20 @@ class Incomplete:
     partial value is not a group, e.g. for rank computations).
     """
 
-    missing: tuple[str, ...] = ()
-    residuals: tuple[str, ...] = ()
-    partial: AbelianGroup | None = None
+    __slots__ = ("missing", "residuals", "partial")
+    missing: tuple[str, ...]
+    residuals: tuple[str, ...]
+    partial: AbelianGroup | None
+
+    def __init__(
+        self,
+        missing: tuple[str, ...] = (),
+        residuals: tuple[str, ...] = (),
+        partial: AbelianGroup | None = None,
+    ) -> None:
+        _set(self, "missing", missing)
+        _set(self, "residuals", residuals)
+        _set(self, "partial", partial)
 
 
 def evaluate(formal_sum: "FormalSum", db: ProfileDb) -> AbelianGroup | Incomplete:
@@ -405,9 +479,9 @@ def _require_object(value, path: str) -> dict:
 
 
 def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ProfileError(f"unknown key {unknown[0]!r}", path)
+    if obj.keys() <= allowed:
+        return
+    raise ProfileError(f"unknown key {min(obj.keys() - allowed)!r}", path)
 
 
 def _group_from_json(value, path: str) -> AbelianGroup:
@@ -422,16 +496,19 @@ def _group_from_json(value, path: str) -> AbelianGroup:
     torsion = obj.get("torsion", [])
     if not isinstance(torsion, list):
         raise ProfileError("torsion must be a list of [prime, exponent(, count)] items", path)
-    for item in torsion:
-        if not isinstance(item, list) or len(item) not in (2, 3):
-            raise ProfileError(
-                f"torsion item {item!r} is not a [prime, exponent] pair "
-                "or a [prime, exponent, count] triple",
-                path,
-            )
     try:
-        return AbelianGroup(rank, tuple(torsion))
+        _check_rank(rank)
+        return _trusted(rank, _merged(_checked_torsion(torsion)))
     except (TypeError, ValueError) as exc:
+        # Any item of the wrong shape fails the check above too; its own
+        # message, for the first such item, comes before the check's.
+        for item in torsion:
+            if not isinstance(item, list) or len(item) not in (2, 3):
+                raise ProfileError(
+                    f"torsion item {item!r} is not a [prime, exponent] pair "
+                    "or a [prime, exponent, count] triple",
+                    path,
+                ) from None
         raise ProfileError(str(exc), path) from exc
 
 
@@ -455,18 +532,19 @@ def _graded_from_json(value, path: str) -> GradedGroup:
     zero_above = obj.get("zero_above")
     if zero_above is not None and (isinstance(zero_above, bool) or not isinstance(zero_above, int)):
         raise ProfileError("zero_above must be an integer", f"{path}.zero_above")
-    return _located(path, lambda: GradedGroup(entries, zero_above))
+    # Every degree is an integer >= 1 and every entry a group: only the
+    # bound is left to check.
+    _check_bound(entries, zero_above, path)
+    return GradedGroup._trusted(entries, zero_above)
 
 
 def _flags_from_json(value, path: str) -> Flags:
     obj = _require_object(value, path)
     _check_keys(obj, _FLAG_KEYS, path)
-    cleaned = {}
     for key, flag in obj.items():
         if flag is not None and not isinstance(flag, bool):
             raise ProfileError(f"flag {key!r} must be true, false, or null", path)
-        cleaned[key] = flag
-    return Flags(**cleaned)
+    return Flags(**obj)
 
 
 def _space_from_json(name: str, value, path: str) -> SpaceProfile:

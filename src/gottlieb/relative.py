@@ -70,6 +70,8 @@ def relative_decompose(
         )
     source = map_profile.source
     if iterations == 1:
+        if not isinstance(circles, int):  # it is a multiplicity below
+            raise ValueError(f"bouquet width must be an integer, got {circles!r}")
         pairs = [
             (GottliebTerm(source, degree), 1),
             (RelTerm(map_profile.name, degree + 1), circles),
@@ -87,4 +89,6 @@ def relative_decompose(
             for term, mult in pairs
         ]
     structure = Structure.DIRECT_SUM if degree >= 2 else Structure.SPLIT_EXTENSION
-    return RelativeResult(degree, FormalSum.from_pairs(pairs), structure)
+    # The terms are distinct and already in canonical order: Gottlieb terms
+    # by degree, then the relative one; the identity rewrite keeps that.
+    return RelativeResult(degree, FormalSum._trusted(pairs, ordered=True), structure)

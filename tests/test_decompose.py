@@ -64,6 +64,16 @@ def test_residual_terms():
     assert str(nested) == "G[1](Y) + G[2](Y) + Gen[Σ^1 B -> map(S1, Y)]"
 
 
+def test_engine_terms_equal_checked_terms():
+    # The walk builds its terms without the constructors' checks; each must
+    # still be the value, hash and repr the public constructor makes.
+    for text in ("map(B, map(S1, loop(Y, 3)))", "map(prod(susp(B), T2), Y)", "bloop(Y, 2, 4)"):
+        for term, _ in decompose(parse_space(text), 2):
+            fields = [getattr(term, name) for name in term.__match_args__]
+            checked = type(term)(*fields)
+            assert (term, hash(term), repr(term)) == (checked, hash(checked), repr(checked))
+
+
 def test_residual_targets_keep_the_remaining_curried_factors():
     # Multi-factor products curry left to right, and each residual keeps the
     # rest of the chain as its target, printed verbatim.

@@ -83,6 +83,8 @@ def test_loop_homotopy_rejects_degree_one():
     assert "not computed" in str(err.value)
     with pytest.raises(ValueError):
         iterated_loop_homotopy(2, 0, "Y")
+    with pytest.raises(TypeError, match="homotopy degree must be an integer, got 2.5"):
+        iterated_loop_homotopy(2.5, 1, "Y")
 
 
 def test_loop_homotopy_coefficients_match_recursion_oracle():

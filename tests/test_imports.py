@@ -97,11 +97,22 @@ def test_unknown_root_names_raise_attribute_error():
 
 
 def test_loading_a_document_imports_only_the_profile_layer():
-    code = (
-        "import gottlieb\n"
-        "gottlieb.load(open('profiles/synthetic_demo.json').read())\n" + REPORT
-    )
-    assert fresh(code) == [
+    # The profile layer's records are plain slotted classes, since importing
+    # dataclasses would cost about half of ``import gottlieb``.  When a site
+    # hook loaded dataclasses before the package, that says nothing (None).
+    code = """
+import json, sys
+before = "dataclasses" in sys.modules
+import gottlieb
+gottlieb.load(open("profiles/synthetic_demo.json").read())
+print(json.dumps([
+    None if before else "dataclasses" in sys.modules,
+    sorted(m for m in sys.modules if m.split(".")[0] == "gottlieb"),
+]))
+"""
+    dataclasses_loaded, modules = fresh(code)
+    assert dataclasses_loaded is not True
+    assert modules == [
         "gottlieb",
         "gottlieb.abelian",
         "gottlieb.names",

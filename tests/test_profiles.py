@@ -63,6 +63,46 @@ def test_graded_validation():
         GradedGroup({}, zero_above=-1)
 
 
+@pytest.mark.parametrize(
+    "table, path, message",
+    [
+        ({"zero_above": -1}, "spaces.Y.gottlieb", "zero_above must be an integer >= 0, got -1"),
+        (
+            {"entries": {"5": "Z", "4": "Z"}, "zero_above": 3},
+            "spaces.Y.gottlieb",
+            "explicit entry at degree 4 exceeds zero_above=3",
+        ),
+        (
+            {"entries": {"2": {"torsion": [[4, 1], [2, 1], "x", [3]]}}},
+            "spaces.Y.gottlieb.entries.2",
+            "torsion item 'x' is not a [prime, exponent] pair or a [prime, exponent, count] triple",
+        ),
+        (
+            {"entries": {"2": {"rank": -1, "torsion": [[2, 1], [3, 1, 2, 4]]}}},
+            "spaces.Y.gottlieb.entries.2",
+            "torsion item [3, 1, 2, 4] is not a [prime, exponent] pair "
+            "or a [prime, exponent, count] triple",
+        ),
+        (
+            {"entries": {"2": {"rank": -1, "torsion": [[4, 1]]}}},
+            "spaces.Y.gottlieb.entries.2",
+            "rank must be non-negative, got -1",
+        ),
+        (
+            {"entries": {"2": {"torsion": [[2, 1], [4, 1], [2, 0]]}}},
+            "spaces.Y.gottlieb.entries.2",
+            "torsion base must be prime, got 4",
+        ),
+    ],
+)
+def test_document_tables_report_their_first_failing_check(table, path, message):
+    # The reader checks item shapes before values, and a table's bound
+    # after its entries, whatever order the checks run in.
+    with pytest.raises(ProfileError) as err:
+        load(json.dumps({"spaces": {"Y": {"gottlieb": table}}}))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+
+
 def test_group_codecs_in_documents():
     doc = {
         "spaces": {

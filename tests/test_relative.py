@@ -85,3 +85,33 @@ def test_evaluation_against_tables():
 
         double = evaluate(relative_decompose(f, n, iterations=2).summands, db)
         assert double == gx[n].direct_sum(gx[n + 1].scaled(2), rel[n + 2])
+
+
+@pytest.mark.parametrize("profile", [F, IDY], ids=["map", "identity"])
+@pytest.mark.parametrize("iterations, circles", [(1, 1), (1, 3), (2, 1)])
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_result_is_the_canonical_sum_of_its_pairs(profile, iterations, circles, degree):
+    # The result is built without a re-merge; it must be what from_pairs
+    # makes of the same pairs, term order included.
+    source = profile.source
+
+    def rel(d):
+        return GottliebTerm(source, d) if profile.is_identity else RelTerm(profile.name, d)
+
+    if iterations == 1:
+        pairs = [(GottliebTerm(source, degree), 1), (rel(degree + 1), circles)]
+    else:
+        pairs = [
+            (GottliebTerm(source, degree), 1),
+            (GottliebTerm(source, degree + 1), 2),
+            (rel(degree + 2), 1),
+        ]
+    result = relative_decompose(profile, degree, circles, iterations)
+    expected = FormalSum.from_pairs(reversed(pairs))
+    assert result.summands.terms == expected.terms
+    assert str(result.summands) == str(expected)
+
+
+def test_bouquet_width_must_be_an_integer():
+    with pytest.raises(ValueError, match="bouquet width must be an integer, got 2.0"):
+        relative_decompose(F, 2, circles=2.0)

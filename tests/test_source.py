@@ -71,6 +71,41 @@ def test_package_imports_no_sympy():
     assert offenders == []
 
 
+def _imported_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) for every import in ``tree``, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." * node.level + (node.module or "")))
+    return found
+
+
+def test_import_path_imports_no_dataclasses():
+    # ``import gottlieb`` loads the modules its package imports at module
+    # level, and theirs in turn; none of them may use dataclasses, whose
+    # import and per-class code generation were half of that start-up.
+    root = Path(gottlieb.__file__).parent
+    path, todo, offenders = set(), ["__init__"], []
+    while todo:
+        name = todo.pop()
+        if name in path:
+            continue
+        path.add(name)
+        tree = ast.parse((root / f"{name}.py").read_text(encoding="utf-8"))
+        todo += [
+            node.module for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        ]
+        offenders += [
+            f"{name}.py:{line}" for line, module in _imported_names(tree)
+            if module.split(".")[0] == "dataclasses"
+        ]
+    assert path == {"__init__", "abelian", "names", "numtheory", "profiles"}
+    assert offenders == []
+
+
 def test_project_has_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
