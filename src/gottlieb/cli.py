@@ -3,8 +3,10 @@
 Subcommands: decompose, eval, rank, fox, loop-homotopy, relative, flags,
 loop-check, check.  Exit codes: 0 success, 1 incomplete evaluation
 (partial output is still printed), 2 parse or usage error, 3 profile or
-schema error, 4 cross-check failure.  ``--format json`` prints a single
-sorted-key JSON object, byte-identical across runs.
+schema error, 4 cross-check failure, 141 stdout closed by its reader
+(128 + SIGPIPE, as a shell reports a writer killed by a closed pipe).
+``--format json`` prints a single sorted-key JSON object, byte-identical
+across runs.
 
 Every ``_cmd_*(args, db)`` gets the parsed arguments and the loaded
 profile (None without ``--profiles``) and returns ``(code, obj, lines)``:
@@ -19,6 +21,7 @@ first call and reused by every later one.
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -351,11 +354,21 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, obj, lines = _COMMANDS[args.command](args, _load_db(args))
-        if args.format == "json":
-            print(json.dumps({**obj, "command": args.command}, sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
+        try:
+            if args.format == "json":
+                print(json.dumps({**obj, "command": args.command}, sort_keys=True))
+            else:
+                for line in lines:
+                    print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader of stdout has gone.  Point stdout at the null
+            # device, so that the interpreter's flush at exit cannot fail
+            # again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
         return code
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)

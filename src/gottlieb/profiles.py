@@ -35,7 +35,9 @@ bytes to the standard encoder's output.
 A structured p^k may have at most 4300 digits, the limit the text codec
 has for every integer (a product of such powers can still be too long to
 print; see ``abelian``).  JSON integers past the interpreter's digit limit
-are schema errors.  Unknown keys are rejected everywhere.  A graded
+are schema errors.  Unknown keys are rejected everywhere.  The schema is
+one table per object kind, ``_SCHEMA``, which drives the key check, the
+reader and ``save``: a new key is one row there plus its reader.  A graded
 table maps a degree to a group when an entry exists, to the trivial group
 when the degree exceeds ``zero_above``, and to "unknown" otherwise;
 evaluation of a formal sum returns either an AbelianGroup or an
@@ -53,7 +55,7 @@ dictionary lookup, about a microsecond per call.
 
 import json
 import re
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii as _dump_str
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 
@@ -166,6 +168,15 @@ class GradedGroup(_Record):
         return not self.entries and self.zero_above is None
 
 
+def _first_disagreement(first: GradedGroup, second: GradedGroup) -> tuple | None:
+    """The first degree where both tables answer and differ, with their two answers."""
+    for degree in sorted(set(first.entries) | set(second.entries)):
+        a, b = first.lookup(degree), second.lookup(degree)
+        if a is not None and b is not None and a != b:
+            return degree, a, b
+    return None
+
+
 class Flags(_Record):
     """Tri-state space properties; None means the user did not say."""
 
@@ -228,15 +239,12 @@ class SpaceProfile(_Record):
         if flags.g_space is True and homotopy is not None:
             # A G-space has Gottlieb groups equal to its homotopy groups;
             # check wherever both tables answer.
-            degrees = set(gottlieb.entries) | set(homotopy.entries)
-            for degree in sorted(degrees):
-                a = gottlieb.lookup(degree)
-                b = homotopy.lookup(degree)
-                if a is not None and b is not None and a != b:
-                    raise ProfileError(
-                        f"{name!r} is flagged g_space but G[{degree}] = {a.describe()} "
-                        f"differs from pi[{degree}] = {b.describe()}"
-                    )
+            if clash := _first_disagreement(gottlieb, homotopy):
+                degree, a, b = clash
+                raise ProfileError(
+                    f"{name!r} is flagged g_space but G[{degree}] = {a.describe()} "
+                    f"differs from pi[{degree}] = {b.describe()}"
+                )
         _set(self, "name", name)
         _set(self, "gottlieb", gottlieb)
         _set(self, "homotopy", homotopy)
@@ -314,16 +322,13 @@ class ProfileDb(_Record):
                     )
             if profile.is_identity:
                 table = spaces[profile.source].gottlieb
-                degrees = set(table.entries) | set(profile.relative_gottlieb.entries)
-                for degree in sorted(degrees):
-                    a = profile.relative_gottlieb.lookup(degree)
-                    b = table.lookup(degree)
-                    if a is not None and b is not None and a != b:
-                        raise ProfileError(
-                            f"identity map {name!r} relative table at degree {degree} "
-                            f"({a.describe()}) disagrees with the Gottlieb table of "
-                            f"{profile.source!r} ({b.describe()})"
-                        )
+                if clash := _first_disagreement(profile.relative_gottlieb, table):
+                    degree, a, b = clash
+                    raise ProfileError(
+                        f"identity map {name!r} relative table at degree {degree} "
+                        f"({a.describe()}) disagrees with the Gottlieb table of "
+                        f"{profile.source!r} ({b.describe()})"
+                    )
         _set(self, "spaces", spaces)
         _set(self, "maps", maps)
 
@@ -455,11 +460,8 @@ def gottlieb_table_of_map_space(
 # ---------------------------------------------------------------------------
 # Document parsing and serialization.
 
-_SPACE_KEYS = {"betti", "flags", "suspension_shifts", "gottlieb", "homotopy"}
-_MAP_KEYS = {"source", "target", "is_identity", "relative_gottlieb"}
-_GRADED_KEYS = {"entries", "zero_above"}
-_FLAG_KEYS = {"simply_connected", "finite", "g_space", "t_space"}
 _GROUP_KEYS = {"rank", "torsion"}
+_NO_DEFAULT = object()  # the default of a key that every saved object of its kind has
 
 
 def _located(path: str, build: Callable[[], _T]) -> _T:
@@ -478,10 +480,9 @@ def _require_object(value, path: str) -> dict:
     return value
 
 
-def _check_keys(obj: dict, allowed: set, path: str) -> None:
-    if obj.keys() <= allowed:
-        return
-    raise ProfileError(f"unknown key {min(obj.keys() - allowed)!r}", path)
+def _check_keys(obj: dict, allowed, path: str) -> None:
+    if not obj.keys() <= allowed:
+        raise ProfileError(f"unknown key {min(obj.keys() - allowed)!r}", path)
 
 
 def _group_from_json(value, path: str) -> AbelianGroup:
@@ -514,7 +515,7 @@ def _group_from_json(value, path: str) -> AbelianGroup:
 
 def _graded_from_json(value, path: str) -> GradedGroup:
     obj = _require_object(value, path)
-    _check_keys(obj, _GRADED_KEYS, path)
+    _check_keys(obj, _SCHEMA[GradedGroup].keys(), path)
     entries_obj = _require_object(obj.get("entries", {}), f"{path}.entries")
     entries: dict[int, AbelianGroup] = {}
     for key, group_value in entries_obj.items():
@@ -538,56 +539,70 @@ def _graded_from_json(value, path: str) -> GradedGroup:
     return GradedGroup._trusted(entries, zero_above)
 
 
-def _flags_from_json(value, path: str) -> Flags:
+def _read(cls: type[_T], value, path: str, **fields) -> _T:
+    """A ``cls`` record of ``fields`` and the document object ``value`` at ``path``.
+
+    Flags are read in document order and the keys of other kinds in table
+    order: of two bad keys, the first read is reported.
+    """
+    table = _SCHEMA[cls]
     obj = _require_object(value, path)
-    _check_keys(obj, _FLAG_KEYS, path)
-    for key, flag in obj.items():
-        if flag is not None and not isinstance(flag, bool):
-            raise ProfileError(f"flag {key!r} must be true, false, or null", path)
-    return Flags(**obj)
+    _check_keys(obj, table.keys(), path)
+    for key in obj if cls is Flags else table:
+        reader, default = table[key]
+        item = obj.get(key, default)
+        if item is not default or default is _NO_DEFAULT:
+            fields[key] = reader(item, f"{path}.{key}")
+    return _located(path, lambda: cls(**fields))
 
 
-def _space_from_json(name: str, value, path: str) -> SpaceProfile:
-    obj = _require_object(value, path)
-    _check_keys(obj, _SPACE_KEYS, path)
-    betti = obj.get("betti")
-    if betti is not None and not isinstance(betti, list):
-        raise ProfileError("betti must be a list", f"{path}.betti")
-    shifts = obj.get("suspension_shifts")
-    if shifts is not None and not isinstance(shifts, list):
-        raise ProfileError("suspension_shifts must be a list", f"{path}.suspension_shifts")
-    return _located(path, lambda: SpaceProfile(
-        name=name,
-        gottlieb=_graded_from_json(obj.get("gottlieb", {}), f"{path}.gottlieb"),
-        homotopy=(
-            _graded_from_json(obj["homotopy"], f"{path}.homotopy")
-            if "homotopy" in obj and obj["homotopy"] is not None
-            else None
-        ),
-        betti=tuple(betti) if betti is not None else None,
-        suspension_shifts=tuple(shifts) if shifts is not None else None,
-        flags=_flags_from_json(obj.get("flags", {}), f"{path}.flags"),
-    ))
+def _must_be(kind: type, noun: str) -> Callable:
+    """The reader of a key whose value must be a ``kind``, called ``noun``."""
+    def read(value, path: str):
+        if not isinstance(value, kind):
+            raise ProfileError(f"{path.rpartition('.')[2]} must be {noun}", path)
+        return value
+    return read
 
 
-def _map_from_json(name: str, value, path: str) -> MapProfile:
-    obj = _require_object(value, path)
-    _check_keys(obj, _MAP_KEYS, path)
-    for key in ("source", "target"):
-        if key not in obj or not isinstance(obj[key], str):
-            raise ProfileError(f"map needs a string {key!r}", path)
-    is_identity = obj.get("is_identity", False)
-    if not isinstance(is_identity, bool):
-        raise ProfileError("is_identity must be a boolean", f"{path}.is_identity")
-    return _located(path, lambda: MapProfile(
-        name=name,
-        source=obj["source"],
-        target=obj["target"],
-        relative_gottlieb=_graded_from_json(
-            obj.get("relative_gottlieb", {}), f"{path}.relative_gottlieb"
-        ),
-        is_identity=is_identity,
-    ))
+def _flag(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        flags, _, key = path.rpartition(".")
+        raise ProfileError(f"flag {key!r} must be true, false, or null", flags)
+    return value
+
+
+def _map_end(value, path: str) -> str:
+    if not isinstance(value, str):
+        map_path, _, key = path.rpartition(".")
+        raise ProfileError(f"map needs a string {key!r}", map_path)
+    return value
+
+
+# The document schema: for each object kind, its keys in the order they
+# are read, each with its reader (of the key's value and path) and its
+# default.  A key that is absent, or null with a null default, is not
+# read, and ``save`` omits the fields equal to their defaults.  A key
+# with ``_NO_DEFAULT`` is always read and always written.  The document
+# and graded tables have their own readers, ``load`` and ``_graded_from_json``.
+_SCHEMA: dict[type, dict[str, tuple]] = {
+    ProfileDb: {"spaces": (None, _NO_DEFAULT), "maps": (None, _NO_DEFAULT)},
+    SpaceProfile: {
+        "betti": (_must_be(list, "a list"), None),
+        "suspension_shifts": (_must_be(list, "a list"), None),
+        "gottlieb": (_graded_from_json, GradedGroup()),
+        "homotopy": (_graded_from_json, None),
+        "flags": (partial(_read, Flags), Flags()),
+    },
+    MapProfile: {
+        "source": (_map_end, _NO_DEFAULT),
+        "target": (_map_end, _NO_DEFAULT),
+        "is_identity": (_must_be(bool, "a boolean"), False),
+        "relative_gottlieb": (_graded_from_json, GradedGroup()),
+    },
+    GradedGroup: {"entries": (None, _NO_DEFAULT), "zero_above": (None, None)},
+    Flags: {key: (_flag, None) for key in ("simply_connected", "finite", "g_space", "t_space")},
+}
 
 
 def load(document: str) -> ProfileDb:
@@ -603,15 +618,15 @@ def load(document: str) -> ProfileDb:
         # limit into a plain ValueError whose advice does not apply here.
         raise ProfileError("JSON document holds an integer with too many digits") from None
     _require_object(doc, "document")
-    _check_keys(doc, {"spaces", "maps"}, "document")
+    _check_keys(doc, _SCHEMA[ProfileDb].keys(), "document")
     spaces_obj = _require_object(doc.get("spaces", {}), "spaces")
     maps_obj = _require_object(doc.get("maps", {}), "maps")
     spaces = {
-        name: _space_from_json(name, value, f"spaces.{name}")
+        name: _read(SpaceProfile, value, f"spaces.{name}", name=name)
         for name, value in spaces_obj.items()
     }
     maps = {
-        name: _map_from_json(name, value, f"maps.{name}")
+        name: _read(MapProfile, value, f"maps.{name}", name=name)
         for name, value in maps_obj.items()
     }
     return _located("document", lambda: ProfileDb(spaces, maps))
@@ -625,32 +640,30 @@ def group_to_json(group: AbelianGroup) -> dict:
     }
 
 
-def _graded_to_json(table: GradedGroup) -> dict:
-    # Groups stay AbelianGroup values here; ``_dump`` writes them.
-    out: dict = {"entries": {str(d): g for d, g in table.entries.items()}}
-    if table.zero_above is not None:
-        out["zero_above"] = table.zero_above
-    return out
-
-
 def _dump(value, level: int) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
 
-    ``value`` is what ``save`` builds: dicts, lists, strings, ints, bools
-    and AbelianGroup values, which ``_dump_group`` writes in the form of
+    A record of ``_SCHEMA`` is written as the object of its fields that
+    differ from their defaults.  Its fields hold records, dicts (keys are
+    written and sorted as strings), lists, tuples, strings, ints, bools and
+    AbelianGroup values, which ``_dump_group`` writes in the form of
     ``group_to_json``.  ``level`` is the depth of ``value`` in the document.
     """
     if isinstance(value, AbelianGroup):
         return _dump_group(value, level)
+    if value.__class__ in _SCHEMA:
+        value = {key: field for key, (_, default) in _SCHEMA[value.__class__].items()
+                 if (field := getattr(value, key)) != default}
     if isinstance(value, dict):
         if not value:
             return "{}"
         pad = "\n" + "  " * (level + 1)
         items = [
-            f"{_dump_str(key)}: {_dump(item, level + 1)}" for key, item in sorted(value.items())
+            f"{_dump_str(key)}: {_dump(item, level + 1)}"
+            for key, item in sorted(zip(map(str, value), value.values()))
         ]
         return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         pad = "\n" + "  " * (level + 1)
@@ -694,33 +707,4 @@ def _group_layout(level: int) -> tuple[str, str, str, str, str]:
 
 def save(db: ProfileDb) -> str:
     """Serialize a database; ``load(save(db))`` reproduces ``db`` exactly."""
-    spaces = {}
-    for name in sorted(db.spaces):
-        profile = db.spaces[name]
-        obj: dict = {}
-        if profile.betti is not None:
-            obj["betti"] = list(profile.betti)
-        flags = {
-            key: getattr(profile.flags, key)
-            for key in ("simply_connected", "finite", "g_space", "t_space")
-            if getattr(profile.flags, key) is not None
-        }
-        if flags:
-            obj["flags"] = flags
-        if profile.suspension_shifts is not None:
-            obj["suspension_shifts"] = list(profile.suspension_shifts)
-        if not profile.gottlieb.is_empty:
-            obj["gottlieb"] = _graded_to_json(profile.gottlieb)
-        if profile.homotopy is not None:
-            obj["homotopy"] = _graded_to_json(profile.homotopy)
-        spaces[name] = obj
-    maps = {}
-    for name in sorted(db.maps):
-        profile = db.maps[name]
-        obj = {"source": profile.source, "target": profile.target}
-        if profile.is_identity:
-            obj["is_identity"] = True
-        if not profile.relative_gottlieb.is_empty:
-            obj["relative_gottlieb"] = _graded_to_json(profile.relative_gottlieb)
-        maps[name] = obj
-    return _dump({"spaces": spaces, "maps": maps}, 0)
+    return _dump(db, 0)

@@ -761,3 +761,18 @@ def test_reused_parser_gives_the_output_of_a_fresh_process(capsys, monkeypatch):
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert [code for code, _, _ in in_process] == [2, 2, 0, 0, 2, 0]
 
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # The answer is about 2 MB, far more than a pipe holds, so the CLI is
+    # still printing when its reader closes the pipe after 10 bytes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gottlieb.cli", "decompose", "--expr", "loop(Y, 3000)",
+         "--degree", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CLI_ENV,
+    )
+    assert proc.stdout.read(10) == b"G[1](Y) + "
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr

@@ -9,6 +9,8 @@ from gottlieb.abelian import TRIVIAL, AbelianGroup, canonicalize, direct_sum, pa
 from gottlieb.decompose import decompose
 from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, RelTerm
 from gottlieb.profiles import (
+    _NO_DEFAULT,
+    _SCHEMA,
     Flags,
     GradedGroup,
     Incomplete,
@@ -153,6 +155,99 @@ def test_unknown_keys_are_rejected_everywhere():
         with pytest.raises(ProfileError) as err:
             load(json.dumps(doc))
         assert err.value.path  # every schema error names its location
+
+
+def _space_doc(space):
+    return {"spaces": {"Y": space}}
+
+
+def _map_doc(map_):
+    return {"spaces": {"Y": {}}, "maps": {"f": map_}}
+
+
+@pytest.mark.parametrize(
+    "doc, path, message",
+    [
+        ([], "document", "expected an object"),
+        ({"spaces": {}, "mapz": {}}, "document", "unknown key 'mapz'"),
+        ({"spaces": 3}, "spaces", "expected an object"),
+        ({"maps": []}, "maps", "expected an object"),
+        (_space_doc(3), "spaces.Y", "expected an object"),
+        (_space_doc({"color": 1}), "spaces.Y", "unknown key 'color'"),
+        (_space_doc({"betti": 3}), "spaces.Y.betti", "betti must be a list"),
+        (
+            _space_doc({"suspension_shifts": "a"}),
+            "spaces.Y.suspension_shifts",
+            "suspension_shifts must be a list",
+        ),
+        (_space_doc({"gottlieb": None}), "spaces.Y.gottlieb", "expected an object"),
+        (_space_doc({"flags": None}), "spaces.Y.flags", "expected an object"),
+        (_space_doc({"flags": {"smooth": True}}), "spaces.Y.flags", "unknown key 'smooth'"),
+        (_space_doc({"homotopy": {"bound": 3}}), "spaces.Y.homotopy", "unknown key 'bound'"),
+        (
+            _space_doc({"gottlieb": {"entries": {"1" * 5000: "Z"}}}),
+            "spaces.Y.gottlieb.entries",
+            "degree key of 5000 digits is too long",
+        ),
+        (
+            _space_doc({"gottlieb": {"zero_above": 1.5}}),
+            "spaces.Y.gottlieb.zero_above",
+            "zero_above must be an integer",
+        ),
+        (_map_doc({"target": "Y"}), "maps.f", "map needs a string 'source'"),
+        (
+            _map_doc({"source": "Y", "target": "Y", "is_identity": None}),
+            "maps.f.is_identity",
+            "is_identity must be a boolean",
+        ),
+        (
+            _map_doc({"source": "Y", "target": "Y", "relative_gottlieb": 1}),
+            "maps.f.relative_gottlieb",
+            "expected an object",
+        ),
+        # Documents with two errors: which one is reported.  A space's keys
+        # are checked in a fixed order, whatever the document's order; its
+        # flags in document order; unknown keys by the least one.
+        (_space_doc({"betti": 3, "gottlieb": 5}), "spaces.Y.betti", "betti must be a list"),
+        (_space_doc({"gottlieb": 5, "betti": 3}), "spaces.Y.betti", "betti must be a list"),
+        (
+            _space_doc({"flags": None, "suspension_shifts": 1}),
+            "spaces.Y.suspension_shifts",
+            "suspension_shifts must be a list",
+        ),
+        (
+            _space_doc({"flags": {"t_space": 1, "finite": 2}}),
+            "spaces.Y.flags",
+            "flag 't_space' must be true, false, or null",
+        ),
+        (
+            {"maps": {"f": {"source": 1}}, "spaces": {"Y": {"betti": 3}}},
+            "spaces.Y.betti",
+            "betti must be a list",
+        ),
+        ({"spaces": {"Y": {"betti": 3}}, "maps": 3}, "maps", "expected an object"),
+        (
+            {"spaces": {"S1": {"gottlieb": None}}},
+            "spaces.S1.gottlieb",
+            "expected an object",
+        ),
+        (_map_doc({"source": 1, "target": 2}), "maps.f", "map needs a string 'source'"),
+        (
+            _map_doc({"is_identity": 1, "relative_gottlieb": 1, "target": 2, "source": "Y"}),
+            "maps.f",
+            "map needs a string 'target'",
+        ),
+        (
+            _map_doc({"zz": 1, "source": "Y", "target": "Y", "arrows": 2}),
+            "maps.f",
+            "unknown key 'arrows'",
+        ),
+    ],
+)
+def test_reader_errors_name_their_text_and_path(doc, path, message):
+    with pytest.raises(ProfileError) as err:
+        load(json.dumps(doc))
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
 
 
 def test_document_must_be_an_object():
@@ -409,3 +504,18 @@ def test_profile_error_paths_are_informative():
     with pytest.raises(ProfileError) as err:
         load(json.dumps(doc))
     assert "spaces.Y.gottlieb.entries.2" in err.value.path
+
+
+@pytest.mark.parametrize(
+    "record",
+    [ProfileDb(), SpaceProfile("Y"), MapProfile("f", "Y", "Y"), GradedGroup(), Flags()],
+    ids=lambda record: type(record).__name__,
+)
+def test_each_document_table_matches_its_record(record):
+    # A record field without a document key, or a constructor default that
+    # the writer does not know, fails here.
+    table = _SCHEMA[type(record)]
+    assert set(table) == set(type(record).__slots__) - {"name"}
+    for key, (_, default) in table.items():
+        if default is not _NO_DEFAULT:
+            assert getattr(record, key) == default, key
