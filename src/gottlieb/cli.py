@@ -323,14 +323,20 @@ def _cmd_check(args, db):
     passed = all(report.passed for report in reports)
     lines = [line for report in reports for line in report.lines()]
     lines.append("all checks passed" if passed else "CHECK FAILURES FOUND")
-    obj = {"passed": passed,
-           "reports": [{"expr": report.expr,
-                        "entries": [{"left": e.left, "right": e.right,
-                                     "degrees": list(e.degrees), "passed": e.passed,
-                                     "counterexample": e.counterexample}
-                                    for e in report.entries]}
-                       for report in reports]}
+    obj = {"passed": passed, "reports": [_report_json(report) for report in reports]}
     return (0 if passed else 4), obj, lines
+
+
+def _report_json(report) -> dict:
+    obj = {"expr": report.expr,
+           "entries": [{"left": e.left, "right": e.right,
+                        "degrees": list(e.degrees), "passed": e.passed,
+                        "counterexample": e.counterexample}
+                       for e in report.entries]}
+    if report.skipped:
+        obj["skipped"] = [{"strategy": name, "reason": reason}
+                          for name, reason in report.skipped]
+    return obj
 
 
 _COMMANDS = {

@@ -213,15 +213,16 @@ def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> F
     m^j * C(N, j) copies of G_{n+j}(Y); m = 1 is the iterated free loop
     space.  ``target`` may be an atom name or an Atom node.
     """
-    if circles < 1:
-        raise ValueError(f"circle count must be >= 1, got {circles}")
-    if iterations < 1:
-        raise ValueError(f"iteration count must be >= 1, got {iterations}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    for value, what in ((circles, "circle count"), (iterations, "iteration count"),
+                        (degree, "degree")):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{what} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{what} must be >= 1, got {value}")
     name = atom_name(target)
+    # Distinct degrees >= 1 in increasing order, with positive multiplicities.
     pairs = [
-        (GottliebTerm(name, degree + j), (circles**j) * comb(iterations, j))
+        (_trusted_term(GottliebTerm, name, degree + j), (circles**j) * comb(iterations, j))
         for j in range(iterations + 1)
     ]
-    return FormalSum.from_pairs(pairs)
+    return FormalSum._trusted(pairs, ordered=True)

@@ -9,12 +9,25 @@ as a reported mismatch rather than a silent error:
 * ``randomized_decompose`` makes one pass down the curried chain, applying
   the rewrite rules in a random admissible order (random currying splits,
   direct product splitting, each splitting's ``(shift, count)`` pairs in
-  random order), so its cost follows the answer, not the multiset;
+  random order), so its cost follows the answer, not the multiset.  The
+  pass is degree-free: it carries offsets from the degree asked, so
+  ``crosscheck`` walks the chain once for its whole degree window;
 * ``tuple_enumeration_shifts`` counts degree shifts of a product by brute
   enumeration of factor subsets and sphere choices;
 * ``crosscheck`` runs all applicable strategies over a degree window and
   reports every pairwise comparison.  A failure is data in the report,
-  not an exception.
+  not an exception.  Its derived-profile check folds a synthetic table of
+  the core atom outward through each level's shift polynomial, one
+  ``profiles._fold_table`` per level, and compares the result with the
+  evaluated ``decompose``.
+
+Two strategies are brute force by design and run only under a budget:
+``tuple-enumeration`` enumerates prod p_i(1) tuples (``TUPLE_BUDGET``),
+and the derived-profile fold makes, per level, one table lookup per
+degree the level needs and term of its polynomial (``DERIVED_BUDGET``;
+its real cost is the big-integer sums behind those lookups).  A strategy
+over its budget is skipped, and the reason is listed in
+``CrosscheckReport.skipped``; a skip is not a failure.
 
 Beyond the shared FormalSum vocabulary and sphere splittings, nothing
 here reuses code from the decomposition engine; ``decompose`` and
@@ -27,10 +40,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .abelian import canonicalize
+from .abelian import AbelianGroup, canonicalize
 from .decompose import closed_form_bouquet, decompose
-from .formal import FormalSum, GenGottliebTerm, GottliebTerm, Term
-from .profiles import GradedGroup, ProfileDb, SpaceProfile, evaluate, gottlieb_table_of_map_space
+from .formal import FormalSum, GottliebTerm, Term, _trusted_gen, _trusted_term
+from .profiles import GradedGroup, ProfileDb, SpaceProfile, _fold_table, evaluate
 from .spaces import (
     Atom,
     Bouquet,
@@ -51,6 +64,8 @@ from .spaces import (
 from .splitting import ShiftPolynomial, sphere_splitting
 
 __all__ = [
+    "DERIVED_BUDGET",
+    "TUPLE_BUDGET",
     "CheckEntry",
     "CrosscheckReport",
     "crosscheck",
@@ -60,6 +75,10 @@ __all__ = [
     "tuple_enumeration_shifts",
     "uncurry",
 ]
+
+# Brute force runs only under these budgets (see the module docstring).
+TUPLE_BUDGET = 10**5  # tuples tuple-enumeration may enumerate, prod p_i(1)
+DERIVED_BUDGET = 2 * 10**5  # table lookups the derived-profile fold may make
 
 
 def recursive_bouquet_coefficients(circles: int, iterations: int) -> ShiftPolynomial:
@@ -91,20 +110,37 @@ def randomized_decompose(
 ) -> FormalSum:
     """Decompose in one pass down the curried chain, with rules chosen at random.
 
-    The pass carries a dict of live degree -> multiplicity.  A product
-    source that splits either curries off a random sub-block (in random
-    factor order) or splits in one step.  A product with a blocked factor
-    curries off its splittable prefix, or its blocked first factor: the
-    residual's target keeps the later factors in order.  A splitting
-    applies its ``(shift, count)`` pairs in random order; a blocked level
-    adds one ``Gen`` term per live degree and passes the degrees on.  Any
-    such order must agree with the deterministic engine.
+    The one-degree view of ``_randomized_window``.
     """
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise TypeError(f"degree must be an integer, got {degree!r}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     rng = rng if rng is not None else random.Random(0)
-    live = {degree: 1}
-    counts: dict[Term, int] = {}
+    return _randomized_window(expr, (degree,), atom_shifts, rng)[degree]
+
+
+def _randomized_window(
+    expr: SpaceExpr,
+    degrees: Iterable[int],
+    atom_shifts: Mapping[str, Sequence[int]] | None,
+    rng: random.Random,
+) -> dict[int, FormalSum]:
+    """``randomized_decompose`` at each of ``degrees`` (integers >= 1), in one pass.
+
+    The pass carries a dict of offset -> multiplicity, the live degrees
+    less the degree asked.  A product source that splits either curries
+    off a random sub-block (in random factor order) or splits in one step.
+    A product with a blocked factor curries off its splittable prefix, or
+    its blocked first factor: the residual's target keeps the later
+    factors in order.  A splitting applies its ``(shift, count)`` pairs in
+    random order; a blocked level adds the live offsets to its residual
+    family ``(source, suspensions, target)`` and passes them on.  Any such
+    order must agree with the deterministic engine.  Only the terms are
+    built per degree.
+    """
+    live = {0: 1}
+    families: dict[tuple[SpaceExpr, int, SpaceExpr], dict[int, int]] = {}
     e = desugar(expr)
     while isinstance(e, MapSpace):
         source, target = e.source, e.target
@@ -128,23 +164,36 @@ def randomized_decompose(
             rng.shuffle(pairs)
             step: dict[int, int] = {}
             for shift, count in pairs:
-                for n, mult in live.items():
-                    step[n + shift] = step.get(n + shift, 0) + count * mult
+                for offset, mult in live.items():
+                    step[offset + shift] = step.get(offset + shift, 0) + count * mult
             live = step
         else:
             residual_source, suspensions = source, 0
             if isinstance(source, Susp):
                 residual_source, suspensions = source.child, source.count
-            for n, mult in live.items():
-                term = GenGottliebTerm(residual_source, n + suspensions, target)
-                counts[term] = counts.get(term, 0) + mult
+            family = families.setdefault((residual_source, suspensions, target), {})
+            for offset, mult in live.items():
+                family[offset] = family.get(offset, 0) + mult
         e = target
     if isinstance(e, Atom):
-        for n, mult in live.items():
-            counts[GottliebTerm(e.name, n)] = mult
-    elif not isinstance(e, Point):
+        core = sorted(live.items())
+    elif isinstance(e, Point):
+        core = []
+    else:
         raise ValueError(f"no rule for target {format_space(e)!r}")
-    return FormalSum.from_pairs(counts.items())
+    sums = {}
+    for n in degrees:
+        # Two families may meet in one term (suspensions + offset agree).
+        residuals: dict[Term, int] = {}
+        for (source, suspensions, target), family in families.items():
+            for offset, mult in family.items():
+                term = _trusted_gen(source, n + suspensions + offset, target)
+                residuals[term] = residuals.get(term, 0) + mult
+        terms = [(_trusted_term(GottliebTerm, e.name, n + offset), mult) for offset, mult in core]
+        terms += residuals.items()
+        # Core terms come in degree order; only residuals need a sort.
+        sums[n] = FormalSum._trusted(terms, ordered=not residuals)
+    return sums
 
 
 def _block(factors: Sequence[SpaceExpr]) -> SpaceExpr:
@@ -217,15 +266,22 @@ class CheckEntry:
 
 @dataclass(frozen=True)
 class CrosscheckReport:
+    """The comparisons made, and (strategy, reason) for each one skipped."""
+
     expr: str
     entries: tuple[CheckEntry, ...]
+    skipped: tuple[tuple[str, str], ...] = ()
 
     @property
     def passed(self) -> bool:
         return all(entry.passed for entry in self.entries)
 
     def lines(self) -> list[str]:
-        return [f"crosscheck {self.expr}"] + ["  " + entry.line() for entry in self.entries]
+        return (
+            [f"crosscheck {self.expr}"]
+            + ["  " + entry.line() for entry in self.entries]
+            + [f"  SKIP {name}: {reason}" for name, reason in self.skipped]
+        )
 
 
 def _bouquet_shape(expr: SpaceExpr) -> tuple[int, int, str] | None:
@@ -247,9 +303,16 @@ def _bouquet_shape(expr: SpaceExpr) -> tuple[int, int, str] | None:
 
 
 def _sum_from_poly(poly: ShiftPolynomial, name: str, degree: int) -> FormalSum:
-    return FormalSum.from_pairs(
-        (GottliebTerm(name, degree + shift), count) for shift, count in poly.coeffs
+    # Distinct degrees >= 1 in increasing order: a canonical sum as it stands.
+    return FormalSum._trusted(
+        ((_trusted_term(GottliebTerm, name, degree + shift), count) for shift, count in poly.coeffs),
+        ordered=True,
     )
+
+
+@functools.cache
+def _small_group(rank: int, orders: tuple[int, ...]) -> AbelianGroup:
+    return canonicalize(rank, orders)
 
 
 def _synthetic_profile(name: str, degrees: Iterable[int], seed: int) -> SpaceProfile:
@@ -257,8 +320,50 @@ def _synthetic_profile(name: str, degrees: Iterable[int], seed: int) -> SpacePro
     entries = {}
     for d in sorted(set(degrees)):
         orders = [rng.choice((2, 3, 4, 5, 8, 9, 12)) for _ in range(rng.randint(0, 2))]
-        entries[d] = canonicalize(rng.randint(0, 2), orders)
+        entries[d] = _small_group(rng.randint(0, 2), tuple(sorted(orders)))
     return SpaceProfile(name, gottlieb=GradedGroup(entries))
+
+
+def _power_text(counts: Iterable[int]) -> str:
+    """The product of ``counts`` as powers, e.g. ``2^30`` or ``3 * 4^2``."""
+    bases: dict[int, int] = {}
+    for count in counts:
+        bases[count] = bases.get(count, 0) + 1
+    return " * ".join(f"{b}^{e}" if e > 1 else str(b) for b, e in sorted(bases.items()))
+
+
+def _tuple_budget_skip(polys: Sequence[ShiftPolynomial]) -> str | None:
+    """Why tuple-enumeration may not run: prod p_i(1) tuples over ``TUPLE_BUDGET``."""
+    totals = [poly.total() for poly in polys]
+    count = 1
+    for total in totals:
+        count *= total
+        if count > TUPLE_BUDGET:
+            return f"{_power_text(totals)} tuples over the budget of {_budget_text(TUPLE_BUDGET)}"
+    return None
+
+
+def _derived_budget_skip(polys: Sequence[ShiftPolynomial], degrees: tuple[int, ...]) -> str | None:
+    """Why the derived-profile fold may not run: lookups over ``DERIVED_BUDGET``.
+
+    Level i needs at most min(its outer level's degrees x its terms, the
+    span of degrees they reach) degrees; it makes one lookup per degree
+    and term of its polynomial.  On a chain of circles the bound is exact.
+    """
+    size, span, lookups = len(degrees), degrees[-1] - degrees[0] + 1, 0
+    for poly in polys:
+        terms = len(poly.coeffs)
+        lookups += size * terms
+        span += poly.max_shift
+        size = min(size * terms, span)
+    if lookups > DERIVED_BUDGET:
+        return f"{lookups} table lookups over the budget of {_budget_text(DERIVED_BUDGET)}"
+    return None
+
+
+def _budget_text(budget: int) -> str:
+    digits = str(budget)
+    return f"10^{len(digits) - 1}" if digits == "1" + "0" * (len(digits) - 1) else digits
 
 
 Strategy = Callable[[int], FormalSum]
@@ -266,7 +371,6 @@ Strategy = Callable[[int], FormalSum]
 
 def _derived_profile_counterexample(
     decomposed: Strategy,
-    sources: tuple[SpaceExpr, ...],
     core_name: str,
     polys: Sequence[ShiftPolynomial],
     degrees: tuple[int, ...],
@@ -292,11 +396,8 @@ def _derived_profile_counterexample(
     db = ProfileDb.of([core_profile] + shift_profiles)
     # Fold tables from the innermost mapping space outward.
     table = core_profile.gottlieb
-    for source, needed in zip(reversed(sources), reversed(level_degrees[:-1])):
-        step_profile = SpaceProfile(core_name, gottlieb=table,
-                                    suspension_shifts=core_profile.suspension_shifts)
-        step_db = ProfileDb.of([step_profile] + shift_profiles)
-        table = gottlieb_table_of_map_space(source, core_name, sorted(needed), step_db)
+    for poly, needed in zip(reversed(polys), reversed(level_degrees[:-1])):
+        table = _fold_table(table, poly, needed, core_name)
         if not isinstance(table, GradedGroup):
             # The synthetic tables cover every degree the fold needs, so a
             # gap here is a fault in the derivation, reported as a failure.
@@ -323,11 +424,14 @@ def crosscheck(
     "derived-profile"}; entries may also be (name, callable) pairs mapping
     a degree to a FormalSum, which lets tests inject faulty evaluators.
     None selects everything applicable.  Mismatches are reported, never
-    raised.
+    raised; a strategy over its budget is reported in ``skipped``.  A
+    selection that would compare nothing raises ``ValueError``.
     """
     if isinstance(expr, str):
         expr = parse_space(expr)
     degrees = tuple(sorted(set(degrees)))
+    if any(isinstance(n, bool) or not isinstance(n, int) for n in degrees):
+        raise TypeError(f"degrees must be integers, got {degrees!r}")
     if not degrees or degrees[0] < 1:
         raise ValueError("degree window must be non-empty with degrees >= 1")
     shifts = dict(atom_shifts or {})
@@ -360,12 +464,15 @@ def crosscheck(
     decomposed = functools.cache(lambda n: decompose(expr, n, shifts))
 
     available: dict[str, Strategy] = {}
+    skipped: list[tuple[str, str]] = []
     if "deterministic" in selected:
         available["deterministic"] = decomposed
     if "randomized" in selected:
-        available["randomized"] = lambda n: randomized_decompose(
-            expr, n, shifts, random.Random(f"{seed}:{n}")
+        # One walk for the whole window, on first use.
+        window = functools.cache(
+            lambda: _randomized_window(expr, degrees, shifts, random.Random(seed))
         )
+        available["randomized"] = lambda n: window()[n]
     shape = _bouquet_shape(expr)
     if shape is not None:
         circles, iterations, target_name = shape
@@ -382,6 +489,7 @@ def crosscheck(
     splittings = [sphere_splitting(s, shifts) for s in sources]
     fully_split = isinstance(core, Atom) and all(s.splittable for s in splittings)
     polys = [s.poly for s in splittings]
+    derived = False
     if fully_split:
         if "polynomial" in selected:
             poly = ShiftPolynomial.one()
@@ -389,13 +497,27 @@ def crosscheck(
                 poly = poly * factor
             available["polynomial"] = lambda n, p=poly: _sum_from_poly(p, core.name, n)
         if "tuple-enumeration" in selected and sources:
-            counts = tuple_enumeration_shifts([s.shifts for s in splittings])
-            enum_poly = ShiftPolynomial.from_dict({0: 1, **counts})
-            available["tuple-enumeration"] = lambda n, p=enum_poly: _sum_from_poly(
-                p, core.name, n
-            )
+            reason = _tuple_budget_skip(polys)
+            if reason is not None:
+                skipped.append(("tuple-enumeration", reason))
+            else:
+                counts = tuple_enumeration_shifts([s.shifts for s in splittings])
+                enum_poly = ShiftPolynomial.from_dict({0: 1, **counts})
+                available["tuple-enumeration"] = lambda n, p=enum_poly: _sum_from_poly(
+                    p, core.name, n
+                )
+        if "derived-profile" in selected and sources:
+            reason = _derived_budget_skip(polys, degrees)
+            if reason is not None:
+                skipped.append(("derived-profile", reason))
+            derived = reason is None
     for name, fn in custom:
         available[name] = fn
+    if len(available) < 2 and not derived and not skipped:
+        raise ValueError(
+            f"nothing to compare on {format_space(expr)}: "
+            f"the strategies selected give {len(available)} result(s)"
+        )
 
     entries: list[CheckEntry] = []
     results: dict[str, dict[int, FormalSum]] = {
@@ -410,10 +532,10 @@ def crosscheck(
                 counterexample = f"degree {n}: {left} gives {a}, {right} gives {b}"
                 break
         entries.append(CheckEntry(left, right, degrees, counterexample is None, counterexample))
-    if "derived-profile" in selected and fully_split and sources:
+    if derived:
         counterexample = _derived_profile_counterexample(
-            decomposed, sources, core.name, polys, degrees, shifts, seed
+            decomposed, core.name, polys, degrees, shifts, seed
         )
         entries.append(CheckEntry("evaluated decompose", "derived-profile recursion",
                                   degrees, counterexample is None, counterexample))
-    return CrosscheckReport(format_space(expr), tuple(entries))
+    return CrosscheckReport(format_space(expr), tuple(entries), tuple(skipped))

@@ -75,6 +75,7 @@ from .names import is_valid_atom_name
 if TYPE_CHECKING:
     from .formal import FormalSum
     from .spaces import SpaceExpr
+    from .splitting import ShiftPolynomial
 
 _T = TypeVar("_T")
 
@@ -432,13 +433,26 @@ def gottlieb_table_of_map_space(
     """
     from .splitting import shift_polynomial
 
-    profile = db.space(target)
-    poly = shift_polynomial(source, db.atom_shifts())
-    table = profile.gottlieb
+    table = db.space(target).gottlieb
+    return _fold_table(table, shift_polynomial(source, db.atom_shifts()), degrees, target)
+
+
+def _fold_table(
+    table: GradedGroup, poly: "ShiftPolynomial", degrees: Iterable[int], target: str
+) -> GradedGroup | Incomplete:
+    """The table whose entry at degree d sums c_i copies of ``table`` at d + i.
+
+    ``poly`` is the source's shift polynomial and ``target`` names the
+    table's space in the ``Incomplete`` report.  The entries are sums of
+    valid groups and the bound is ``table``'s own, so the result is built
+    unchecked.
+    """
     bound = table.zero_above
     entries: dict[int, AbelianGroup] = {}
     missing: list[str] = []
     for degree in sorted(set(degrees)):
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise TypeError(f"degree must be an integer, got {degree!r}")
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
         if bound is not None and degree > bound:
@@ -454,7 +468,7 @@ def gottlieb_table_of_map_space(
             entries[degree] = _weighted_sum(parts)
     if missing:
         return Incomplete(tuple(dict.fromkeys(missing)), ())
-    return GradedGroup(entries, zero_above=bound)
+    return GradedGroup._trusted(entries, bound)
 
 
 # ---------------------------------------------------------------------------

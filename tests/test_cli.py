@@ -679,7 +679,7 @@ def test_check_single_expression(capsys):
 
 def test_check_incomplete_derived_table_exits_four(capsys, monkeypatch):
     monkeypatch.setattr(
-        "gottlieb.oracle.gottlieb_table_of_map_space",
+        "gottlieb.oracle._fold_table",
         lambda *args, **kw: Incomplete(("G[9](Y)",), ()),
     )
     code, out, _ = run(capsys, "check", "--expr", "map(T2, Y)", "--degree", "3")
@@ -705,6 +705,18 @@ def test_check_json(capsys):
     assert obj["passed"] is True
     assert obj["reports"][0]["expr"] == "bloop(Y, 2, 2)"
     assert all(e["passed"] for e in obj["reports"][0]["entries"])
+    assert "skipped" not in obj["reports"][0]
+
+
+def test_check_json_lists_skips_without_failing(capsys):
+    code, out, _ = run(capsys, "check", "--expr", "loop(Y, 30)", "--degree", "1",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    assert report["skipped"] == [
+        {"strategy": "tuple-enumeration", "reason": "2^30 tuples over the budget of 10^5"}
+    ]
+    assert len(report["entries"]) == 11
 
 
 def test_check_default_suite(capsys):
@@ -716,6 +728,22 @@ def test_check_default_suite(capsys):
 
 
 CLI_ENV = dict(os.environ, PYTHONPATH=str(REPO / "src"), COLUMNS="80")
+
+
+@pytest.mark.parametrize(("expr", "circles"), [("loop(Y, 30)", 30), ("map(T40, Y)", 40)])
+def test_check_of_a_long_circle_chain_skips_tuple_enumeration(expr, circles):
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "gottlieb.cli", "check", "--expr", expr, "--degree", "1"],
+        capture_output=True, text=True, env=CLI_ENV, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == [
+        f"  SKIP tuple-enumeration: 2^{circles} tuples over the budget of 10^5",
+        "all checks passed",
+    ]
+    assert elapsed < 1, elapsed
 
 
 def test_parser_is_built_once_per_process():

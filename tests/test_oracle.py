@@ -16,6 +16,10 @@ import gottlieb
 from gottlieb.decompose import closed_form_bouquet, decompose
 from gottlieb.formal import FormalSum, GottliebTerm
 from gottlieb.oracle import (
+    DERIVED_BUDGET,
+    TUPLE_BUDGET,
+    _randomized_window,
+    _tuple_budget_skip,
     crosscheck,
     random_splittable_expr,
     randomized_decompose,
@@ -33,7 +37,7 @@ from gottlieb.spaces import (
     Wedge,
     parse_space,
 )
-from gottlieb.splitting import shift_polynomial, sphere_splitting
+from gottlieb.splitting import ShiftPolynomial, shift_polynomial, sphere_splitting
 
 from conftest import splittable_exprs
 
@@ -334,6 +338,156 @@ def test_residual_expressions_skip_polynomial_strategies():
     assert "polynomial" not in used
     assert "tuple-enumeration" not in used
     assert {"deterministic", "randomized"} <= used
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(_SPLITTABLE, _RESIDUAL, _MIXED_PRODUCT), max_size=6),
+    st.sampled_from([Atom("Y"), Point()]),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+    st.integers(0, 2**32),
+)
+def test_randomized_window_agrees_with_decompose_at_every_degree(sources, core, window, seed):
+    expr = core
+    for source in reversed(sources):
+        expr = MapSpace(source, expr)
+    sums = _randomized_window(expr, window, _SHIFTS, random.Random(seed))
+    assert sums == {n: decompose(expr, n, _SHIFTS) for n in window}
+
+
+def test_randomized_window_merges_residual_families_that_meet():
+    # Gen[Σ^2 B -> Y] comes from susp(B) at offset 0 and from B at offset 1.
+    expr = parse_space("map(prod(susp(B), S1, B), Y)")
+    for seed in range(5):
+        sums = _randomized_window(expr, [1, 2], None, random.Random(seed))
+        assert sums == {n: decompose(expr, n) for n in (1, 2)}
+
+
+@pytest.mark.parametrize(
+    ("expr", "entries"),
+    [("bloop(Y, 2, 3)", 16), ("loop(Y, 4)", 16), ("map(prod(S2, wedge(S1, S3)), Y)", 7)],
+)
+def test_small_checks_run_every_strategy(expr, entries):
+    report = crosscheck(expr, [1, 2, 3], seed=12)
+    assert report.passed
+    assert len(report.entries) == entries
+    assert report.skipped == ()
+    assert report.lines()[-1].startswith("  PASS")
+
+
+def _counted_inits(monkeypatch, cls):
+    calls = []
+    init = cls.__init__
+
+    def counted(self, *args, **kw):
+        calls.append(cls.__name__)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
+def test_derived_profile_builds_no_records_per_level(monkeypatch):
+    from gottlieb.profiles import ProfileDb, SpaceProfile
+
+    spaces = _counted_inits(monkeypatch, SpaceProfile)
+    dbs = _counted_inits(monkeypatch, ProfileDb)
+    counts = []
+    for expr in ("loop(Y, 4)", "loop(Y, 40)"):
+        spaces.clear()
+        dbs.clear()
+        report = crosscheck(expr, [1, 2], strategies=["derived-profile"])
+        assert [e.right for e in report.entries] == ["derived-profile recursion"]
+        assert report.passed
+        counts.append((len(spaces), len(dbs)))
+    assert counts[0] == counts[1], counts
+
+
+def test_a_fold_that_drops_a_coefficient_fails_the_derived_profile(monkeypatch):
+    import gottlieb.oracle as oracle
+
+    fold = oracle._fold_table
+
+    def dropping(table, poly, degrees, target):
+        return fold(table, ShiftPolynomial(poly.coeffs[:-1]), degrees, target)
+
+    monkeypatch.setattr(oracle, "_fold_table", dropping)
+    report = crosscheck("map(T2, Y)", [1, 2, 3], seed=4)
+    failed = [e for e in report.entries if not e.passed]
+    assert [(e.left, e.right) for e in failed] == [
+        ("evaluated decompose", "derived-profile recursion")
+    ]
+    assert failed[0].counterexample.startswith("degree 1: direct=")
+
+
+@pytest.mark.parametrize(("expr", "circles"), [("loop(Y, 30)", 30), ("map(T40, Y)", 40)])
+def test_tuple_enumeration_is_skipped_over_its_budget(expr, circles):
+    start = time.perf_counter()
+    report = crosscheck(expr, [1])
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    reason = f"2^{circles} tuples over the budget of 10^5"
+    assert report.skipped == (("tuple-enumeration", reason),)
+    assert report.lines()[-1] == f"  SKIP tuple-enumeration: {reason}"
+    assert "tuple-enumeration" not in {n for e in report.entries for n in (e.left, e.right)}
+    assert elapsed < 1, elapsed
+
+
+def test_tuple_budget_reads_the_polynomials_not_the_shifts():
+    # B<10^20> has 10^20 shifts; refusing it must not expand them.
+    polys = [shift_polynomial(parse_space(s)) for s in ("B100000000000000000000", "S1", "T2")]
+    assert _tuple_budget_skip(polys) == (
+        "2 * 4 * 100000000000000000001 tuples over the budget of 10^5"
+    )
+    # At the budget it still runs: 4^8 tuples.
+    width8 = "map(prod(" + ", ".join(["wedge(S1, S2, S3)"] * 8) + "), Y)"
+    assert 4**8 <= TUPLE_BUDGET
+    report = crosscheck(width8, [1], strategies=["polynomial", "tuple-enumeration"])
+    assert report.passed and len(report.entries) == 1 and report.skipped == ()
+
+
+def test_derived_profile_runs_at_loop_400_and_is_skipped_past_its_budget():
+    report = crosscheck("loop(Y, 400)", [1, 2, 3, 4], strategies=["derived-profile"])
+    assert report.passed and report.skipped == ()
+    assert [e.right for e in report.entries] == ["derived-profile recursion"]
+    # At degree 1, level k of a chain of N circles needs k + 1 degrees, 2
+    # lookups each: N (N + 1) in all.
+    assert 400 * 401 <= DERIVED_BUDGET < 448 * 449
+    report = crosscheck("loop(Y, 448)", [1], strategies=["derived-profile"])
+    assert report.entries == ()
+    assert report.skipped == (
+        ("derived-profile", f"{448 * 449} table lookups over the budget of 200000"),
+    )
+
+
+def test_crosscheck_of_a_long_loop_ends():
+    start = time.perf_counter()
+    report = crosscheck("loop(Y, 2000)", [1])
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert [name for name, _ in report.skipped] == ["tuple-enumeration", "derived-profile"]
+    assert len(report.entries) == 10
+    assert elapsed < 10, elapsed
+
+
+@pytest.mark.parametrize(
+    ("expr", "strategies"),
+    [
+        ("loop(Y, 2)", []),
+        ("loop(Y, 2)", ["deterministic"]),
+        ("map(B, Y)", ["deterministic", "polynomial", "derived-profile"]),
+    ],
+)
+def test_a_crosscheck_that_compares_nothing_raises(expr, strategies):
+    with pytest.raises(ValueError, match="nothing to compare"):
+        crosscheck(expr, [1], strategies=strategies)
+
+
+def test_crosscheck_rejects_non_integer_degrees():
+    with pytest.raises(TypeError):
+        crosscheck("loop(Y, 2)", [1.5])
+    with pytest.raises(TypeError):
+        randomized_decompose(parse_space("loop(Y, 2)"), 1.5)
 
 
 @pytest.mark.parametrize("window", ["a..b", "0..3", "3..1"])

@@ -444,6 +444,11 @@ def test_derived_table_skips_degrees_above_bound():
     assert derived.lookup(1) == canonicalize(1)  # G_1 + G_3 = Z + 0
     assert derived.known_degrees() == (1,)
     assert derived.lookup(2) == TRIVIAL
+    # The table is built unchecked, so its degrees are checked on the way in.
+    with pytest.raises(ValueError):
+        gottlieb_table_of_map_space(Sphere(2), "Y", [0], db)
+    with pytest.raises(TypeError):
+        gottlieb_table_of_map_space(Sphere(2), "Y", [1.5], db)
 
 
 def test_derived_table_reports_missing_degrees():
