@@ -14,16 +14,18 @@ degree-n Gottlieb group of ``expr``.  Rules, applied deterministically:
   source folds its suspension count into the residual's exponent, so
   ``map(susp(B), Y)`` leaves ``Gen[Σ^{n+1} B -> Y]``.
 
-The engine makes one pass down the curried chain of mapping spaces,
-carrying the product of the shift polynomials split so far: the live
-degrees are n + i with multiplicity c_i.  A residual level emits one
-``Gen`` term per live degree and passes the polynomial on unchanged; the
-core atom emits ``G[n + i](Y)`` with multiplicity c_i, or ``pi[n + i](Y)``
-for ``fox``.  The pass needs no recursion, so the depth of an iterated
-loop space is not bounded by the interpreter's recursion limit.  Its
-terms are distinct by construction and the core's come out in degree
-order, so the answer is built without a second merge, and sorted only
-when residuals were emitted.
+The engine makes one pass down the curried chain of mapping spaces, with
+no degree: it carries the product of the shift polynomials split so far,
+and each residual level keeps the polynomial it was reached with.  The
+pass (``_walk_chain``) returns that state, and ``at(n)`` reads degree n
+off it as an offset: the core atom gives ``G[n + i](Y)`` (``pi[n + i](Y)``
+for ``fox``) with multiplicity c_i, a residual ``Gen`` terms at n + s + i
+for a source suspended s times.  So a window of degrees costs one pass.
+The pass needs no recursion, so the depth of an iterated loop space is
+not bounded by the interpreter's recursion limit.  Its terms are distinct
+by construction and the core's come out in degree order, so the answer
+is built without a second merge, and sorted only when residuals were
+emitted.
 
 Splitting levels are taken in runs.  Consecutive sources with the same
 shift polynomial p, whether they come from a ``map(S1, map(S1, ...))``
@@ -60,6 +62,7 @@ from .spaces import (
     Sphere,
     Susp,
     Torus,
+    _nat,
     atom_name,
     desugar,
     format_space,
@@ -78,13 +81,18 @@ _CIRCLE = Sphere(1)
 
 
 class _Walk:
-    """State of one pass: the live polynomial, the open run and the terms."""
+    """One degree-free pass: the core atom, its polynomial and the residuals.
 
-    def __init__(self, degree: int, atom_shifts, residuals: bool) -> None:
-        self.degree = degree
+    ``core`` is the atom's name (None for a point), ``acc`` the core
+    polynomial, ``families`` one (source, suspensions, target, polynomial)
+    per blocked level, in the order met.
+    """
+
+    def __init__(self, atom_shifts, residuals: bool) -> None:
         self.atom_shifts = atom_shifts
         self.residuals = residuals  # False: the first blocked level raises
-        self.counts: dict[Term, int] = {}
+        self.core: str | None = None
+        self.families: list[tuple[SpaceExpr, int, SpaceExpr, ShiftPolynomial]] = []
         self.acc = ShiftPolynomial.one()
         self.budget = SizeBudget()
         self.splits: dict[SpaceExpr, ShiftPolynomial | None] = {}
@@ -127,10 +135,27 @@ class _Walk:
             # Levels are met outermost first, so this names the outermost
             # blocked level; the source is blocked, so this raises.
             shift_polynomial(residual_source, self.atom_shifts)
-        target = desugar(target)
-        base = self.degree + suspensions
-        for shift, count in self.acc.coeffs:
-            self.counts[_trusted_gen(residual_source, base + shift, target)] = count
+        self.families.append((residual_source, suspensions, desugar(target), self.acc))
+
+    def at(self, degree: int, kind: type = GottliebTerm) -> FormalSum:
+        """The sum at ``degree``, with ``kind`` terms at the core.
+
+        ``degree`` must be an integer >= 1, since the terms are built unchecked.
+        """
+        counts: dict[Term, int] = {}
+        for source, suspensions, target, poly in self.families:
+            base = degree + suspensions
+            for shift, count in poly.coeffs:
+                counts[_trusted_gen(source, base + shift, target)] = count
+        # The core terms come in degree order, which is canonical, since the
+        # coefficients are sorted by shift; only residuals make a sort needed.
+        terms = list(counts.items())
+        if self.core is not None:
+            terms += [
+                (_trusted_term(kind, self.core, degree + shift), count)
+                for shift, count in self.acc.coeffs
+            ]
+        return FormalSum._trusted(terms, ordered=not counts)
 
 
 def _rest(factors: tuple[SpaceExpr, ...], i: int, target: SpaceExpr) -> SpaceExpr:
@@ -147,23 +172,17 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
     ``atom_shifts`` maps atom names to declared suspension shift multisets
     and is consulted when mapping-space sources must be split.
     """
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise TypeError(f"degree must be an integer, got {degree!r}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    return _walk_chain(expr, degree, atom_shifts, GottliebTerm)
+    _nat(degree, "degree")
+    return _walk_chain(expr, atom_shifts).at(degree)
 
 
-def _walk_chain(
-    e: SpaceExpr, degree: int, atom_shifts, core, residuals: bool = True
-) -> FormalSum:
-    """The pass behind ``decompose``: the core atom Y emits ``core(Y, degree + i)``.
+def _walk_chain(e: SpaceExpr, atom_shifts, residuals: bool = True) -> _Walk:
+    """The pass behind ``decompose``, read at any degree through ``at``.
 
-    ``degree`` must be an integer >= 1, since the terms are built unchecked.
     Without ``residuals``, a blocked level raises ``NotSplittableError``
-    naming the outermost one instead of leaving a ``Gen`` term.
+    naming the outermost one instead of leaving a residual family.
     """
-    walk = _Walk(degree, atom_shifts, residuals)
+    walk = _Walk(atom_shifts, residuals)
     while True:
         if isinstance(e, MapSpace):
             source, target = e.source, e.target
@@ -190,20 +209,14 @@ def _walk_chain(
         else:
             break
     walk.flush()
-    # The core terms come in degree order, which is canonical, since the
-    # coefficients are sorted by shift; only residuals make a sort needed.
-    terms = list(walk.counts.items())
     if isinstance(e, Atom):
-        terms += [
-            (_trusted_term(core, e.name, degree + shift), count)
-            for shift, count in walk.acc.coeffs
-        ]
+        walk.core = e.name
     elif not isinstance(e, Point):
         raise DecomposeError(
             f"no decomposition rule for target {format_space(desugar(e))!r}; "
             "targets must be atoms, points, or mapping spaces"
         )
-    return FormalSum._trusted(terms, ordered=not walk.counts)
+    return walk
 
 
 def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> FormalSum:
@@ -213,12 +226,9 @@ def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> F
     m^j * C(N, j) copies of G_{n+j}(Y); m = 1 is the iterated free loop
     space.  ``target`` may be an atom name or an Atom node.
     """
-    for value, what in ((circles, "circle count"), (iterations, "iteration count"),
-                        (degree, "degree")):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{what} must be an integer, got {value!r}")
-        if value < 1:
-            raise ValueError(f"{what} must be >= 1, got {value}")
+    _nat(circles, "circle count")
+    _nat(iterations, "iteration count")
+    _nat(degree, "degree")
     name = atom_name(target)
     # Distinct degrees >= 1 in increasing order, with positive multiplicities.
     pairs = [

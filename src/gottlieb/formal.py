@@ -18,7 +18,7 @@ by `` + ``; the empty sum prints as ``0``.
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .spaces import SpaceExpr, format_space
+from .spaces import SpaceExpr, _nat, format_space
 
 __all__ = [
     "FormalSum",
@@ -31,20 +31,13 @@ __all__ = [
 ]
 
 
-def _check_degree(degree: int, what: str) -> None:
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise TypeError(f"{what} must be an integer, got {degree!r}")
-    if degree < 1:
-        raise ValueError(f"{what} must be >= 1, got {degree}")
-
-
 @dataclass(frozen=True)
 class GottliebTerm:
     space: str
     degree: int
 
     def __post_init__(self) -> None:
-        _check_degree(self.degree, "Gottlieb degree")
+        _nat(self.degree, "Gottlieb degree")
 
 
 @dataclass(frozen=True)
@@ -53,7 +46,7 @@ class PiTerm:
     degree: int
 
     def __post_init__(self) -> None:
-        _check_degree(self.degree, "homotopy degree")
+        _nat(self.degree, "homotopy degree")
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,7 @@ class RelTerm:
     degree: int
 
     def __post_init__(self) -> None:
-        _check_degree(self.degree, "relative degree")
+        _nat(self.degree, "relative degree")
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class GenGottliebTerm:
     target: SpaceExpr
 
     def __post_init__(self) -> None:
-        _check_degree(self.suspensions, "suspension count")
+        _nat(self.suspensions, "suspension count")
 
 
 def _trusted_term(cls: type, space: str, degree: int) -> "GottliebTerm | PiTerm":

@@ -15,29 +15,26 @@ not computed here.
 
 from .decompose import _walk_chain, decompose
 from .formal import FormalSum, PiTerm
-from .spaces import Atom, Loop
+from .spaces import Atom, Loop, _nat
 
 __all__ = ["fox_gottlieb", "iterated_loop_homotopy"]
 
 
 def iterated_loop_homotopy(degree: int, iterations: int, target, atom_shifts=None) -> FormalSum:
     """Formal sum for pi_degree of loop(target, iterations), degree >= 2."""
-    if degree < 2:
+    if isinstance(degree, int) and degree < 2:
         raise ValueError(
             "degree must be >= 2: the fundamental group of an iterated free "
             "loop space is a split extension and its extension data is not computed"
         )
-    if iterations < 1:
-        raise ValueError(f"iteration count must be >= 1, got {iterations}")
-    if not isinstance(degree, int):  # the walk builds its terms unchecked
-        raise TypeError(f"homotopy degree must be an integer, got {degree!r}")
+    _nat(degree, "homotopy degree")
+    _nat(iterations, "iteration count")
     target = Atom(target) if isinstance(target, str) else target
-    return _walk_chain(Loop(target, iterations), degree, atom_shifts, PiTerm, residuals=False)
+    return _walk_chain(Loop(target, iterations), atom_shifts, residuals=False).at(degree, PiTerm)
 
 
 def fox_gottlieb(degree: int, target, atom_shifts=None) -> FormalSum:
     """Formal sum for the degree-n Fox torus-Gottlieb group of the target."""
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _nat(degree, "degree")
     target = Atom(target) if isinstance(target, str) else target
     return decompose(Loop(target, degree - 1) if degree > 1 else target, 1, atom_shifts)

@@ -15,7 +15,8 @@ as a reported mismatch rather than a silent error:
 * ``tuple_enumeration_shifts`` counts degree shifts of a product by brute
   enumeration of factor subsets and sphere choices;
 * ``crosscheck`` runs all applicable strategies over a degree window and
-  reports every pairwise comparison.  A failure is data in the report,
+  reports every pairwise comparison.  It walks the engine's chain once,
+  before any other strategy is set up.  A failure is data in the report,
   not an exception.  Its derived-profile check folds a synthetic table of
   the core atom outward through each level's shift polynomial, one
   ``profiles._fold_table`` per level, and compares the result with the
@@ -30,7 +31,7 @@ over its budget is skipped, and the reason is listed in
 ``CrosscheckReport.skipped``; a skip is not a failure.
 
 Beyond the shared FormalSum vocabulary and sphere splittings, nothing
-here reuses code from the decomposition engine; ``decompose`` and
+here reuses code from the decomposition engine; its walk and
 ``closed_form_bouquet`` are only ever invoked as subjects under test.
 """
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .abelian import AbelianGroup, canonicalize
-from .decompose import closed_form_bouquet, decompose
+from .decompose import _walk_chain, closed_form_bouquet
 from .formal import FormalSum, GottliebTerm, Term, _trusted_gen, _trusted_term
 from .profiles import GradedGroup, ProfileDb, SpaceProfile, _fold_table, evaluate
 from .spaces import (
@@ -57,6 +58,7 @@ from .spaces import (
     Susp,
     Torus,
     Wedge,
+    _nat,
     desugar,
     format_space,
     parse_space,
@@ -88,8 +90,7 @@ def recursive_bouquet_coefficients(circles: int, iterations: int) -> ShiftPolyno
     explicit coefficient bookkeeping; deliberately free of any binomial
     coefficient function so it can confirm the closed form independently.
     """
-    if circles < 1:
-        raise ValueError(f"circle count must be >= 1, got {circles}")
+    _nat(circles, "circle count")
     if iterations < 0:
         raise ValueError(f"iteration count must be >= 0, got {iterations}")
     coeffs = {0: 1}
@@ -112,10 +113,7 @@ def randomized_decompose(
 
     The one-degree view of ``_randomized_window``.
     """
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise TypeError(f"degree must be an integer, got {degree!r}")
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _nat(degree, "degree")
     rng = rng if rng is not None else random.Random(0)
     return _randomized_window(expr, (degree,), atom_shifts, rng)[degree]
 
@@ -430,10 +428,10 @@ def crosscheck(
     if isinstance(expr, str):
         expr = parse_space(expr)
     degrees = tuple(sorted(set(degrees)))
-    if any(isinstance(n, bool) or not isinstance(n, int) for n in degrees):
-        raise TypeError(f"degrees must be integers, got {degrees!r}")
-    if not degrees or degrees[0] < 1:
+    if not degrees:
         raise ValueError("degree window must be non-empty with degrees >= 1")
+    for n in degrees:
+        _nat(n, "degree")
     shifts = dict(atom_shifts or {})
 
     known = (
@@ -459,9 +457,10 @@ def crosscheck(
                 name, fn = item
                 custom.append((str(name), fn))
 
-    # The engine's answer per degree, computed on first use: the
-    # deterministic strategy and the derived-profile check both read it.
-    decomposed = functools.cache(lambda n: decompose(expr, n, shifts))
+    # The engine walks the chain once, first, so its size budget guards a
+    # check as it guards decompose; each degree is read off that walk.
+    if "deterministic" in selected or "derived-profile" in selected:
+        decomposed = _walk_chain(expr, shifts).at
 
     available: dict[str, Strategy] = {}
     skipped: list[tuple[str, str]] = []

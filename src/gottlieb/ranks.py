@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup
 from .profiles import GradedGroup, Incomplete, ProfileError, SpaceProfile
-from .spaces import SpaceExpr
+from .spaces import SpaceExpr, _nat
 from .splitting import sphere_splitting
 
 __all__ = [
@@ -80,8 +80,7 @@ def gamma_of_map_space(
     ``degree .. degree + dim X``; unknown ranks anywhere in that window
     produce an Incomplete listing them.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
+    _nat(degree, "degree")
     _require_hypotheses(x_profile, y_profile, unchecked)
     if x_profile.betti is None:
         raise HypothesisError(
@@ -200,8 +199,7 @@ def free_loop_necessary_condition(
     """
     missing: list[str] = []
     for d in sorted(set(degrees)):
-        if d < 1:
-            raise ValueError(f"degree must be >= 1, got {d}")
+        _nat(d, "degree")
         left = candidate.lookup(d)
         lower, upper = base.lookup(d), base.lookup(d + 1)
         unknown = []

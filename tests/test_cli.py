@@ -190,6 +190,20 @@ def test_oversized_answers_exit_two_at_once(capsys, argv):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "expr", ["loop(Y, 100000000000000000000)", "map(T100000000000000000000, Y)", "loop(Y, 20000)"]
+)
+def test_oversized_check_exits_two_before_any_strategy_runs(capsys, expr):
+    # check walks the engine first, so decompose's size budget refuses the
+    # answer before the closed forms or the randomized walk are set up.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--expr", expr, "--degree", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "answer too large" in err
+    assert (code, out, err) == run(capsys, "decompose", "--expr", expr, "--degree", "1")
+
+
 @pytest.mark.parametrize("circles", [10**20, 10**9])
 def test_wide_bouquet_evaluates_without_building_the_wedge(capsys, circles):
     start = time.perf_counter()

@@ -31,6 +31,11 @@ def test_fox_validation():
         fox_gottlieb(0, "Y")
 
 
+def test_fox_refuses_a_boolean_degree():
+    with pytest.raises(TypeError, match="degree must be an integer, got True"):
+        fox_gottlieb(True, "Y")
+
+
 def test_fox_equals_torus_mapping_space_in_degree_one():
     # fox runs the engine's walk, so the randomized oracle is the check here.
     for n in range(2, 9):

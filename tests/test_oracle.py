@@ -1,5 +1,6 @@
 """Independent recomputation strategies and the crosscheck harness."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gottlieb
-from gottlieb.decompose import closed_form_bouquet, decompose
+from gottlieb.decompose import _walk_chain, closed_form_bouquet, decompose
 from gottlieb.formal import FormalSum, GottliebTerm
 from gottlieb.oracle import (
     DERIVED_BUDGET,
@@ -69,6 +70,11 @@ def test_recursion_validation():
     assert recursive_bouquet_coefficients(4, 0).as_dict() == {0: 1}
 
 
+def test_recursion_refuses_a_fractional_circle_count():
+    with pytest.raises(TypeError, match="circle count must be an integer, got 1.5"):
+        recursive_bouquet_coefficients(1.5, 2)
+
+
 def test_randomized_decompose_agrees_with_deterministic():
     rng = random.Random(2024)
     for trial in range(150):
@@ -110,9 +116,14 @@ def test_randomized_decompose_agrees_on_residual_chains(sources, core, degree):
     expr = core
     for source in reversed(sources):
         expr = MapSpace(source, expr)
-    expected = decompose(expr, degree, _SHIFTS)
-    for seed in range(3):
-        assert randomized_decompose(expr, degree, _SHIFTS, random.Random(seed)) == expected
+    # One engine walk, read at several degrees in any order, is each
+    # degree's decomposition.
+    walk = _walk_chain(expr, _SHIFTS)
+    for n in (degree, 1, degree + 2):
+        expected = walk.at(n)
+        assert expected == decompose(expr, n, _SHIFTS)
+        for seed in range(3):
+            assert randomized_decompose(expr, n, _SHIFTS, random.Random(seed)) == expected
 
 
 def test_wrong_power_is_caught_by_the_oracles(monkeypatch):
@@ -137,33 +148,64 @@ def test_wrong_power_is_caught_by_the_oracles(monkeypatch):
                and e.left != "evaluated decompose")
 
 
-def _counted_decompose(monkeypatch, extra=None):
-    """Wrap the engine as crosscheck sees it; returns the list of degrees asked."""
+def _counted_walk(monkeypatch, extra=None):
+    """Wrap the engine's walk as crosscheck sees it; returns (walks, degrees read)."""
     import gottlieb.oracle as oracle
 
-    calls: list[int] = []
+    walks: list = []
+    degrees: list[int] = []
+    walk_chain = oracle._walk_chain
 
-    def counted(expr, degree, atom_shifts=None):
-        calls.append(degree)
-        result = decompose(expr, degree, atom_shifts)
-        return result if extra is None else result + extra(degree)
+    def counted(expr, atom_shifts=None, residuals=True):
+        walk = walk_chain(expr, atom_shifts, residuals)
+        walks.append(expr)
+        at = walk.at
 
-    monkeypatch.setattr(oracle, "decompose", counted)
-    return calls
+        def read(n, kind=GottliebTerm):
+            degrees.append(n)
+            result = at(n, kind)
+            return result if extra is None else result + extra(n)
+
+        walk.at = read
+        return walk
+
+    monkeypatch.setattr(oracle, "_walk_chain", counted)
+    return walks, degrees
 
 
-def test_crosscheck_decomposes_each_degree_once(monkeypatch):
-    calls = _counted_decompose(monkeypatch)
+def test_crosscheck_walks_the_engine_once(monkeypatch):
+    # Patch the engine module's walk, which decompose calls, and the
+    # walk crosscheck imports: either way the chain is walked once per
+    # call, not once per degree of the window.
+    import gottlieb.oracle as oracle
+
+    engine = importlib.import_module("gottlieb.decompose")
+    walk_chain = engine._walk_chain
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return walk_chain(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_walk_chain", counted)
+    monkeypatch.setattr(oracle, "_walk_chain", counted, raising=False)
+    assert crosscheck("loop(Y, 4)", [1, 2, 3]).passed
+    assert len(calls) == 1
+
+
+def test_crosscheck_reads_each_degree_off_one_walk(monkeypatch):
+    walks, degrees = _counted_walk(monkeypatch)
     report = crosscheck("loop(Y, 4)", [1, 2, 3])
     assert report.passed
     assert len(report.entries) == 16
-    assert sorted(calls) == [1, 2, 3]
+    assert len(walks) == 1
+    assert set(degrees) == {1, 2, 3}
 
 
 def test_wrong_decompose_fails_the_engine_comparisons_and_the_derived_profile(monkeypatch):
     # The extra term asks for a degree the synthetic table of Y leaves
     # unknown, so the evaluated answer is incomplete at every degree.
-    calls = _counted_decompose(
+    walks, degrees = _counted_walk(
         monkeypatch, extra=lambda n: FormalSum.single(GottliebTerm("Y", n + 50))
     )
     report = crosscheck("loop(Y, 4)", [1, 2, 3])
@@ -172,17 +214,19 @@ def test_wrong_decompose_fails_the_engine_comparisons_and_the_derived_profile(mo
     assert failed == {("deterministic", name) for name in others} | {
         ("evaluated decompose", "derived-profile recursion")
     }
-    assert sorted(calls) == [1, 2, 3]
+    assert len(walks) == 1
+    assert set(degrees) == {1, 2, 3}
 
 
-def test_derived_profile_alone_decomposes_each_degree_once(monkeypatch):
-    calls = _counted_decompose(monkeypatch)
+def test_derived_profile_alone_walks_the_engine_once(monkeypatch):
+    walks, degrees = _counted_walk(monkeypatch)
     report = crosscheck("map(T2, Y)", [1, 2], strategies=["derived-profile"])
     assert report.passed
     assert [(e.left, e.right) for e in report.entries] == [
         ("evaluated decompose", "derived-profile recursion")
     ]
-    assert sorted(calls) == [1, 2]
+    assert len(walks) == 1
+    assert sorted(degrees) == [1, 2]
 
 
 def test_randomized_decompose_walks_deep_loops():

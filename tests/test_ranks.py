@@ -208,3 +208,16 @@ def test_free_loop_check_respects_bounds():
     candidate = _graded({1: "Z", 2: "0"}, bound=2)
     verdict = free_loop_necessary_condition(candidate, base, [1, 2])
     assert verdict.passed
+
+
+@pytest.mark.parametrize("degree", [1.5, True])
+def test_gamma_refuses_a_degree_that_is_not_a_positive_integer(degree):
+    y = _ranked("Y", {1: 1, 2: 1, 3: 1})
+    with pytest.raises(TypeError, match="degree must be an integer"):
+        gamma_of_map_space(GOOD_X, y, degree)
+
+
+def test_free_loop_check_refuses_a_fractional_degree():
+    base = _graded({1: "Z", 2: "Z"})
+    with pytest.raises(TypeError, match="degree must be an integer, got 1.5"):
+        free_loop_necessary_condition(base, base, [1.5])

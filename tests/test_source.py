@@ -143,3 +143,42 @@ def test_only_main_prints_in_the_cli():
     ]
     assert any(id(node) in in_main for node in output)
     assert [node.lineno for node in output if id(node) not in in_main] == []
+
+
+def _is_isinstance(node: ast.AST, kind: str) -> bool:
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance" and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name) and node.args[1].id == kind
+    )
+
+
+def _integer_checks(node: ast.AST, scope: str = ""):
+    """Scopes of every ``isinstance(x, bool) or not isinstance(x, int)`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if isinstance(child, ast.BoolOp) and isinstance(child.op, ast.Or):
+            values = child.values
+            if any(_is_isinstance(v, "bool") for v in values) and any(
+                isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
+                and _is_isinstance(v.operand, "int")
+                for v in values
+            ):
+                yield inner
+        yield from _integer_checks(child, inner)
+
+
+def test_one_positive_integer_check_outside_the_profile_layer():
+    # spaces._nat is the package's check that a count or degree is a positive
+    # integer.  The profile layer may not load spaces, so it keeps its own;
+    # ShiftPolynomial.__pow__ returns NotImplemented instead of raising.
+    root = Path(gottlieb.__file__).parent
+    found = {
+        f"{path.stem}.{scope}"
+        for path in sorted(root.glob("*.py"))
+        if path.stem not in ("abelian", "numtheory", "profiles")
+        for scope in _integer_checks(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"spaces._nat", "splitting.ShiftPolynomial.__pow__"}
