@@ -32,6 +32,9 @@ from .spaces import Atom, MapSpace, format_space, parse_space
 
 __all__ = ["main"]
 
+# Degrees one window may hold: the JSON output lists every one of them.
+WINDOW_CEILING = 10_000
+
 
 class _UsageError(ValueError):
     pass
@@ -267,15 +270,23 @@ def _parse_window(text: str) -> range:
         raise _UsageError(f"--degrees expects N or A..B, got {text!r}") from None
     if start < 1 or stop < start:
         raise _UsageError(f"bad degree window {text!r}")
+    return _window(start, stop)
+
+
+def _window(start: int, stop: int) -> range:
+    """The degrees ``start..stop``, refused past ``WINDOW_CEILING`` before any is listed."""
+    if stop - start + 1 > WINDOW_CEILING:
+        raise _UsageError(f"degree window of {stop - start + 1} degrees "
+                          f"is over the ceiling of {WINDOW_CEILING}")
     return range(start, stop + 1)
 
 
 def _cmd_loop_check(args, db):
     from .ranks import free_loop_necessary_condition
 
+    window = _parse_window(args.degrees)
     candidate = db.space(_atom_name(args.candidate, "candidate"))
     base = db.space(_atom_name(args.expr, "base space"))
-    window = _parse_window(args.degrees)
     verdict = free_loop_necessary_condition(candidate.gottlieb, base.gottlieb, window)
     obj = {"candidate": candidate.name, "base": base.name, "degrees": list(window)}
     lines: list[str] = []
@@ -312,8 +323,7 @@ def _cmd_check(args, db):
     from .oracle import crosscheck
 
     if args.expr is not None:
-        top = args.degree if args.degree is not None else 4
-        cases = [(args.expr, range(1, top + 1))]
+        cases = [(args.expr, _window(1, args.degree if args.degree is not None else 4))]
     elif args.degree is not None:
         raise _UsageError("check --degree needs --expr; the default suite has fixed windows")
     else:

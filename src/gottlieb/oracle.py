@@ -10,17 +10,16 @@ as a reported mismatch rather than a silent error:
   the rewrite rules in a random admissible order (random currying splits,
   direct product splitting, each splitting's ``(shift, count)`` pairs in
   random order), so its cost follows the answer, not the multiset.  The
-  pass is degree-free: it carries offsets from the degree asked, so
-  ``crosscheck`` walks the chain once for its whole degree window;
+  pass is degree-free: it carries offsets from the degree asked;
 * ``tuple_enumeration_shifts`` counts degree shifts of a product by brute
   enumeration of factor subsets and sphere choices;
-* ``crosscheck`` runs all applicable strategies over a degree window and
-  reports every pairwise comparison.  It walks the engine's chain once,
-  before any other strategy is set up.  A failure is data in the report,
-  not an exception.  Its derived-profile check folds a synthetic table of
-  the core atom outward through each level's shift polynomial, one
-  ``profiles._fold_table`` per level, and compares the result with the
-  evaluated ``decompose``.
+* ``crosscheck`` runs all applicable strategies and reports every pairwise
+  comparison, made at the window's first degree.  It walks the engine's
+  chain once, before any other strategy is set up.  A failure is data in
+  the report, not an exception.  Its derived-profile check folds a
+  synthetic table of the core atom outward through each level's shift
+  polynomial, one ``profiles._fold_table`` per level, and compares the
+  result with the evaluated ``decompose`` at every degree of the window.
 
 Two strategies are brute force by design and run only under a budget:
 ``tuple-enumeration`` enumerates prod p_i(1) tuples (``TUPLE_BUDGET``),
@@ -111,32 +110,19 @@ def randomized_decompose(
 ) -> FormalSum:
     """Decompose in one pass down the curried chain, with rules chosen at random.
 
-    The one-degree view of ``_randomized_window``.
-    """
-    _nat(degree, "degree")
-    rng = rng if rng is not None else random.Random(0)
-    return _randomized_window(expr, (degree,), atom_shifts, rng)[degree]
-
-
-def _randomized_window(
-    expr: SpaceExpr,
-    degrees: Iterable[int],
-    atom_shifts: Mapping[str, Sequence[int]] | None,
-    rng: random.Random,
-) -> dict[int, FormalSum]:
-    """``randomized_decompose`` at each of ``degrees`` (integers >= 1), in one pass.
-
     The pass carries a dict of offset -> multiplicity, the live degrees
-    less the degree asked.  A product source that splits either curries
-    off a random sub-block (in random factor order) or splits in one step.
-    A product with a blocked factor curries off its splittable prefix, or
+    less ``degree``.  A product source that splits either curries off a
+    random sub-block (in random factor order) or splits in one step.  A
+    product with a blocked factor curries off its splittable prefix, or
     its blocked first factor: the residual's target keeps the later
     factors in order.  A splitting applies its ``(shift, count)`` pairs in
     random order; a blocked level adds the live offsets to its residual
     family ``(source, suspensions, target)`` and passes them on.  Any such
     order must agree with the deterministic engine.  Only the terms are
-    built per degree.
+    built at ``degree``.
     """
+    _nat(degree, "degree")
+    rng = rng if rng is not None else random.Random(0)
     live = {0: 1}
     families: dict[tuple[SpaceExpr, int, SpaceExpr], dict[int, int]] = {}
     e = desugar(expr)
@@ -179,19 +165,16 @@ def _randomized_window(
         core = []
     else:
         raise ValueError(f"no rule for target {format_space(e)!r}")
-    sums = {}
-    for n in degrees:
-        # Two families may meet in one term (suspensions + offset agree).
-        residuals: dict[Term, int] = {}
-        for (source, suspensions, target), family in families.items():
-            for offset, mult in family.items():
-                term = _trusted_gen(source, n + suspensions + offset, target)
-                residuals[term] = residuals.get(term, 0) + mult
-        terms = [(_trusted_term(GottliebTerm, e.name, n + offset), mult) for offset, mult in core]
-        terms += residuals.items()
-        # Core terms come in degree order; only residuals need a sort.
-        sums[n] = FormalSum._trusted(terms, ordered=not residuals)
-    return sums
+    # Two families may meet in one term (suspensions + offset agree).
+    residuals: dict[Term, int] = {}
+    for (source, suspensions, target), family in families.items():
+        for offset, mult in family.items():
+            term = _trusted_gen(source, degree + suspensions + offset, target)
+            residuals[term] = residuals.get(term, 0) + mult
+    terms = [(_trusted_term(GottliebTerm, e.name, degree + offset), mult) for offset, mult in core]
+    terms += residuals.items()
+    # Core terms come in degree order; only residuals need a sort.
+    return FormalSum._trusted(terms, ordered=not residuals)
 
 
 def _block(factors: Sequence[SpaceExpr]) -> SpaceExpr:
@@ -245,18 +228,21 @@ def random_splittable_expr(rng: random.Random, max_depth: int = 3, max_dim: int 
     return Wedge(children) if kind == "wedge" else Product(children)
 
 
+Window = range | tuple[int, ...]  # a step-1 range, or sorted distinct degrees
+
+
 @dataclass(frozen=True)
 class CheckEntry:
     left: str
     right: str
-    degrees: tuple[int, ...]
+    degrees: Window
     passed: bool
     counterexample: str | None = None
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        window = f"{self.degrees[0]}..{self.degrees[-1]}" if self.degrees else "-"
-        text = f"{verdict} {self.left} == {self.right} on degrees {window}"
+        first, last = self.degrees[0], self.degrees[-1]
+        text = f"{verdict} {self.left} == {self.right} on degrees {first}..{last}"
         if self.counterexample:
             text += f": {self.counterexample}"
         return text
@@ -341,14 +327,16 @@ def _tuple_budget_skip(polys: Sequence[ShiftPolynomial]) -> str | None:
     return None
 
 
-def _derived_budget_skip(polys: Sequence[ShiftPolynomial], degrees: tuple[int, ...]) -> str | None:
+def _derived_budget_skip(polys: Sequence[ShiftPolynomial], degrees: Window) -> str | None:
     """Why the derived-profile fold may not run: lookups over ``DERIVED_BUDGET``.
 
     Level i needs at most min(its outer level's degrees x its terms, the
     span of degrees they reach) degrees; it makes one lookup per degree
     and term of its polynomial.  On a chain of circles the bound is exact.
+    A range's size is read off its ends: ``len`` overflows past 2^63.
     """
-    size, span, lookups = len(degrees), degrees[-1] - degrees[0] + 1, 0
+    span, lookups = degrees[-1] - degrees[0] + 1, 0
+    size = span if isinstance(degrees, range) else len(degrees)
     for poly in polys:
         terms = len(poly.coeffs)
         lookups += size * terms
@@ -371,7 +359,7 @@ def _derived_profile_counterexample(
     decomposed: Strategy,
     core_name: str,
     polys: Sequence[ShiftPolynomial],
-    degrees: tuple[int, ...],
+    degrees: Window,
     atom_shifts: Mapping[str, Sequence[int]],
     seed: int,
 ) -> str | None:
@@ -424,13 +412,23 @@ def crosscheck(
     None selects everything applicable.  Mismatches are reported, never
     raised; a strategy over its budget is reported in ``skipped``.  A
     selection that would compare nothing raises ``ValueError``.
+
+    Each pair is compared once, at the window's first degree: every named
+    strategy reads degree n as the offset n + i of one degree-free answer,
+    so two that agree at one degree agree at all of them, and a custom
+    callable must read degrees so too.  Only derived-profile reads every
+    degree.  A step-1 ``range`` is used as given; any other iterable is
+    sorted and deduplicated.
     """
     if isinstance(expr, str):
         expr = parse_space(expr)
-    degrees = tuple(sorted(set(degrees)))
+    if isinstance(degrees, range) and degrees.step == 1:
+        checked = degrees[:1]  # its later degrees are integers above the first
+    else:
+        degrees = checked = tuple(sorted(set(degrees)))
     if not degrees:
         raise ValueError("degree window must be non-empty with degrees >= 1")
-    for n in degrees:
+    for n in checked:
         _nat(n, "degree")
     shifts = dict(atom_shifts or {})
 
@@ -467,23 +465,19 @@ def crosscheck(
     if "deterministic" in selected:
         available["deterministic"] = decomposed
     if "randomized" in selected:
-        # One walk for the whole window, on first use.
-        window = functools.cache(
-            lambda: _randomized_window(expr, degrees, shifts, random.Random(seed))
+        available["randomized"] = lambda n: randomized_decompose(
+            expr, n, shifts, random.Random(seed)
         )
-        available["randomized"] = lambda n: window()[n]
     shape = _bouquet_shape(expr)
     if shape is not None:
         circles, iterations, target_name = shape
         if "closed-form" in selected:
-            available["closed-form"] = lambda n, c=circles, i=iterations, t=target_name: (
-                closed_form_bouquet(c, i, n, t)
+            available["closed-form"] = lambda n: closed_form_bouquet(
+                circles, iterations, n, target_name
             )
         if "recursion" in selected:
             recursion_poly = recursive_bouquet_coefficients(circles, iterations)
-            available["recursion"] = lambda n, p=recursion_poly, t=target_name: (
-                _sum_from_poly(p, t, n)
-            )
+            available["recursion"] = lambda n: _sum_from_poly(recursion_poly, target_name, n)
     sources, core = uncurry(expr)
     splittings = [sphere_splitting(s, shifts) for s in sources]
     fully_split = isinstance(core, Atom) and all(s.splittable for s in splittings)
@@ -494,7 +488,7 @@ def crosscheck(
             poly = ShiftPolynomial.one()
             for factor in polys:
                 poly = poly * factor
-            available["polynomial"] = lambda n, p=poly: _sum_from_poly(p, core.name, n)
+            available["polynomial"] = lambda n: _sum_from_poly(poly, core.name, n)
         if "tuple-enumeration" in selected and sources:
             reason = _tuple_budget_skip(polys)
             if reason is not None:
@@ -502,9 +496,7 @@ def crosscheck(
             else:
                 counts = tuple_enumeration_shifts([s.shifts for s in splittings])
                 enum_poly = ShiftPolynomial.from_dict({0: 1, **counts})
-                available["tuple-enumeration"] = lambda n, p=enum_poly: _sum_from_poly(
-                    p, core.name, n
-                )
+                available["tuple-enumeration"] = lambda n: _sum_from_poly(enum_poly, core.name, n)
         if "derived-profile" in selected and sources:
             reason = _derived_budget_skip(polys, degrees)
             if reason is not None:
@@ -519,18 +511,12 @@ def crosscheck(
         )
 
     entries: list[CheckEntry] = []
-    results: dict[str, dict[int, FormalSum]] = {
-        name: {n: fn(n) for n in degrees} for name, fn in available.items()
-    }
-    names = list(results)
-    for left, right in itertools.combinations(names, 2):
-        counterexample = None
-        for n in degrees:
-            a, b = results[left][n], results[right][n]
-            if a != b:
-                counterexample = f"degree {n}: {left} gives {a}, {right} gives {b}"
-                break
-        entries.append(CheckEntry(left, right, degrees, counterexample is None, counterexample))
+    first = degrees[0]
+    results = {name: fn(first) for name, fn in available.items()}
+    for left, right in itertools.combinations(results, 2):
+        a, b = results[left], results[right]
+        counterexample = None if a == b else f"degree {first}: {left} gives {a}, {right} gives {b}"
+        entries.append(CheckEntry(left, right, degrees, a == b, counterexample))
     if derived:
         counterexample = _derived_profile_counterexample(
             decomposed, core.name, polys, degrees, shifts, seed

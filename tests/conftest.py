@@ -1,4 +1,4 @@
-"""Shared test helpers: independent oracles and random generators.
+"""Shared test helpers: independent oracles, random generators and capped runs.
 
 The helpers here deliberately avoid the code paths they are used to
 check: the element-order census recomputes group identity by brute
@@ -6,6 +6,9 @@ force, and the random builders construct values from scratch.
 """
 
 import random
+import resource
+import subprocess
+import time
 from collections import Counter
 from itertools import product
 from math import gcd, lcm
@@ -128,3 +131,24 @@ def synthetic_space(
 
 def db_of(*profiles, maps=()) -> ProfileDb:
     return ProfileDb.of(profiles, maps)
+
+
+# --- capped child processes -----------------------------------------------
+
+CHILD_MEMORY = 2**30  # address space of a capped child, in bytes
+
+
+def _cap_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY, CHILD_MEMORY))
+
+
+def run_capped(argv, env, timeout: float = 60):
+    """(completed process, seconds) of ``argv`` with its address space capped.
+
+    A child that allocates without bound fails with ``MemoryError`` under
+    the cap instead of exhausting the machine's memory.
+    """
+    start = time.perf_counter()
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout,
+                            preexec_fn=_cap_address_space)
+    return result, time.perf_counter() - start

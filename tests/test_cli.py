@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_capped
 from gottlieb.cli import _COMMANDS, main
 from gottlieb.profiles import Incomplete
 
@@ -757,6 +758,38 @@ def test_check_of_a_long_circle_chain_skips_tuple_enumeration(expr, circles):
         f"  SKIP tuple-enumeration: 2^{circles} tuples over the budget of 10^5",
         "all checks passed",
     ]
+    assert elapsed < 1, elapsed
+
+
+@pytest.mark.parametrize(
+    ("argv", "length"),
+    [
+        (("check", "--expr", "T40", "--degree", str(10**20)), 10**20),
+        (("check", "--expr", "map(T40, Y)", "--degree", str(10**20)), 10**20),
+        (("check", "--expr", "map(S1, Y)", "--degree", "100000"), 100000),
+        (("loop-check", "--expr", "Y", "--candidate", "LY", "--degrees", f"1..{10**20}",
+          "--profiles", str(REPO / "profiles" / "synthetic_demo.json")), 10**20),
+    ],
+)
+def test_a_window_over_the_ceiling_exits_two_at_once(argv, length):
+    # Under the cap an unbounded allocation ends in MemoryError, not in an
+    # exhausted machine.
+    result, elapsed = run_capped([sys.executable, "-m", "gottlieb.cli", *argv], CLI_ENV)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert result.stderr == (
+        f"error: degree window of {length} degrees is over the ceiling of 10000\n"
+    )
+    assert elapsed < 1, elapsed
+
+
+def test_a_window_at_the_ceiling_is_checked():
+    result, elapsed = run_capped(
+        [sys.executable, "-m", "gottlieb.cli", "check", "--expr", "map(S1, Y)",
+         "--degree", "10000"], CLI_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "PASS deterministic == randomized on degrees 1..10000" in result.stdout
+    assert result.stdout.endswith("all checks passed\n")
     assert elapsed < 1, elapsed
 
 

@@ -38,6 +38,16 @@ def test_torus_example():
     assert str(result) == "G[1](Y) + 2*G[2](Y) + G[3](Y)"
 
 
+def test_a_residual_family_reaches_shift_two():
+    # The blocked level of A is reached with 1 + 2t + t^2, so its family
+    # has a term past shift 1.
+    result = decompose(parse_space("map(T2, map(A, Y))"), 1)
+    assert str(result) == (
+        "G[1](Y) + 2*G[2](Y) + G[3](Y) + "
+        "Gen[Σ^1 A -> Y] + 2*Gen[Σ^2 A -> Y] + Gen[Σ^3 A -> Y]"
+    )
+
+
 def test_point_rules():
     assert decompose(parse_space("map(pt, Y)"), 3) == FormalSum.single(_g(3))
     assert decompose(Point(), 5) == FormalSum.zero()

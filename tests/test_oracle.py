@@ -15,11 +15,10 @@ from hypothesis import strategies as st
 
 import gottlieb
 from gottlieb.decompose import _walk_chain, closed_form_bouquet, decompose
-from gottlieb.formal import FormalSum, GottliebTerm
+from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm
 from gottlieb.oracle import (
     DERIVED_BUDGET,
     TUPLE_BUDGET,
-    _randomized_window,
     _tuple_budget_skip,
     crosscheck,
     random_splittable_expr,
@@ -30,17 +29,19 @@ from gottlieb.oracle import (
 )
 from gottlieb.spaces import (
     Atom,
+    Bouquet,
     MapSpace,
     Point,
     Product,
     Sphere,
     Susp,
+    Torus,
     Wedge,
     parse_space,
 )
 from gottlieb.splitting import ShiftPolynomial, shift_polynomial, sphere_splitting
 
-from conftest import splittable_exprs
+from conftest import run_capped, splittable_exprs
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -124,6 +125,53 @@ def test_randomized_decompose_agrees_on_residual_chains(sources, core, degree):
         assert expected == decompose(expr, n, _SHIFTS)
         for seed in range(3):
             assert randomized_decompose(expr, n, _SHIFTS, random.Random(seed)) == expected
+
+
+def _raised(formal_sum: FormalSum, k: int) -> FormalSum:
+    """``formal_sum`` with every G degree and every Gen suspension count raised by k."""
+    pairs = []
+    for term, mult in formal_sum:
+        if isinstance(term, GottliebTerm):
+            term = GottliebTerm(term.space, term.degree + k)
+        else:
+            term = GenGottliebTerm(term.source, term.suspensions + k, term.target)
+        pairs.append((term, mult))
+    return FormalSum.from_pairs(pairs)
+
+
+_LEVEL = st.one_of(
+    _SPLITTABLE,
+    st.integers(1, 3).map(Torus),
+    st.integers(1, 3).map(Bouquet),
+    _RESIDUAL,
+    _MIXED_PRODUCT,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.lists(_LEVEL, max_size=3), _RESIDUAL, st.lists(_LEVEL, max_size=3)),
+    st.sampled_from([Atom("Y"), Point()]),
+    st.sampled_from([2, 3, 10**20]),
+    st.integers(0, 2**32),
+)
+def test_a_degree_is_an_offset_of_the_degree_one_answer(chain, core, n, seed):
+    # The premise of comparing strategies at one degree: degree n is
+    # degree 1 with every G degree and Gen suspension count raised by
+    # n - 1.  Every chain has a residual level.
+    outer, residual, inner = chain
+    expr = core
+    for source in reversed([*outer, residual, *inner]):
+        expr = MapSpace(source, expr)
+    expected = _raised(decompose(expr, 1, _SHIFTS), n - 1)
+    assert decompose(expr, n, _SHIFTS) == expected
+    assert randomized_decompose(expr, n, _SHIFTS, random.Random(seed)) == expected
+
+
+@given(st.integers(1, 5), st.integers(1, 8), st.sampled_from([2, 3, 10**20]))
+def test_the_closed_form_reads_a_degree_as_an_offset(circles, iterations, n):
+    expected = _raised(closed_form_bouquet(circles, iterations, 1, "Y"), n - 1)
+    assert closed_form_bouquet(circles, iterations, n, "Y") == expected
 
 
 def test_wrong_power_is_caught_by_the_oracles(monkeypatch):
@@ -215,7 +263,73 @@ def test_wrong_decompose_fails_the_engine_comparisons_and_the_derived_profile(mo
         ("evaluated decompose", "derived-profile recursion")
     }
     assert len(walks) == 1
-    assert set(degrees) == {1, 2, 3}
+    # Once for the pairs, and once by derived-profile, which stops at its
+    # first mismatch.
+    assert degrees == [1, 1]
+
+
+_ALL = [
+    "deterministic", "randomized", "closed-form", "recursion", "polynomial",
+    "tuple-enumeration", "derived-profile",
+]
+
+
+def test_each_strategy_is_called_at_the_window_first_degree(monkeypatch):
+    import gottlieb.oracle as oracle
+
+    called: dict[str, list[int]] = {}
+
+    def wrapped(name, fn, degree_at):
+        def call(*args, **kwargs):
+            called.setdefault(name, []).append(args[degree_at])
+            return fn(*args, **kwargs)
+        return call
+
+    for name, degree_at in (("randomized_decompose", 1), ("closed_form_bouquet", 2),
+                            ("_sum_from_poly", 2)):
+        monkeypatch.setattr(oracle, name, wrapped(name, getattr(oracle, name), degree_at))
+    _, degrees = _counted_walk(monkeypatch)
+    custom = wrapped("custom", lambda n: closed_form_bouquet(2, 3, n, "Y"), 0)
+    report = crosscheck("bloop(Y, 2, 3)", [3, 1, 2], strategies=[*_ALL, ("custom", custom)])
+    assert report.passed
+    assert called == {
+        "randomized_decompose": [1],
+        "closed_form_bouquet": [1],
+        "_sum_from_poly": [1, 1, 1],  # recursion, polynomial, tuple-enumeration
+        "custom": [1],
+    }
+    # The engine once for the pairs; derived-profile reads every degree.
+    assert degrees == [1, 1, 2, 3]
+    assert {e.degrees for e in report.entries} == {(1, 2, 3)}
+
+
+def test_a_step_one_range_is_used_as_given():
+    window = range(2, 6)
+    report = crosscheck("map(S1, Y)", window)
+    assert report.passed
+    assert all(e.degrees is window for e in report.entries)
+    assert report.lines()[1] == "  PASS deterministic == randomized on degrees 2..5"
+    # Any other window is sorted and deduplicated.
+    for other, degrees in (([5, 2, 5, 3], (2, 3, 5)), (range(5, 1, -1), (2, 3, 4, 5)),
+                           (iter([3, 2]), (2, 3))):
+        assert {e.degrees for e in crosscheck("map(S1, Y)", other).entries} == {degrees}
+    with pytest.raises(ValueError, match="non-empty"):
+        crosscheck("map(S1, Y)", range(3, 3))
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        crosscheck("map(S1, Y)", range(0, 10**20))
+
+
+def test_a_huge_range_is_checked_at_its_first_degree():
+    start = time.perf_counter()
+    report = crosscheck("map(T40, Y)", range(1, 10**20 + 1))
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert [name for name, _ in report.skipped] == ["tuple-enumeration", "derived-profile"]
+    assert len(report.entries) == 10
+    assert report.lines()[1] == (
+        "  PASS deterministic == randomized on degrees 1..100000000000000000000"
+    )
+    assert elapsed < 1, elapsed
 
 
 def test_derived_profile_alone_walks_the_engine_once(monkeypatch):
@@ -391,20 +505,22 @@ def test_residual_expressions_skip_polynomial_strategies():
     st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
     st.integers(0, 2**32),
 )
-def test_randomized_window_agrees_with_decompose_at_every_degree(sources, core, window, seed):
+def test_randomized_decompose_agrees_with_decompose_at_every_degree(sources, core, window, seed):
     expr = core
     for source in reversed(sources):
         expr = MapSpace(source, expr)
-    sums = _randomized_window(expr, window, _SHIFTS, random.Random(seed))
-    assert sums == {n: decompose(expr, n, _SHIFTS) for n in window}
+    for n in window:
+        assert randomized_decompose(expr, n, _SHIFTS, random.Random(seed)) == decompose(
+            expr, n, _SHIFTS
+        )
 
 
-def test_randomized_window_merges_residual_families_that_meet():
+def test_randomized_decompose_merges_residual_families_that_meet():
     # Gen[Σ^2 B -> Y] comes from susp(B) at offset 0 and from B at offset 1.
     expr = parse_space("map(prod(susp(B), S1, B), Y)")
     for seed in range(5):
-        sums = _randomized_window(expr, [1, 2], None, random.Random(seed))
-        assert sums == {n: decompose(expr, n) for n in (1, 2)}
+        for n in (1, 2):
+            assert randomized_decompose(expr, n, rng=random.Random(seed)) == decompose(expr, n)
 
 
 @pytest.mark.parametrize(
@@ -532,6 +648,18 @@ def test_crosscheck_rejects_non_integer_degrees():
         crosscheck("loop(Y, 2)", [1.5])
     with pytest.raises(TypeError):
         randomized_decompose(parse_space("loop(Y, 2)"), 1.5)
+
+
+def test_run_crosschecks_corpus_passes_on_a_huge_window():
+    # The script's fixed cases, residual ones included, and the range path.
+    env = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+    result, elapsed = run_capped(
+        [sys.executable, str(REPO / "scripts" / "run_crosschecks.py"), "--count", "20",
+         "--seed", "3", "--degrees", f"1..{10**20}"], env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(" 0 failing\n"), result.stdout
+    assert elapsed < 5, elapsed
 
 
 @pytest.mark.parametrize("window", ["a..b", "0..3", "3..1"])

@@ -34,7 +34,6 @@ def test_oracles_name_nothing_from_the_engine():
     }
     assert engine
     oracles = {
-        "_randomized_window",
         "randomized_decompose",
         "recursive_bouquet_coefficients",
         "tuple_enumeration_shifts",

@@ -38,6 +38,13 @@ def test_splitting_examples():
     assert sphere_splitting(Torus(3)).shifts == (1, 1, 1, 2, 2, 2, 3)
     assert sphere_splitting(Wedge((Sphere(1), Point(), Sphere(2)))).shifts == (1, 2)
     assert sphere_splitting(Bouquet(3)).shifts == (1, 1, 1)
+
+
+def test_a_wedge_keeps_every_shift_of_each_child():
+    # T2 splits as S1 v S1 v S2: a wedge child with two non-constant shifts.
+    splitting = sphere_splitting(parse_space("wedge(T2, S1)"))
+    assert splitting.shifts == (1, 1, 1, 2)
+    assert splitting.poly.as_dict() == {0: 1, 1: 3, 2: 1}
     assert sphere_splitting(Susp(Sphere(2), 3)).shifts == (5,)
     assert sphere_splitting(parse_space("prod(S2, wedge(S1, S3))")).shifts == (
         1, 2, 3, 3, 5,
