@@ -36,8 +36,9 @@ uses Miller's recurrence (see ``ShiftPolynomial.__pow__``).  The sugar is
 read where it stands and never expanded on the way, and each distinct
 source is split once per call.  Product factors are walked by index: the
 curried target ``map(prod(rest), Y)`` is built only when a nested product
-or a residual needs it, and residual sources and targets are printed in
-desugared form.
+or a residual needs it.  A residual keeps its source and target as
+written; ``at`` expands them, so they print in desugared form, and only
+after the pass has charged every level to the size budget.
 
 Before any power is formed, its run is charged to a ``SizeBudget``: the
 answer's degree (sum of run * max_shift) and the digits of its largest
@@ -71,7 +72,6 @@ from .splitting import (
     DecomposeError,
     ShiftPolynomial,
     SizeBudget,
-    shift_polynomial,
     sphere_splitting,
 )
 
@@ -84,15 +84,14 @@ class _Walk:
     """One degree-free pass: the core atom, its polynomial and the residuals.
 
     ``core`` is the atom's name (None for a point), ``acc`` the core
-    polynomial, ``families`` one (source, suspensions, target, polynomial)
-    per blocked level, in the order met.
+    polynomial, ``families`` one (source, target, polynomial) per blocked
+    level, in the order met, with source and target as written.
     """
 
-    def __init__(self, atom_shifts, residuals: bool) -> None:
+    def __init__(self, atom_shifts) -> None:
         self.atom_shifts = atom_shifts
-        self.residuals = residuals  # False: the first blocked level raises
         self.core: str | None = None
-        self.families: list[tuple[SpaceExpr, int, SpaceExpr, ShiftPolynomial]] = []
+        self.families: list[tuple[SpaceExpr, SpaceExpr, ShiftPolynomial]] = []
         self.acc = ShiftPolynomial.one()
         self.budget = SizeBudget()
         self.splits: dict[SpaceExpr, ShiftPolynomial | None] = {}
@@ -125,17 +124,9 @@ class _Walk:
             self.run = 0
 
     def residual(self, source: SpaceExpr, target: SpaceExpr) -> None:
-        # The target is kept verbatim inside the symbolic term, and the walk
-        # goes on into it with the polynomial unchanged.
+        # The walk goes on into the target with the polynomial unchanged.
         self.flush()
-        residual_source, suspensions = desugar(source), 0
-        if isinstance(residual_source, Susp):
-            residual_source, suspensions = residual_source.child, residual_source.count
-        if not self.residuals:
-            # Levels are met outermost first, so this names the outermost
-            # blocked level; the source is blocked, so this raises.
-            shift_polynomial(residual_source, self.atom_shifts)
-        self.families.append((residual_source, suspensions, desugar(target), self.acc))
+        self.families.append((source, target, self.acc))
 
     def at(self, degree: int, kind: type = GottliebTerm) -> FormalSum:
         """The sum at ``degree``, with ``kind`` terms at the core.
@@ -143,7 +134,10 @@ class _Walk:
         ``degree`` must be an integer >= 1, since the terms are built unchecked.
         """
         counts: dict[Term, int] = {}
-        for source, suspensions, target, poly in self.families:
+        for source, target, poly in self.families:
+            source, target, suspensions = desugar(source), desugar(target), 0
+            if isinstance(source, Susp):
+                source, suspensions = source.child, source.count
             base = degree + suspensions
             for shift, count in poly.coeffs:
                 counts[_trusted_gen(source, base + shift, target)] = count
@@ -176,13 +170,9 @@ def decompose(expr: SpaceExpr, degree: int, atom_shifts=None) -> FormalSum:
     return _walk_chain(expr, atom_shifts).at(degree)
 
 
-def _walk_chain(e: SpaceExpr, atom_shifts, residuals: bool = True) -> _Walk:
-    """The pass behind ``decompose``, read at any degree through ``at``.
-
-    Without ``residuals``, a blocked level raises ``NotSplittableError``
-    naming the outermost one instead of leaving a residual family.
-    """
-    walk = _Walk(atom_shifts, residuals)
+def _walk_chain(e: SpaceExpr, atom_shifts) -> _Walk:
+    """The pass behind ``decompose``, read at any degree through ``at``."""
+    walk = _Walk(atom_shifts)
     while True:
         if isinstance(e, MapSpace):
             source, target = e.source, e.target
@@ -213,7 +203,7 @@ def _walk_chain(e: SpaceExpr, atom_shifts, residuals: bool = True) -> _Walk:
         walk.core = e.name
     elif not isinstance(e, Point):
         raise DecomposeError(
-            f"no decomposition rule for target {format_space(desugar(e))!r}; "
+            f"no decomposition rule for target {format_space(e)!r}; "
             "targets must be atoms, points, or mapping spaces"
         )
     return walk

@@ -9,13 +9,14 @@ finite X with Sigma X a wedge of spheres (shift polynomial 1 + sum c_s t^s)
 and any T, the constant maps are a section of the evaluation fibration of
 map(X, T; 0), so pi_i(map(X, T; 0)) = pi_i(T) + sum_s c_s pi_{i+s}(T).
 Every source must split, or ``NotSplittableError`` names the outermost
-blocked level, and degree 1 is refused: pi_1 is only a split extension,
-not computed here.
+blocked level once the walk has ended, and degree 1 is refused: pi_1 is
+only a split extension, not computed here.
 """
 
 from .decompose import _walk_chain, decompose
 from .formal import FormalSum, PiTerm
 from .spaces import Atom, Loop, _nat
+from .splitting import shift_polynomial
 
 __all__ = ["fox_gottlieb", "iterated_loop_homotopy"]
 
@@ -30,7 +31,11 @@ def iterated_loop_homotopy(degree: int, iterations: int, target, atom_shifts=Non
     _nat(degree, "homotopy degree")
     _nat(iterations, "iteration count")
     target = Atom(target) if isinstance(target, str) else target
-    return _walk_chain(Loop(target, iterations), atom_shifts, residuals=False).at(degree, PiTerm)
+    walk = _walk_chain(Loop(target, iterations), atom_shifts)
+    if walk.families:
+        # Families come outermost first, and each source is blocked, so this raises.
+        shift_polynomial(walk.families[0][0], atom_shifts)
+    return walk.at(degree, PiTerm)
 
 
 def fox_gottlieb(degree: int, target, atom_shifts=None) -> FormalSum:

@@ -195,10 +195,14 @@ def free_loop_necessary_condition(
 
     Failing any degree disqualifies the candidate as a free loop space of
     the base.  The first definite mismatch wins; if no mismatch is found
-    but some degrees could not be checked, the verdict is incomplete.
+    but some degrees could not be checked, the verdict is incomplete.  A
+    step-1 ``range`` is read as given; any other iterable is sorted and
+    deduplicated.
     """
+    if not (isinstance(degrees, range) and degrees.step == 1):
+        degrees = sorted(set(degrees))
     missing: list[str] = []
-    for d in sorted(set(degrees)):
+    for d in degrees:
         _nat(d, "degree")
         left = candidate.lookup(d)
         lower, upper = base.lookup(d), base.lookup(d + 1)

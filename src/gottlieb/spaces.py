@@ -23,7 +23,8 @@ explicit nodes so closed forms can fire before desugaring.
 syntax: ``parse_space(format_space(e)) == e`` for every well-formed tree,
 and formatting normalizes nothing but whitespace.  ``desugar`` removes the
 Torus/Bouquet/Loop/BouquetSpace sugar and merges nested suspensions; it is
-idempotent.
+idempotent, and it is the only code that expands a count, under
+``EXPANSION_CEILING``.
 """
 
 import re
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from .names import IDENT_RE, INDEXED_RE, KEYWORDS, is_valid_atom_name
 
 __all__ = [
+    "EXPANSION_CEILING",
     "Atom",
     "Bouquet",
     "BouquetSpace",
@@ -51,6 +53,10 @@ __all__ = [
     "is_valid_atom_name",
     "parse_space",
 ]
+
+# Copies ``desugar`` may build in one call; see ``_copies``.
+EXPANSION_CEILING = 100_000
+
 
 class SpaceExpr:
     """Base class for space expression nodes; all nodes are immutable."""
@@ -128,10 +134,33 @@ class Susp(SpaceExpr):
 
 @dataclass(frozen=True)
 class MapSpace(SpaceExpr):
-    """Constant-map component of the free mapping space from ``source`` to ``target``."""
+    """Constant-map component of the free mapping space from ``source`` to ``target``.
+
+    Equality and hashing walk a chain of targets in a loop, so a deep
+    iterated loop space is not bounded by the interpreter's recursion limit.
+    """
 
     source: SpaceExpr
     target: SpaceExpr
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not MapSpace:
+            return NotImplemented
+        a, b = self, other
+        while type(a) is MapSpace and type(b) is MapSpace:
+            if a is b:
+                return True
+            if a.source != b.source:
+                return False
+            a, b = a.target, b.target
+        return a == b
+
+    def __hash__(self) -> int:
+        sources, e = [], self
+        while type(e) is MapSpace:
+            sources.append(e.source)
+            e = e.target
+        return hash((tuple(sources), e))
 
 
 @dataclass(frozen=True)
@@ -330,7 +359,18 @@ def parse_space(text: str) -> SpaceExpr:
 
 
 def format_space(expr: SpaceExpr) -> str:
-    """Canonical concrete syntax; inverse to ``parse_space`` on valid trees."""
+    """Canonical concrete syntax; inverse to ``parse_space`` on valid trees.
+
+    A chain of mapping spaces is printed along its targets in a loop.
+    """
+    heads = []
+    while isinstance(expr, MapSpace):
+        heads.append(f"map({format_space(expr.source)}, ")
+        expr = expr.target
+    return "".join(heads) + _format_node(expr) + ")" * len(heads)
+
+
+def _format_node(expr: SpaceExpr) -> str:
     match expr:
         case Atom(name):
             return name
@@ -350,8 +390,6 @@ def format_space(expr: SpaceExpr) -> str:
             if count == 1:
                 return f"susp({format_space(child)})"
             return f"susp({format_space(child)}, {count})"
-        case MapSpace(source, target):
-            return f"map({format_space(source)}, {format_space(target)})"
         case Loop(target, iterations):
             if iterations == 1:
                 return f"loop({format_space(target)})"
@@ -369,17 +407,58 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
     Torus(N) becomes a product of N circles, Bouquet(m) a wedge of m
     circles, Loop and BouquetSpace become nested MapSpace nodes (outermost
     iteration outermost), and Susp(Susp(x, a), b) becomes Susp(x, a + b).
-    The result is a fixed point of ``desugar``.  Chains of mapping spaces
-    are walked along their targets in a loop, so a deep iterated loop
-    space, sugared or already desugared, is not bounded by the
-    interpreter's recursion limit.
+    The result is a fixed point of ``desugar``.  An expression of more
+    than ``EXPANSION_CEILING`` copies (``_copies``) raises ``ValueError``
+    before any node is built.  Chains of mapping spaces are walked along
+    their targets in a loop, so a deep iterated loop space, sugared or
+    already desugared, is not bounded by the interpreter's recursion limit.
     """
+    copies = _copies(expr)
+    if copies > EXPANSION_CEILING:
+        raise ValueError(
+            f"expansion of {copies} copies is over the ceiling of {EXPANSION_CEILING}"
+        )
+    return _expand(expr)
+
+
+def _copies(expr: SpaceExpr) -> int:
+    """Copies that expanding ``expr`` builds, summed over the whole expression.
+
+    One per circle of a ``T<N>`` or ``B<m>`` and one per level of a
+    ``loop`` or ``bloop``, whose bouquet is built once for all its levels.
+    """
+    total, stack = 0, [expr]
+    while stack:
+        # Dispatch on the exact type: class patterns cost several times more
+        # per node, and this runs on every desugar call.
+        e = stack.pop()
+        kind = type(e)
+        if kind is MapSpace:
+            stack += (e.source, e.target)
+        elif kind is Wedge or kind is Product:
+            stack += e.children
+        elif kind is Susp:
+            stack.append(e.child)
+        elif kind is Loop:
+            total += e.iterations
+            stack.append(e.target)
+        elif kind is BouquetSpace:
+            total += e.circles + e.iterations
+            stack.append(e.target)
+        elif kind is Torus:
+            total += e.factors
+        elif kind is Bouquet:
+            total += e.circles
+    return total
+
+
+def _expand(expr: SpaceExpr) -> SpaceExpr:
     levels: list[tuple[SpaceExpr, int]] = []  # (source, repeats), outermost first
     e = expr
     while True:
         match e:
             case MapSpace(source, target):
-                levels.append((desugar(source), 1))
+                levels.append((_expand(source), 1))
             case Loop(target, iterations):
                 levels.append((Sphere(1), iterations))
             case BouquetSpace(target, circles, iterations):
@@ -399,11 +478,11 @@ def _desugar_node(expr: SpaceExpr) -> SpaceExpr:
         case Atom() | Sphere() | Point():
             return expr
         case Wedge(children):
-            return Wedge(tuple(desugar(c) for c in children))
+            return Wedge(tuple(_expand(c) for c in children))
         case Product(children):
-            return Product(tuple(desugar(c) for c in children))
+            return Product(tuple(_expand(c) for c in children))
         case Susp(child, count):
-            inner = desugar(child)
+            inner = _expand(child)
             if isinstance(inner, Susp):
                 return Susp(inner.child, inner.count + count)
             return Susp(inner, count)

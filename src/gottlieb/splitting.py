@@ -47,7 +47,6 @@ from .spaces import (
     Susp,
     Torus,
     Wedge,
-    desugar,
     format_space,
 )
 
@@ -309,7 +308,7 @@ def _poly_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> Shift
                 out = out * poly
             return out
         case MapSpace() | Loop() | BouquetSpace():
-            raise _Blocked(desugar(expr), "mapping spaces do not split into spheres")
+            raise _Blocked(expr, "mapping spaces do not split into spheres")
     raise TypeError(f"not a space expression: {expr!r}")
 
 
@@ -319,8 +318,8 @@ def sphere_splitting(
     """Shift polynomial of the sphere splitting of susp(expr), if one exists.
 
     ``atom_shifts`` maps atom names to their declared shift multisets.
-    Sugar nodes are read directly and a blocker is reported desugared, so
-    the result is invariant under ``desugar``.
+    Sugar nodes are read directly, so the polynomial is invariant under
+    ``desugar``; a blocker is reported as written.
     """
     try:
         poly = _poly_of(expr, atom_shifts or {})

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import run_capped
 from gottlieb.cli import _COMMANDS, main
+from gottlieb.decompose import decompose
 from gottlieb.profiles import Incomplete
+from gottlieb.spaces import Atom, MapSpace, Sphere
 
 
 DOC = {
@@ -789,6 +791,61 @@ def test_a_window_at_the_ceiling_is_checked():
     )
     assert result.returncode == 0, result.stderr
     assert "PASS deterministic == randomized on degrees 1..10000" in result.stdout
+    assert result.stdout.endswith("all checks passed\n")
+    assert elapsed < 1, elapsed
+
+
+_BIG = str(10**20)
+_DEMO = str(REPO / "profiles" / "synthetic_demo.json")
+
+
+@pytest.mark.parametrize(
+    ("argv", "codes", "fragment"),
+    [
+        (("decompose", "--expr", f"map(map(T{_BIG}, Y), Y)"), {2},
+         f"error: expansion of {_BIG} copies is over the ceiling of 100000"),
+        (("decompose", "--expr", f"wedge(loop(Y, {_BIG}), S2)"), {2},
+         f"no decomposition rule for target 'wedge(loop(Y, {_BIG}), S2)'"),
+        (("eval", "--expr", f"T{_BIG}", "--profiles", _DEMO), {2},
+         f"no decomposition rule for target 'T{_BIG}'"),
+        (("check", "--expr", f"map(B{_BIG}, Y)"), {0, 2}, "over the ceiling of 100000"),
+        (("decompose", "--expr", "map(A, loop(Y, 1000000000))"), {2}, "answer too large"),
+        (("decompose", "--expr", f"map(wedge(A, T{_BIG}), Y)"), {2},
+         "over the ceiling of 100000"),
+        (("loop-homotopy", "--expr", f"map(map(T{_BIG}, Y), Y)", "--degree", "2"), {2},
+         f"error: map(T{_BIG}, Y) does not split"),
+    ],
+)
+def test_a_huge_count_is_never_expanded(argv, codes, fragment):
+    # Each case used to expand its count: an OverflowError traceback, or no end.
+    if "--degree" not in argv:
+        argv += ("--degree", "1")
+    result, _ = run_capped([sys.executable, "-m", "gottlieb.cli", *argv], CLI_ENV, timeout=5)
+    assert result.returncode in codes, result.stderr
+    assert "Traceback" not in result.stderr
+    assert fragment in result.stdout + result.stderr
+
+
+def test_a_residual_over_a_deep_loop_prints_its_desugared_target():
+    result, elapsed = run_capped(
+        [sys.executable, "-m", "gottlieb.cli", "decompose", "--expr", "map(A, loop(Y, 2000))",
+         "--degree", "1"], CLI_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    spelled = Atom("Y")
+    for _ in range(2000):
+        spelled = MapSpace(Sphere(1), spelled)
+    assert result.stdout == f"{decompose(MapSpace(Atom('A'), spelled), 1)}\n"
+    assert result.stdout.endswith("Gen[Σ^1 A -> " + "map(S1, " * 2000 + "Y" + ")" * 2000 + "]\n")
+    assert elapsed < 1, elapsed
+
+
+def test_check_compares_residuals_over_a_deep_loop():
+    result, elapsed = run_capped(
+        [sys.executable, "-m", "gottlieb.cli", "check", "--expr", "map(B, loop(Y, 400))",
+         "--degree", "1"], CLI_ENV,
+    )
+    assert result.returncode == 0, result.stderr
     assert result.stdout.endswith("all checks passed\n")
     assert elapsed < 1, elapsed
 

@@ -188,3 +188,13 @@ def test_loop_homotopy_names_the_outermost_blocked_level():
         first = next(s.name for s in sources if isinstance(s, Atom))
         with pytest.raises(ValueError, match=f"^{first} does not split"):
             iterated_loop_homotopy(rng.randint(2, 4), rng.randint(1, 3), _random_chain(sources))
+
+
+def test_loop_homotopy_walks_the_whole_chain_before_naming_a_blocker():
+    # The walk ends first, so its own errors come before "does not split".
+    with pytest.raises(ValueError, match="^no decomposition rule for target 'S2'"):
+        iterated_loop_homotopy(2, 1, parse_space("map(A, S2)"))
+    with pytest.raises(ValueError, match="^answer too large: degree shift 20000 exceeds"):
+        iterated_loop_homotopy(2, 1, parse_space("map(A, loop(Y, 19999))"))
+    with pytest.raises(ValueError, match=r"^loop\(Y\) does not split: mapping spaces"):
+        iterated_loop_homotopy(2, 1, parse_space("map(loop(Y), Y)"))

@@ -204,8 +204,8 @@ def _counted_walk(monkeypatch, extra=None):
     degrees: list[int] = []
     walk_chain = oracle._walk_chain
 
-    def counted(expr, atom_shifts=None, residuals=True):
-        walk = walk_chain(expr, atom_shifts, residuals)
+    def counted(expr, atom_shifts=None):
+        walk = walk_chain(expr, atom_shifts)
         walks.append(expr)
         at = walk.at
 

@@ -1,10 +1,14 @@
 """Rank computations, hypothesis gating, flags, and the free-loop check."""
 
+import os
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import db_of, synthetic_space
+import gottlieb
+from conftest import db_of, run_capped, synthetic_space
 from gottlieb.abelian import canonicalize, parse_group
 from gottlieb.decompose import decompose
 from gottlieb.profiles import Flags, GradedGroup, Incomplete, SpaceProfile, evaluate
@@ -221,3 +225,20 @@ def test_free_loop_check_refuses_a_fractional_degree():
     base = _graded({1: "Z", 2: "Z"})
     with pytest.raises(TypeError, match="degree must be an integer, got 1.5"):
         free_loop_necessary_condition(base, base, [1.5])
+
+
+def test_free_loop_check_reads_a_huge_range_as_given():
+    # Sorting the window would allocate until the address-space cap.
+    code = (
+        "from gottlieb.abelian import parse_group\n"
+        "from gottlieb.profiles import GradedGroup\n"
+        "from gottlieb.ranks import free_loop_necessary_condition\n"
+        "base = GradedGroup({1: parse_group('Z'), 2: parse_group('Z/2')})\n"
+        "candidate = GradedGroup({1: parse_group('Z')})\n"
+        "verdict = free_loop_necessary_condition(candidate, base, range(1, 10**20 + 1))\n"
+        "print(verdict.status, verdict.failing_degree)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+    result, elapsed = run_capped([sys.executable, "-c", code], env)
+    assert (result.returncode, result.stdout) == (0, "fail 1\n"), result.stderr
+    assert elapsed < 1, elapsed

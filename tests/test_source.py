@@ -152,21 +152,26 @@ def _is_isinstance(node: ast.AST, kind: str) -> bool:
     )
 
 
-def _integer_checks(node: ast.AST, scope: str = ""):
-    """Scopes of every ``isinstance(x, bool) or not isinstance(x, int)`` under ``node``."""
+def _is_integer_check(node: ast.AST) -> bool:
+    """``isinstance(x, bool) or not isinstance(x, int)``."""
+    if not (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)):
+        return False
+    return any(_is_isinstance(v, "bool") for v in node.values) and any(
+        isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
+        and _is_isinstance(v.operand, "int")
+        for v in node.values
+    )
+
+
+def _scopes(node: ast.AST, match, scope: str = ""):
+    """Dotted scope of every node under ``node`` that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
-        if isinstance(child, ast.BoolOp) and isinstance(child.op, ast.Or):
-            values = child.values
-            if any(_is_isinstance(v, "bool") for v in values) and any(
-                isinstance(v, ast.UnaryOp) and isinstance(v.op, ast.Not)
-                and _is_isinstance(v.operand, "int")
-                for v in values
-            ):
-                yield inner
-        yield from _integer_checks(child, inner)
+        if match(child):
+            yield inner
+        yield from _scopes(child, match, inner)
 
 
 def test_one_positive_integer_check_outside_the_profile_layer():
@@ -178,6 +183,28 @@ def test_one_positive_integer_check_outside_the_profile_layer():
         f"{path.stem}.{scope}"
         for path in sorted(root.glob("*.py"))
         if path.stem not in ("abelian", "numtheory", "profiles")
-        for scope in _integer_checks(ast.parse(path.read_text(encoding="utf-8")))
+        for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), _is_integer_check)
     }
     assert found == {"spaces._nat", "splitting.ShiftPolynomial.__pow__"}
+
+
+def _calls_desugar(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "desugar")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "desugar")
+    )
+
+
+def test_sugar_is_expanded_only_where_a_residual_is_read_and_in_the_oracles():
+    # desugar builds one node per copy of a count.  The engine expands a
+    # residual's source and target only in _Walk.at, after the walk has
+    # charged every level to its size budget; an error path or a blocker
+    # names an expression as written.  The oracles keep their own route.
+    root = Path(gottlieb.__file__).parent
+    found = {
+        f"{path.stem}.{scope}"
+        for path in sorted(root.glob("*.py"))
+        if path.stem not in ("spaces", "oracle")
+        for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), _calls_desugar)
+    }
+    assert found == {"decompose._Walk.at"}

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given
 
+import gottlieb.spaces as spaces
 from conftest import space_exprs
 from gottlieb.spaces import (
     Atom,
@@ -188,3 +189,40 @@ def test_desugar_removes_sugar_nodes(expr):
         return False
 
     assert not has_nested_susp(plain)
+
+
+def _chain(depth: int, core=Atom("Y")):
+    for _ in range(depth):
+        core = MapSpace(Sphere(1), core)
+    return core
+
+
+def test_deep_chains_compare_hash_and_print_without_recursion():
+    depth = 100_000  # far past the interpreter's recursion limit
+    chain = _chain(depth)
+    assert chain == _chain(depth)
+    assert hash(chain) == hash(_chain(depth))
+    assert chain != _chain(depth, Atom("Z"))
+    assert chain != _chain(depth - 1)
+    assert format_space(chain) == "map(S1, " * depth + "Y" + ")" * depth
+    assert desugar(Loop(Atom("Y"), depth)) == chain  # exactly at the expansion ceiling
+
+
+@pytest.mark.parametrize(
+    "text, copies",
+    [
+        ("prod(T60000, T60000)", 120000),
+        ("bloop(Y, 50000, 50001)", 100001),
+        ("loop(map(wedge(B99999, S2), Y), 2)", 100001),
+        ("susp(T100000000000000000000)", 10**20),
+    ],
+)
+def test_desugar_refuses_a_sum_of_copies_over_the_ceiling_unbuilt(monkeypatch, text, copies):
+    # Every count here is under the ceiling or far past it; the check reads
+    # their sum over the whole expression before any node is built.
+    expr = parse_space(text)
+    monkeypatch.setattr(spaces, "_expand", None)
+    with pytest.raises(ValueError) as err:
+        desugar(expr)
+    assert str(err.value) == f"expansion of {copies} copies is over the ceiling of 100000"
+    assert spaces.EXPANSION_CEILING == 100_000
