@@ -15,37 +15,33 @@ degree-n Gottlieb group of ``expr``.  Rules, applied deterministically:
   ``map(susp(B), Y)`` leaves ``Gen[Σ^{n+1} B -> Y]``.
 
 The engine makes one pass down the curried chain of mapping spaces, with
-no degree: it carries the product of the shift polynomials split so far,
-and each residual level keeps the polynomial it was reached with.  The
-pass (``_walk_chain``) returns that state, and ``at(n)`` reads degree n
-off it as an offset: the core atom gives ``G[n + i](Y)`` (``pi[n + i](Y)``
-for ``fox``) with multiplicity c_i, a residual ``Gen`` terms at n + s + i
-for a source suspended s times.  So a window of degrees costs one pass.
-The pass needs no recursion, so the depth of an iterated loop space is
-not bounded by the interpreter's recursion limit.  Its terms are distinct
-by construction and the core's come out in degree order, so the answer
-is built without a second merge, and sorted only when residuals were
+no degree and no recursion, so the depth of an iterated loop space is
+not bounded by the interpreter's recursion limit.  Each splitting level
+adds a run (source, count): a ``map(S1, ...)`` level or a product factor
+one, ``loop``/``bloop`` N copies of S1 or of the m-circle bouquet
+(1 + m t), ``T<N>`` N circles, all read where the sugar stands; equal
+levels in a row are one run.  The walk reads each distinct source's
+degree (``splitting.shift_degree``) and forms no polynomial.  A residual
+records how many runs came before it and keeps its source and target as
+written.  Product factors are walked by index: the curried target
+``map(prod(rest), Y)`` is built only when a nested product or a residual
+needs it.
+
+At the end the chain's degree is charged to the size budget, and only
+then is each distinct source split, once.  ``splitting.charged_product``
+forms the core polynomial from all runs, which charges their digits, and
+each residual's from running totals of the runs before it:
+``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail at once with a
+``DecomposeError`` naming the estimate and the ceiling, and so do a
+hundred distinct ``susp(T9000)`` levels, none of which is formed.  The
+pass (``_walk_chain``) returns these polynomials, and ``at(n)`` reads
+degree n off them as an offset: the core atom gives ``G[n + i](Y)``
+(``pi[n + i](Y)`` for ``fox``) with multiplicity c_i, a residual ``Gen``
+terms at n + s + i for a source suspended s times, expanded only then.
+So a window of degrees costs one pass.  The terms are distinct by
+construction and the core's come out in degree order, so the answer is
+built without a second merge, and sorted only when residuals were
 emitted.
-
-Splitting levels are taken in runs.  Consecutive sources with the same
-shift polynomial p, whether they come from a ``map(S1, map(S1, ...))``
-chain, from the factors of a product, from ``loop``/``bloop`` (N copies
-of S1 or of the m-circle bouquet, whose polynomial is 1 + m t) or from
-``T<N>`` (N copies of S1), fold into one step ``acc * p**run``; the power
-uses Miller's recurrence (see ``ShiftPolynomial.__pow__``).  The sugar is
-read where it stands and never expanded on the way, and each distinct
-source is split once per call.  Product factors are walked by index: the
-curried target ``map(prod(rest), Y)`` is built only when a nested product
-or a residual needs it.  A residual keeps its source and target as
-written; ``at`` expands them, so they print in desugared form, and only
-after the pass has charged every level to the size budget.
-
-Before any power is formed, its run is charged to a ``SizeBudget``: the
-answer's degree (sum of run * max_shift) and the digits of its largest
-multiplicity (sum of run * log10 p(1)).  Past ``MAX_DEGREE`` or
-``MAX_DIGITS`` the call raises ``DecomposeError`` naming the estimate and
-the ceiling, so ``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail at once
-instead of computing numbers too long to print.
 """
 
 from math import comb
@@ -71,7 +67,9 @@ from .spaces import (
 from .splitting import (
     DecomposeError,
     ShiftPolynomial,
-    SizeBudget,
+    charge_degree,
+    charged_product,
+    shift_degree,
     sphere_splitting,
 )
 
@@ -81,52 +79,50 @@ _CIRCLE = Sphere(1)
 
 
 class _Walk:
-    """One degree-free pass: the core atom, its polynomial and the residuals.
+    """One degree-free pass: the runs, the core atom and the residuals.
 
-    ``core`` is the atom's name (None for a point), ``acc`` the core
-    polynomial, ``families`` one (source, target, polynomial) per blocked
-    level, in the order met, with source and target as written.
+    ``levels`` maps each distinct source to a [degree, polynomial] record,
+    its polynomial formed only after ``degree``, the core's, is charged.
+    ``runs`` holds one [record, count, source] per run of equal levels
+    and ``families`` one (source, target, before) per blocked level, in
+    the order met, with source and target as written and ``before`` the
+    number of runs ahead of it.  ``core`` is the atom's name (None for a
+    point).  ``prefixes`` maps each ``before`` and ``len(runs)``, the
+    core's, to the product of the runs ahead.
     """
 
     def __init__(self, atom_shifts) -> None:
         self.atom_shifts = atom_shifts
         self.core: str | None = None
-        self.families: list[tuple[SpaceExpr, SpaceExpr, ShiftPolynomial]] = []
-        self.acc = ShiftPolynomial.one()
-        self.budget = SizeBudget()
-        self.splits: dict[SpaceExpr, ShiftPolynomial | None] = {}
-        self.source: SpaceExpr | None = None  # last splittable source seen
-        self.poly = self.acc  # its polynomial, the one the open run repeats
-        self.run = 0
+        self.families: list[tuple[SpaceExpr, SpaceExpr, int]] = []
+        self.levels: dict[SpaceExpr, list] = {}
+        self.runs: list[list] = []
+        self.open: list | None = None  # the last run, while no residual follows it
+        self.degree = 0
+        self.prefixes: dict[int, ShiftPolynomial] = {}
 
     def take(self, source: SpaceExpr, count: int = 1) -> bool:
-        """Add ``count`` levels of ``source`` to the open run; False if it is blocked."""
-        if source is not self.source:
-            if isinstance(source, Torus):
-                return self.take(_CIRCLE, count * source.factors)
-            if source in self.splits:
-                poly = self.splits[source]
-            else:
-                poly = self.splits[source] = sphere_splitting(source, self.atom_shifts).poly
-            if poly is None:
+        """Add ``count`` levels of ``source`` to the runs; False if it is blocked."""
+        if isinstance(source, Torus):
+            source, count = _CIRCLE, count * source.factors
+        run = self.open
+        if run is None or source is not run[2]:  # a lookup where the source changes
+            level = self.levels.get(source)
+            if level is None:
+                level = self.levels[source] = [shift_degree(source, self.atom_shifts), None]
+            if level[0] is None:
                 return False
-            if poly != self.poly:
-                self.flush()
-                self.poly = poly
-            self.source = source
-        self.run += count
+            if run is None or level is not run[0]:
+                run = self.open = [level, 0, source]
+                self.runs.append(run)
+        run[1] += count
+        self.degree += count * run[0][0]
         return True
-
-    def flush(self) -> None:
-        if self.run:
-            self.budget.charge(self.poly, self.run)
-            self.acc = self.acc * self.poly**self.run
-            self.run = 0
 
     def residual(self, source: SpaceExpr, target: SpaceExpr) -> None:
         # The walk goes on into the target with the polynomial unchanged.
-        self.flush()
-        self.families.append((source, target, self.acc))
+        self.families.append((source, target, len(self.runs)))
+        self.open = None
 
     def at(self, degree: int, kind: type = GottliebTerm) -> FormalSum:
         """The sum at ``degree``, with ``kind`` terms at the core.
@@ -134,12 +130,12 @@ class _Walk:
         ``degree`` must be an integer >= 1, since the terms are built unchecked.
         """
         counts: dict[Term, int] = {}
-        for source, target, poly in self.families:
+        for source, target, before in self.families:
             source, target, suspensions = desugar(source), desugar(target), 0
             if isinstance(source, Susp):
                 source, suspensions = source.child, source.count
             base = degree + suspensions
-            for shift, count in poly.coeffs:
+            for shift, count in self.prefixes[before].coeffs:
                 counts[_trusted_gen(source, base + shift, target)] = count
         # The core terms come in degree order, which is canonical, since the
         # coefficients are sorted by shift; only residuals make a sort needed.
@@ -147,7 +143,7 @@ class _Walk:
         if self.core is not None:
             terms += [
                 (_trusted_term(kind, self.core, degree + shift), count)
-                for shift, count in self.acc.coeffs
+                for shift, count in self.prefixes[len(self.runs)].coeffs
             ]
         return FormalSum._trusted(terms, ordered=not counts)
 
@@ -198,7 +194,13 @@ def _walk_chain(e: SpaceExpr, atom_shifts) -> _Walk:
             e = e.target
         else:
             break
-    walk.flush()
+    charge_degree(walk.degree)  # before any level's polynomial is formed
+    for source, level in walk.levels.items():
+        if level[0] is not None:
+            level[1] = sphere_splitting(source, atom_shifts).poly
+    runs = [(level[1], k) for level, k, _ in walk.runs]
+    prefixes = walk.prefixes
+    prefixes[len(runs)] = charged_product(runs)
     if isinstance(e, Atom):
         walk.core = e.name
     elif not isinstance(e, Point):
@@ -206,6 +208,17 @@ def _walk_chain(e: SpaceExpr, atom_shifts) -> _Walk:
             f"no decomposition rule for target {format_space(e)!r}; "
             "targets must be atoms, points, or mapping spaces"
         )
+    # The core's charge bounds every prefix.  Each distinct prefix is one
+    # recurrence over running totals of the runs before it: no run is read
+    # twice, and no two dense polynomials are multiplied.
+    totals: dict[ShiftPolynomial, int] = {}
+    done = 0
+    for _, _, before in walk.families:
+        if before not in prefixes:
+            for poly, k in runs[done:before]:
+                totals[poly] = totals.get(poly, 0) + k
+            prefixes[before] = charged_product(totals.items())
+            done = before
     return walk
 
 

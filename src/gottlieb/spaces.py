@@ -416,9 +416,20 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
     copies = _copies(expr)
     if copies > EXPANSION_CEILING:
         raise ValueError(
-            f"expansion of {copies} copies is over the ceiling of {EXPANSION_CEILING}"
+            f"expansion of {_count_text(copies)} copies is over the ceiling of "
+            f"{EXPANSION_CEILING}"
         )
     return _expand(expr)
+
+
+def _count_text(n: int) -> str:
+    """``n`` in decimal, or by its digit count past the interpreter's
+    printing limit (4300 digits by default), where ``str`` refuses it."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
+        return f"<{digits + (n >= 10**digits)}-digit number>"
 
 
 def _copies(expr: SpaceExpr) -> int:

@@ -23,16 +23,21 @@ Rules, computed directly on polynomials:
 Mapping spaces and undeclared atoms block the splitting, and the blocking
 subterm is reported rather than raised.
 
-Powers use J. C. P. Miller's recurrence (Knuth, TAOCP Vol. 2, 4.7), not
-repeated products, and every power is charged to a ``SizeBudget`` before
-it is formed: past ``MAX_DEGREE`` or ``MAX_DIGITS`` a ``DecomposeError``
-names the estimate and the ceiling instead of computing an answer that
-could not be printed.
+Every product the engine forms, a power included, is one call of
+``charged_product`` on (polynomial, count) runs: J. C. P. Miller's
+recurrence for several factors (Knuth, TAOCP Vol. 2, 4.7), run only
+after the whole product is charged to the size budget.  ``shift_degree``
+reads an expression's degree multiplying nothing, so the levels of a
+chain and the factors of a product are charged before any is formed.  Past
+``MAX_DEGREE`` or ``MAX_DIGITS`` a ``DecomposeError`` names the estimate
+and the ceiling instead of computing an answer that could not be printed.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from math import ceil, gcd, log10
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .spaces import (
     Atom,
@@ -47,6 +52,7 @@ from .spaces import (
     Susp,
     Torus,
     Wedge,
+    _count_text,
     format_space,
 )
 
@@ -56,8 +62,10 @@ __all__ = [
     "DecomposeError",
     "NotSplittableError",
     "ShiftPolynomial",
-    "SizeBudget",
     "SphereSplitting",
+    "charge_degree",
+    "charged_product",
+    "shift_degree",
     "shift_polynomial",
     "sphere_splitting",
 ]
@@ -74,40 +82,6 @@ MAX_DIGITS = 4_000
 class DecomposeError(ValueError):
     """No decomposition: no rule applies (e.g. a bare sphere target), or the
     answer would exceed the size budget."""
-
-
-class SizeBudget:
-    """Running size estimate of an answer, charged before any power is formed.
-
-    A run of k copies of a level with polynomial p adds k * max_shift(p)
-    to the answer's degree and k * log10 p(1) to the digits of its largest
-    coefficient.  Both sums are exact for the product of the runs.
-    """
-
-    __slots__ = ("degree", "digits")
-
-    def __init__(self) -> None:
-        self.degree = 0
-        self.digits = 0.0
-
-    def charge(self, poly: "ShiftPolynomial", run: int) -> None:
-        if len(poly.coeffs) == 1:
-            return  # the constant 1: every power of it is 1
-        # max_shift >= 1 here, so the degree check bounds run before the
-        # float product below is formed.
-        degree = self.degree + run * poly.max_shift
-        if degree > MAX_DEGREE:
-            raise DecomposeError(
-                f"answer too large: degree shift {degree} exceeds the size "
-                f"budget of {MAX_DEGREE}"
-            )
-        digits = self.digits + run * log10(poly.total())
-        if digits > MAX_DIGITS:
-            raise DecomposeError(
-                f"answer too large: multiplicities of up to {ceil(digits)} digits "
-                f"exceed the size budget of {MAX_DIGITS} digits"
-            )
-        self.degree, self.digits = degree, digits
 
 
 class NotSplittableError(ValueError):
@@ -151,7 +125,7 @@ class ShiftPolynomial:
 
     @classmethod
     def one(cls) -> "ShiftPolynomial":
-        return cls._trusted(((0, 1),))
+        return _ONE
 
     @classmethod
     def from_shifts(cls, shifts: Sequence[int]) -> "ShiftPolynomial":
@@ -178,15 +152,11 @@ class ShiftPolynomial:
 
     def total(self) -> int:
         """Value at t = 1, i.e. the number of wedge summands plus one."""
-        return sum(c for _, c in self.coeffs)
+        return sum(map(itemgetter(1), self.coeffs))
 
     def __mul__(self, other: "ShiftPolynomial") -> "ShiftPolynomial":
         if not isinstance(other, ShiftPolynomial):
             return NotImplemented
-        if len(other.coeffs) == 1:
-            return self
-        if len(self.coeffs) == 1:
-            return other
         counts: dict[int, int] = {}
         for i, a in self.coeffs:
             for j, b in other.coeffs:
@@ -194,37 +164,12 @@ class ShiftPolynomial:
         return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
 
     def __pow__(self, exponent: int) -> "ShiftPolynomial":
-        """p^k by J. C. P. Miller's recurrence, charged to a fresh budget.
-
-        With q = p^k and p_0 = q_0 = 1, n q_n = sum over j of
-        ((k + 1) j - n) p_j q_{n-j}, and the division is exact.  Shifts are
-        first divided by their gcd g, so a sparse p such as 1 + t^g costs
-        one step per term of the answer.
-        """
+        """p^k, the one-run case of ``charged_product``."""
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        if exponent == 0 or len(self.coeffs) == 1:
-            return ShiftPolynomial.one()
-        if exponent == 1:
-            return self
-        SizeBudget().charge(self, exponent)
-        g = 0
-        for i, _ in self.coeffs:
-            g = gcd(g, i)
-        terms = [(i // g, c) for i, c in self.coeffs[1:]]
-        k1 = exponent + 1
-        q = [1] + [0] * (exponent * terms[-1][0])
-        for n in range(1, len(q)):
-            total = 0
-            for j, c in terms:
-                if j > n:
-                    break
-                if q[n - j]:
-                    total += (k1 * j - n) * c * q[n - j]
-            q[n] = total // n
-        return ShiftPolynomial._trusted(tuple((n * g, c) for n, c in enumerate(q) if c))
+        return charged_product(((self, exponent),))
 
     def __str__(self) -> str:
         parts = []
@@ -261,12 +206,81 @@ class SphereSplitting:
         return f"not splittable: {format_space(self.blocker)} ({self.reason})"
 
 
+def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynomial:
+    """The product of p^k over ``runs`` of (p, k), charged to the size budget.
+
+    The answer's degree, the sum of k * max_shift(p), may be at most
+    ``MAX_DEGREE``, then its digits, the sum of k * log10 p(1), at most
+    ``MAX_DIGITS``: totals over all runs, checked before anything is formed.
+    Equal p are merged and shifts divided by their gcd.  With q the
+    product, P that of the distinct p and R = sum of k p' P / p, P q' = R q
+    gives n q_n = sum over d >= 1 of (R_{d-1} - (n - d) P_d) q_{n-d}, an
+    exact division costing one step per term of P and R.  Where every k
+    is 1, q is P and R is not formed.
+    """
+    counts: dict[ShiftPolynomial, int] = {}
+    degree = 0
+    for poly, k in runs:
+        if k and len(poly.coeffs) > 1:  # every power of the constant 1 is 1
+            counts[poly] = counts.get(poly, 0) + k
+            degree += k * poly.max_shift
+    charge_degree(degree)
+    # The degree check bounds every k, so this float sum is small.
+    digits = sum(k * log10(poly.total()) for poly, k in counts.items())
+    if digits > MAX_DIGITS:
+        raise DecomposeError(
+            f"answer too large: multiplicities of up to {ceil(digits)} digits "
+            f"exceed the size budget of {MAX_DIGITS} digits"
+        )
+    if list(counts.values()) in ([], [1]):
+        return next(iter(counts), _ONE)
+    g = gcd(*map(itemgetter(0), chain.from_iterable(poly.coeffs for poly in counts)))
+    powers = len(counts) < sum(counts.values())  # some k > 1
+    # P and R as dense lists over shift / g: each p makes P into P p and,
+    # where R is needed, R into R p + k p' P.
+    big_p, big_r = [1], [0]
+    for poly, k in sorted(counts.items(), key=lambda run: len(run[0].coeffs)):
+        terms = [(shift // g, c) for shift, c in poly.coeffs]
+        size = len(big_p) + terms[-1][0]
+        next_p, next_r = [0] * size, [0] * size
+        for i, (a, b) in enumerate(zip(big_p, big_r)):
+            for j, c in terms:
+                next_p[i + j] += c * a
+                if powers:
+                    next_r[i + j - 1] += k * j * c * a  # nothing where j = 0
+                    next_r[i + j] += c * b
+        big_p, big_r = next_p, next_r
+    q = big_p  # the product, if every k is 1
+    if powers:
+        steps = [(d, big_r[d - 1], big_p[d]) for d in range(1, len(big_p))
+                 if big_r[d - 1] or big_p[d]]
+        q = [1] + [0] * (degree // g)
+        for n in range(1, len(q)):
+            total = 0
+            for d, r, p in steps:
+                if d > n:
+                    break
+                total += (r - (n - d) * p) * q[n - d]
+            q[n] = total // n
+    return ShiftPolynomial._trusted(tuple(filter(itemgetter(1), zip(range(0, g * len(q), g), q))))
+
+
+def charge_degree(degree: int) -> None:
+    """Refuse an answer whose degree shift is past ``MAX_DEGREE``."""
+    if degree > MAX_DEGREE:
+        raise DecomposeError(
+            f"answer too large: degree shift {_count_text(degree)} exceeds the size "
+            f"budget of {MAX_DEGREE}"
+        )
+
+
 class _Blocked(Exception):
     def __init__(self, blocker: SpaceExpr, reason: str):
         self.blocker = blocker
         self.reason = reason
 
 
+_ONE = ShiftPolynomial._trusted(((0, 1),))
 _CIRCLE = ShiftPolynomial._trusted(((0, 1), (1, 1)))
 
 
@@ -275,7 +289,7 @@ def _poly_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> Shift
         case Sphere(dim):
             return ShiftPolynomial._trusted(((0, 1), (dim, 1)))
         case Torus(factors):
-            return _CIRCLE**factors
+            return charged_product(((_CIRCLE, factors),))
         case Bouquet(circles):
             return ShiftPolynomial._trusted(((0, 1), (1, circles)))
         case Point():
@@ -300,16 +314,47 @@ def _poly_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> Shift
                 ((0, 1),) + tuple((i + count, c) for i, c in inner.coeffs[1:])
             )
         case Product(children):
-            budget = SizeBudget()
-            out = ShiftPolynomial.one()
-            for child in children:
-                poly = _poly_of(child, atom_shifts)
-                budget.charge(poly, 1)
-                out = out * poly
-            return out
+            charge_degree(_max_shift(expr, atom_shifts))  # before any factor is formed
+            # A torus factor is a run of circles: as one dense factor it
+            # would make the recurrence's P dense.
+            return charged_product([
+                (_CIRCLE, child.factors) if isinstance(child, Torus)
+                else (_poly_of(child, atom_shifts), 1)
+                for child in children
+            ])
         case MapSpace() | Loop() | BouquetSpace():
             raise _Blocked(expr, "mapping spaces do not split into spheres")
     raise TypeError(f"not a space expression: {expr!r}")
+
+
+def _max_shift(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
+    """The degree of ``_poly_of(expr)``, forming only the leaves' polynomials."""
+    match expr:
+        case Sphere(dim):
+            return dim
+        case Torus(factors):
+            return factors
+        case Product(children):
+            return sum(_max_shift(child, atom_shifts) for child in children)
+        case Wedge(children):
+            return max(_max_shift(child, atom_shifts) for child in children)
+        case Susp(child, count):
+            return (inner := _max_shift(child, atom_shifts)) and inner + count
+    return _poly_of(expr, atom_shifts).max_shift
+
+
+def shift_degree(
+    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
+) -> int | None:
+    """The degree of the shift polynomial of ``expr``, None where it is blocked.
+
+    Nothing is multiplied, so a chain of levels can be charged to the size
+    budget before any of their polynomials is formed.
+    """
+    try:
+        return _max_shift(expr, atom_shifts or {})
+    except _Blocked:
+        return None
 
 
 def sphere_splitting(

@@ -194,6 +194,22 @@ def test_oversized_answers_exit_two_at_once(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "expr, message",
+    [
+        # One past 10^4300 circles, and 11 times 10^4300 - 1 copies.
+        ("map(S1, map(T{n}, Y))",
+         "answer too large: degree shift <4301-digit number> exceeds the size budget of 10000"),
+        ("map(wedge(A" + ", T{n}" * 11 + "), Y)",
+         "expansion of <4302-digit number> copies is over the ceiling of 100000"),
+    ],
+)
+def test_estimates_past_the_printing_limit_are_named_by_their_digits(capsys, expr, message):
+    expr = expr.format(n="9" * 4300)
+    code, out, err = run(capsys, "decompose", "--expr", expr, "--degree", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "expr", ["loop(Y, 100000000000000000000)", "map(T100000000000000000000, Y)", "loop(Y, 20000)"]
 )
 def test_oversized_check_exits_two_before_any_strategy_runs(capsys, expr):

@@ -1,15 +1,20 @@
 """The decomposition rewrite engine and its closed bouquet form."""
 
 import importlib
+import os
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import splittable_exprs
+import gottlieb
+from conftest import run_capped, splittable_exprs
 from gottlieb.decompose import DecomposeError, closed_form_bouquet, decompose
 from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm
+from gottlieb.oracle import crosscheck
 from gottlieb.spaces import (
     Atom,
     MapSpace,
@@ -20,6 +25,7 @@ from gottlieb.spaces import (
     desugar,
     parse_space,
 )
+from gottlieb.splitting import ShiftPolynomial
 
 
 def _g(degree, space="Y"):
@@ -191,6 +197,9 @@ def test_deep_chains_are_fast(text, terms):
         ("map(T200000, Y)", "200000 exceeds the size budget of 10000"),
         ("loop(loop(Y, 6000), 6000)", "12000 exceeds the size budget of 10000"),
         ("map(prod(S1, S2), loop(Y, 9999))", "10002 exceeds the size budget of 10000"),
+        # Totals over every run of the chain, the degree before the digits.
+        ("map(T6000, map(T6000, loop(Y, 6000)))", "18000 exceeds the size budget of 10000"),
+        ("bloop(map(T20000, Y), 10, 5000)", "25000 exceeds the size budget of 10000"),
     ],
 )
 def test_size_budget_is_checked_before_any_power(text, message):
@@ -201,20 +210,136 @@ def test_size_budget_is_checked_before_any_power(text, message):
     assert message in str(err.value)
 
 
+_ROWS = """
+import sys, time
+from gottlieb import decompose, parse_space
+for text in sys.argv[1:]:
+    start = time.perf_counter()
+    result = decompose(parse_space(text), 1)
+    print(time.perf_counter() - start, len(result), sum(count for _, count in result))
+"""
+
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+
+
+def test_dense_runs_of_distinct_levels_cost_their_answer():
+    # All runs go through one recurrence.  Multiplying the two dense
+    # powers term by term took minutes on each of these rows.
+    rows = {
+        "map(T5000, bloop(Y, 2, 4999))": 2**5000 * 3**4999,
+        "map(susp(prod(T5000, T4999)), Y)": 2**9999,
+    }
+    result, _ = run_capped([sys.executable, "-c", _ROWS, *rows], _ENV, timeout=30)
+    assert result.returncode == 0, result.stderr
+    for line, total in zip(result.stdout.splitlines(), rows.values(), strict=True):
+        seconds, terms, multiplicities = line.split()
+        assert float(seconds) < 1, line
+        assert (int(terms), int(multiplicities)) == (10000, total)
+
+
+_PREFIXES = """
+import sys, time
+from gottlieb import parse_space
+from gottlieb.decompose import _walk_chain
+start = time.perf_counter()
+walk = _walk_chain(parse_space(sys.argv[1]), None)
+print(time.perf_counter() - start, *(walk.prefixes[n].total() for n in sorted(walk.prefixes)))
+"""
+
+
+def test_residual_prefixes_multiply_no_dense_polynomials():
+    # 6000 circles, a residual, 3000 more and another residual.  The second
+    # prefix as the first times (1 + t)^3000 is a dense product of minutes;
+    # from running totals it is one power of the circle.
+    chain = "loop(map(A, map(T3000, map(B, loop(Y, 3)))), 6000)"
+    result, _ = run_capped([sys.executable, "-c", _PREFIXES, chain], _ENV, timeout=30)
+    assert result.returncode == 0, result.stderr
+    seconds, *totals = result.stdout.split()
+    assert float(seconds) < 1, seconds
+    assert [int(total) for total in totals] == [2**6000, 2**9000, 2**9003]
+
+
+_REFUSED = """
+import sys
+from gottlieb import DecomposeError, decompose, parse_space
+from gottlieb.splitting import sphere_splitting
+for call, text in ((lambda e: decompose(e, 1), sys.argv[1]), (sphere_splitting, sys.argv[2])):
+    try:
+        call(parse_space(text))
+    except DecomposeError as err:
+        print(err)
+"""
+
+
+def test_distinct_levels_and_factors_are_charged_before_any_is_formed():
+    # Each susp(T<N>) is in budget alone, about 9000 coefficients of up to
+    # 2700 digits; a hundred of them, as levels of a chain or as factors of
+    # a product, are refused by their total degree with none formed.
+    levels = [f"susp(T{9000 + i})" for i in range(100)]
+    chain = "Y"
+    for level in levels:
+        chain = f"map({level}, {chain})"
+    product = f"prod({', '.join(levels)})"
+    result, elapsed = run_capped([sys.executable, "-c", _REFUSED, chain, product], _ENV)
+    message = "answer too large: degree shift 905050 exceeds the size budget of 10000\n"
+    assert (result.returncode, result.stdout) == (0, message * 2), result.stderr
+    assert elapsed < 1, elapsed
+
+
+_SHIFTS = {"X": (1, 2)}
+_SAMPLE = [
+    "map(T6, Y)",
+    "loop(Y, 5)",
+    "bloop(Y, 3, 4)",
+    "map(B4, map(S2, map(B4, Y)))",
+    "map(prod(S2, wedge(S1, S3), X, S2), Y)",
+    "map(susp(prod(T3, X, T2, wedge(S1, S2))), Y)",
+    "map(prod(T3, A), map(S1, map(susp(A, 2), loop(map(prod(A, X), Y), 2))))",
+    "map(S1, map(A, map(T2, map(B, pt))))",
+]
+
+
+def test_the_engine_multiplies_no_two_polynomials(monkeypatch):
+    # Every product the engine forms is one charged_product call, so the
+    # polynomial oracle's one-at-a-time products check it independently.
+    expected = [decompose(parse_space(text), 2, _SHIFTS) for text in _SAMPLE]
+
+    def refused(self, other):
+        raise AssertionError("two polynomials were multiplied")
+
+    monkeypatch.setattr(ShiftPolynomial, "__mul__", refused)
+    assert [decompose(parse_space(text), 2, _SHIFTS) for text in _SAMPLE] == expected
+    others = ["deterministic", "randomized", "closed-form", "recursion",
+              "tuple-enumeration", "derived-profile"]
+    for text in ("map(prod(S2, wedge(S1, S3)), Y)", "loop(Y, 4)"):
+        assert crosscheck(text, [1, 2], others).passed
+        with pytest.raises(AssertionError, match="two polynomials were multiplied"):
+            crosscheck(text, [1, 2], ["deterministic", "polynomial"])
+
+
 def test_runs_split_each_distinct_source_once(monkeypatch):
     # The package root re-exports the function under the module's name.
+    # The walk reads each distinct source's degree once; after the chain is
+    # charged, each splittable one is split once.
     engine = importlib.import_module("gottlieb.decompose")
-    calls = []
+    calls = {"shift_degree": [], "sphere_splitting": []}
 
-    def counting(source, atom_shifts=None):
-        calls.append(source)
-        return engine_split(source, atom_shifts)
+    def counting(name):
+        function = getattr(engine, name)
 
-    engine_split = engine.sphere_splitting
-    monkeypatch.setattr(engine, "sphere_splitting", counting)
+        def counted(source, atom_shifts=None):
+            calls[name].append(str(source))
+            return function(source, atom_shifts)
+
+        monkeypatch.setattr(engine, name, counted)
+
+    counting("shift_degree")
+    counting("sphere_splitting")
     expr = parse_space("map(prod(S1, S2, S1, T3), map(A, map(S2, loop(map(S1, Y), 5))))")
     result = decompose(expr, 1)
-    assert sorted(map(str, calls)) == ["A", "S1", "S2"]
+    assert sorted(calls["shift_degree"]) == ["A", "S1", "S2"]
+    assert sorted(calls["sphere_splitting"]) == ["S1", "S2"]
     assert result == decompose(desugar(expr), 1)
     assert str(result).startswith("G[1](Y) + 11*G[2](Y) + ")
 

@@ -127,6 +127,25 @@ def test_randomized_decompose_agrees_on_residual_chains(sources, core, degree):
             assert randomized_decompose(expr, n, _SHIFTS, random.Random(seed)) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from([Sphere(1), Torus(2), Bouquet(2), Atom("X"), Atom("B"), Susp(Atom("B"))]),
+        min_size=2, max_size=10,
+    ),
+    st.integers(0, 2**32),
+)
+def test_equal_runs_across_residuals_agree_with_one_level_at_a_time(sources, seed):
+    # Equal polynomials on both sides of a residual are one merged run in
+    # the core's product and apart in the residual's prefix product; the
+    # randomized walk multiplies one level at a time.
+    expr = Atom("Y")
+    for source in reversed(sources):
+        expr = MapSpace(source, expr)
+    expected = randomized_decompose(expr, 1, _SHIFTS, random.Random(seed))
+    assert decompose(expr, 1, _SHIFTS) == expected
+
+
 def _raised(formal_sum: FormalSum, k: int) -> FormalSum:
     """``formal_sum`` with every G degree and every Gen suspension count raised by k."""
     pairs = []
@@ -175,18 +194,19 @@ def test_the_closed_form_reads_a_degree_as_an_offset(circles, iterations, n):
 
 
 def test_wrong_power_is_caught_by_the_oracles(monkeypatch):
-    # The engine takes runs as powers; the oracles multiply one level at a
-    # time or use binomials, so a faulty power cannot agree with them.
-    from gottlieb.splitting import ShiftPolynomial
+    # The engine forms its product of runs in one call; the oracles
+    # multiply one level at a time or use binomials, so a faulty product
+    # cannot agree with them.
+    engine = importlib.import_module("gottlieb.decompose")
 
     assert crosscheck("loop(Y, 4)", [1, 2, 3]).passed
-    right = ShiftPolynomial.__pow__
+    right = engine.charged_product
 
-    def wrong(self, exponent):
-        power = right(self, exponent)
+    def wrong(runs):
+        power = right(runs)
         return ShiftPolynomial(power.coeffs + ((power.max_shift + 1, 1),))
 
-    monkeypatch.setattr(ShiftPolynomial, "__pow__", wrong)
+    monkeypatch.setattr(engine, "charged_product", wrong)
     report = crosscheck("loop(Y, 4)", [1, 2, 3])
     assert not report.passed
     failed = {(e.left, e.right) for e in report.entries if not e.passed}

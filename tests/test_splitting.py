@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import splittable_exprs
+from conftest import space_exprs, splittable_exprs
 from gottlieb.oracle import tuple_enumeration_shifts
 from gottlieb.spaces import (
     Atom,
@@ -27,6 +27,8 @@ from gottlieb.splitting import (
     DecomposeError,
     NotSplittableError,
     ShiftPolynomial,
+    charged_product,
+    shift_degree,
     sphere_splitting,
     shift_polynomial,
 )
@@ -158,6 +160,62 @@ def test_power_is_charged_to_the_size_budget():
     with pytest.raises(ValueError):
         circle ** -1
     assert ShiftPolynomial.one() ** 10**30 == ShiftPolynomial.one()
+    # The first power is charged too: p ** 1 is a one-run product.
+    wide = ShiftPolynomial.from_dict({0: 1, MAX_DEGREE + 1: 1})
+    assert wide ** 0 == ShiftPolynomial.one()
+    with pytest.raises(DecomposeError, match=f"degree shift {MAX_DEGREE + 1} exceeds"):
+        wide ** 1
+
+
+_DENSE_POLYS = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(
+    lambda coeffs: ShiftPolynomial.from_dict({0: 1, **dict(enumerate(coeffs, 1))})
+)
+
+
+@st.composite
+def _run_lists(draw):
+    """Runs over a small pool of polynomials, so some repeat; every shift
+    of the pool is a multiple of one common gcd."""
+    g = draw(st.integers(1, 4))
+    factors = st.one_of(_SPARSE_POLYS, _DENSE_POLYS, st.just(ShiftPolynomial.one()))
+    pool = [
+        ShiftPolynomial(tuple((shift * g, c) for shift, c in poly.coeffs))
+        for poly in draw(st.lists(factors, min_size=1, max_size=3))
+    ]
+    return draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 6)), max_size=6))
+
+
+@given(_run_lists())
+def test_charged_product_matches_one_product_at_a_time(runs):
+    expected = ShiftPolynomial.one()
+    for poly, k in runs:
+        for _ in range(k):
+            expected = expected * poly
+    product = charged_product(runs)
+    assert product == expected
+    assert ShiftPolynomial(product.coeffs) == product
+
+
+def test_charged_product_charges_the_total_of_its_runs():
+    circle = ShiftPolynomial.from_shifts([1])
+    ten = ShiftPolynomial.from_dict({0: 1, 1: 10})
+    assert charged_product([(circle, 5000), (circle, 5000)]).coefficient(1) == MAX_DEGREE
+    with pytest.raises(DecomposeError, match=r"degree shift 12000 exceeds the size budget"):
+        charged_product([(circle, 6000), (ShiftPolynomial.one(), 10**30), (circle, 6000)])
+    # The degree is checked first, over all runs: the digits of the first
+    # run alone are over their budget, but the message names the degree.
+    with pytest.raises(DecomposeError, match=r"degree shift 25000 exceeds the size budget"):
+        charged_product([(ten, 5000), (circle, 20000)])
+    with pytest.raises(DecomposeError, match=r"5207 digits exceed the size budget"):
+        charged_product([(ten, 2500), (circle, 0), (ten, 2500)])
+
+
+@given(space_exprs())
+def test_shift_degree_is_the_degree_of_the_formed_polynomial(expr):
+    # The walk charges these degrees before it forms any polynomial.
+    shifts = {"B": (1, 3), "s9": (2,)}
+    poly = sphere_splitting(expr, shifts).poly
+    assert shift_degree(expr, shifts) == (None if poly is None else poly.max_shift)
 
 
 def test_sugar_splits_without_expansion():
