@@ -4,7 +4,8 @@ Usage, from anywhere inside a checkout::
 
     python scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --first-seed 22401 \\
         --out BENCH_22.json [--what TEXT] \\
-        [--claim "query_p50_ms on eval-multiplicity falls"] [--trace-seed 22901]
+        [--claim "query_p50_ms on eval-multiplicity falls"] [--trace-seed 22901] \\
+        [--workload rewrite-ladder ...]
 
 The parent revision is extracted with ``git archive`` into a temporary
 directory, and the change is a copy of the working tree's files (tracked
@@ -14,6 +15,9 @@ and untracked, not ignored) in another.  Each side runs the command of
 turn, interleaved, on seed ``first_seed + 100 * w + i`` for the w-th
 workload; the parent goes first on even pairs and the change on odd ones.
 ``--trace-seed`` adds one ``--trace 1`` pair per workload at the end.
+``--workload NAME``, repeatable, runs only the named workloads, each on
+the seeds it has in a full run.  It is for quick iteration: a BENCH file
+to be kept covers every workload, as a run without it does.
 
 The output keeps the layout of the earlier BENCH files: ``what``,
 ``parent_commit``, ``command``, ``host``, ``protocol``, ``claim``,
@@ -78,6 +82,16 @@ def run_once(tree: Path, command: list, workload: str, seed: int, seconds: float
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def select_workloads(names: list, chosen: list | None) -> list:
+    """(w, name) for each workload of ``names`` that ``chosen`` names, w its
+    index in ``names``, so its seeds are those of a run of every workload;
+    all of them when ``chosen`` is None.  ValueError for an unknown name."""
+    unknown = [name for name in chosen or () if name not in names]
+    if unknown:
+        raise ValueError(f"unknown workload {unknown[0]!r}; choose from {', '.join(names)}")
+    return [(w, name) for w, name in enumerate(names) if chosen is None or name in chosen]
+
+
 def _quartiles(values: list) -> list:
     return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
 
@@ -131,7 +145,7 @@ def _host() -> str:
 def _protocol(workloads: list, pairs: int, first_seed: int) -> str:
     seeds = ", ".join(
         f"{first_seed + SEED_STRIDE * w}-{first_seed + SEED_STRIDE * w + pairs - 1} ({name})"
-        for w, name in enumerate(workloads)
+        for w, name in workloads
     )
     return (f"{pairs} pairs per workload, seeds {seeds}, one per pair; pairs interleaved "
             "across workloads; run order alternating: parent first on even pairs, change first "
@@ -150,13 +164,19 @@ def main(argv=None) -> int:
     parser.add_argument("--what", default="gbench end-to-end result lines, parent vs change")
     parser.add_argument("--claim", help='e.g. "query_p50_ms on eval-multiplicity falls"')
     parser.add_argument("--trace-seed", type=int, help="add one --trace 1 pair per workload")
+    parser.add_argument("--workload", action="append", metavar="NAME",
+                        help="run only this workload (repeatable); default: all")
     args = parser.parse_args(argv)
     if not 2 <= args.pairs <= SEED_STRIDE:
         parser.error(f"--pairs must be in 2..{SEED_STRIDE}")
 
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [workload["name"] for workload in bench["workloads"]]
+    try:
+        workloads = select_workloads([workload["name"] for workload in bench["workloads"]],
+                                     args.workload)
+    except ValueError as err:
+        parser.error(str(err))
     command, seconds = bench["command"], bench["run_seconds"]
     out = Path(args.out)
     doc = {
@@ -179,7 +199,7 @@ def main(argv=None) -> int:
 
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for w, workload in enumerate(workloads):
+            for w, workload in workloads:
                 seed = args.first_seed + SEED_STRIDE * w + pair
                 for side in order:
                     result = run_once(trees[side], command, workload, seed, seconds)
@@ -193,7 +213,7 @@ def main(argv=None) -> int:
                 save()
         if args.trace_seed is not None:
             doc["trace_runs"] = []
-            for w, workload in enumerate(workloads):
+            for w, workload in workloads:
                 seed = args.trace_seed + SEED_STRIDE * w
                 traced = {"command": " ".join(command) + f" --workload {workload} --seed {seed}"
                           f" --seconds {seconds:g} --trace 1", "first": "parent"}

@@ -20,33 +20,39 @@ not bounded by the interpreter's recursion limit.  Each splitting level
 adds a run (source, count): a ``map(S1, ...)`` level or a product factor
 one, ``loop``/``bloop`` N copies of S1 or of the m-circle bouquet
 (1 + m t), ``T<N>`` N circles, all read where the sugar stands; equal
-levels in a row are one run.  The walk reads each distinct source's
-degree (``splitting.shift_degree``) and forms no polynomial.  A residual
-records how many runs came before it and keeps its source and target as
-written.  Product factors are walked by index: the curried target
-``map(prod(rest), Y)`` is built only when a nested product or a residual
-needs it.
+levels in a row are one run.  The walk reads each distinct source once
+(``splitting.split_level``): its degree, and its polynomial too unless
+the source holds a product or a torus, whose polynomial may be large.  A
+residual records how many runs came before it and keeps its source and
+target as written.  Product factors are walked by index: the curried
+target ``map(prod(rest), Y)`` is built only when a nested product or a
+residual needs it.
 
 At the end the chain's degree is charged to the size budget, and only
-then is each distinct source split, once.  ``splitting.charged_product``
-forms the core polynomial from all runs, which charges their digits, and
-each residual's from running totals of the runs before it:
-``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail at once with a
-``DecomposeError`` naming the estimate and the ceiling, and so do a
-hundred distinct ``susp(T9000)`` levels, none of which is formed.  The
-pass (``_walk_chain``) returns these polynomials, and ``at(n)`` reads
-degree n off them as an offset: the core atom gives ``G[n + i](Y)``
-(``pi[n + i](Y)`` for ``fox``) with multiplicity c_i, a residual ``Gen``
-terms at n + s + i for a source suspended s times, expanded only then.
-So a window of degrees costs one pass.  The terms are distinct by
-construction and the core's come out in degree order, so the answer is
-built without a second merge, and sorted only when residuals were
-emitted.
+then is each distinct source whose polynomial was left unformed split,
+once (``splitting.form_level``, which charges no product again).
+``splitting.charged_product`` forms the core polynomial from all runs,
+which charges their digits, and each residual's from running totals of
+the runs before it: ``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail
+at once with a ``DecomposeError`` naming the estimate and the ceiling,
+and so do a hundred distinct ``susp(T9000)`` levels, none of which is
+formed.  The pass (``_walk_chain``) returns these polynomials, and
+``at(n)`` reads degree n off them as an offset: the core atom gives
+``G[n + i](Y)`` (``pi[n + i](Y)`` for ``fox``) with multiplicity c_i, a
+residual ``Gen`` terms at n + s + i for a source suspended s times.  So
+a window of degrees costs one pass.  The first ``at`` desugars each
+residual's source and target, and formats them where there are several
+families to order; later degrees reuse both.  The terms are distinct by
+construction, the core's come out in degree order and ahead of the
+residuals, and the residuals are put in order by their (source text,
+suspensions, target text) keys: the answer is built with no merge, and
+no term is hashed or formatted.
 """
 
 from math import comb
+from operator import itemgetter
 
-from .formal import FormalSum, GottliebTerm, Term, _trusted_gen, _trusted_term
+from .formal import FormalSum, GottliebTerm, _trusted_gen, _trusted_term
 from .spaces import (
     Atom,
     Bouquet,
@@ -69,54 +75,58 @@ from .splitting import (
     ShiftPolynomial,
     charge_degree,
     charged_product,
-    shift_degree,
-    sphere_splitting,
+    form_level,
+    split_level,
 )
 
 __all__ = ["DecomposeError", "closed_form_bouquet", "decompose"]
 
 _CIRCLE = Sphere(1)
+_UNREAD = object()  # a source not yet in ``_Walk.levels``
 
 
 class _Walk:
     """One degree-free pass: the runs, the core atom and the residuals.
 
-    ``levels`` maps each distinct source to a [degree, polynomial] record,
-    its polynomial formed only after ``degree``, the core's, is charged.
+    ``levels`` maps each distinct source to a [degree, polynomial] record
+    (None where it is blocked), read in one pass; a polynomial left None
+    there, a product's, is formed only after the core's degree is charged.
     ``runs`` holds one [record, count, source] per run of equal levels
     and ``families`` one (source, target, before) per blocked level, in
     the order met, with source and target as written and ``before`` the
     number of runs ahead of it.  ``core`` is the atom's name (None for a
     point).  ``prefixes`` maps each ``before`` and ``len(runs)``, the
-    core's, to the product of the runs ahead.
+    core's, to the product of the runs ahead.  ``views`` holds each
+    family's desugared source and target and their texts, made by the
+    first ``at``.
     """
 
     def __init__(self, atom_shifts) -> None:
         self.atom_shifts = atom_shifts
         self.core: str | None = None
         self.families: list[tuple[SpaceExpr, SpaceExpr, int]] = []
-        self.levels: dict[SpaceExpr, list] = {}
+        self.levels: dict[SpaceExpr, list | None] = {}
         self.runs: list[list] = []
         self.open: list | None = None  # the last run, while no residual follows it
-        self.degree = 0
         self.prefixes: dict[int, ShiftPolynomial] = {}
+        self.views: list | None = None
 
     def take(self, source: SpaceExpr, count: int = 1) -> bool:
         """Add ``count`` levels of ``source`` to the runs; False if it is blocked."""
-        if isinstance(source, Torus):
+        if type(source) is Torus:
             source, count = _CIRCLE, count * source.factors
         run = self.open
         if run is None or source is not run[2]:  # a lookup where the source changes
-            level = self.levels.get(source)
+            level = self.levels.get(source, _UNREAD)
+            if level is _UNREAD:
+                split = split_level(source, self.atom_shifts)
+                level = self.levels[source] = split and [*split]
             if level is None:
-                level = self.levels[source] = [shift_degree(source, self.atom_shifts), None]
-            if level[0] is None:
                 return False
             if run is None or level is not run[0]:
                 run = self.open = [level, 0, source]
                 self.runs.append(run)
         run[1] += count
-        self.degree += count * run[0][0]
         return True
 
     def residual(self, source: SpaceExpr, target: SpaceExpr) -> None:
@@ -129,23 +139,39 @@ class _Walk:
 
         ``degree`` must be an integer >= 1, since the terms are built unchecked.
         """
-        counts: dict[Term, int] = {}
-        for source, target, before in self.families:
-            source, target, suspensions = desugar(source), desugar(target), 0
-            if isinstance(source, Susp):
-                source, suspensions = source.child, source.count
-            base = degree + suspensions
-            for shift, count in self.prefixes[before].coeffs:
-                counts[_trusted_gen(source, base + shift, target)] = count
-        # The core terms come in degree order, which is canonical, since the
-        # coefficients are sorted by shift; only residuals make a sort needed.
-        terms = list(counts.items())
+        terms = []
         if self.core is not None:
-            terms += [
+            # The coefficients are sorted by shift, so the core terms come in
+            # degree order, which is canonical, and ahead of every residual.
+            terms = [
                 (_trusted_term(kind, self.core, degree + shift), count)
                 for shift, count in self.prefixes[len(self.runs)].coeffs
             ]
-        return FormalSum._trusted(terms, ordered=not counts)
+        if self.views is None:
+            # Each family desugared once per walk, and its texts formatted
+            # once where there are families to put in order.
+            ordering = len(self.families) > 1
+            self.views = []
+            for source, target, before in self.families:
+                source, target, suspensions = desugar(source), desugar(target), 0
+                if type(source) is Susp:
+                    source, suspensions = source.child, source.count
+                texts = (format_space(source), format_space(target)) if ordering else (None, None)
+                self.views.append((source, suspensions, target, *texts,
+                                   self.prefixes[before].coeffs))
+        # Residual terms sort by (source text, suspensions, target text); no
+        # term is hashed or formatted here.
+        residuals = []
+        for source, suspensions, target, source_text, target_text, coeffs in self.views:
+            base = degree + suspensions
+            residuals += [
+                ((source_text, base + shift, target_text),
+                 (_trusted_gen(source, base + shift, target), count))
+                for shift, count in coeffs
+            ]
+        residuals.sort(key=itemgetter(0))
+        terms += map(itemgetter(1), residuals)
+        return FormalSum._trusted(terms, ordered=True)
 
 
 def _rest(factors: tuple[SpaceExpr, ...], i: int, target: SpaceExpr) -> SpaceExpr:
@@ -194,10 +220,10 @@ def _walk_chain(e: SpaceExpr, atom_shifts) -> _Walk:
             e = e.target
         else:
             break
-    charge_degree(walk.degree)  # before any level's polynomial is formed
+    charge_degree(sum(level[0] * k for level, k, _ in walk.runs))  # before any product is formed
     for source, level in walk.levels.items():
-        if level[0] is not None:
-            level[1] = sphere_splitting(source, atom_shifts).poly
+        if level is not None and level[1] is None:
+            level[1] = form_level(source, atom_shifts)
     runs = [(level[1], k) for level, k, _ in walk.runs]
     prefixes = walk.prefixes
     prefixes[len(runs)] = charged_product(runs)

@@ -187,8 +187,26 @@ class FormalSum:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        # ``term_text`` of each term, with the two common kinds read off
+        # directly and each Gen source or target node formatted once: a
+        # residual family shares its nodes between its terms.
+        texts: dict[int, str] = {}
+
+        def node_text(node: SpaceExpr) -> str:
+            text = texts.get(id(node))
+            if text is None:
+                text = texts[id(node)] = format_space(node)
+            return text
+
         parts = []
         for term, mult in self.terms:
-            text = term_text(term)
+            kind = type(term)
+            if kind is GottliebTerm:
+                text = f"G[{term.degree}]({term.space})"
+            elif kind is GenGottliebTerm:
+                text = (f"Gen[Σ^{term.suspensions} {node_text(term.source)} -> "
+                        f"{node_text(term.target)}]")
+            else:
+                text = term_text(term)
             parts.append(text if mult == 1 else f"{mult}*{text}")
         return " + ".join(parts)

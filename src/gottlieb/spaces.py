@@ -136,8 +136,9 @@ class Susp(SpaceExpr):
 class MapSpace(SpaceExpr):
     """Constant-map component of the free mapping space from ``source`` to ``target``.
 
-    Equality and hashing walk a chain of targets in a loop, so a deep
-    iterated loop space is not bounded by the interpreter's recursion limit.
+    Equality, hashing and ``repr`` walk a chain of targets in a loop, so a
+    deep iterated loop space is not bounded by the interpreter's recursion
+    limit.
     """
 
     source: SpaceExpr
@@ -161,6 +162,15 @@ class MapSpace(SpaceExpr):
             sources.append(e.source)
             e = e.target
         return hash((tuple(sources), e))
+
+    def __repr__(self) -> str:
+        # The generated repr's text, built along the chain of targets.
+        sources, e = [], self
+        while type(e) is MapSpace:
+            sources.append(repr(e.source))
+            e = e.target
+        heads = "".join(f"MapSpace(source={source}, target=" for source in sources)
+        return heads + repr(e) + ")" * len(sources)
 
 
 @dataclass(frozen=True)
@@ -361,11 +371,16 @@ def parse_space(text: str) -> SpaceExpr:
 def format_space(expr: SpaceExpr) -> str:
     """Canonical concrete syntax; inverse to ``parse_space`` on valid trees.
 
-    A chain of mapping spaces is printed along its targets in a loop.
+    A chain of mapping spaces is printed along its targets in a loop, a
+    source node repeated along it (as ``desugar`` repeats a loop's circle)
+    formatted once.
     """
-    heads = []
+    heads, source, head = [], None, ""
     while isinstance(expr, MapSpace):
-        heads.append(f"map({format_space(expr.source)}, ")
+        if expr.source is not source:
+            source = expr.source
+            head = f"map({format_space(source)}, "
+        heads.append(head)
         expr = expr.target
     return "".join(heads) + _format_node(expr) + ")" * len(heads)
 
@@ -407,18 +422,22 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
     Torus(N) becomes a product of N circles, Bouquet(m) a wedge of m
     circles, Loop and BouquetSpace become nested MapSpace nodes (outermost
     iteration outermost), and Susp(Susp(x, a), b) becomes Susp(x, a + b).
-    The result is a fixed point of ``desugar``.  An expression of more
-    than ``EXPANSION_CEILING`` copies (``_copies``) raises ``ValueError``
-    before any node is built.  Chains of mapping spaces are walked along
-    their targets in a loop, so a deep iterated loop space, sugared or
-    already desugared, is not bounded by the interpreter's recursion limit.
+    The result is a fixed point of ``desugar``, and a fixed point, with
+    no sugar and no nested suspension, is returned as is.  An expression
+    of more than ``EXPANSION_CEILING`` copies (``_copies``) raises
+    ``ValueError`` before any node is built.  Chains of mapping spaces are
+    walked along their targets in a loop, so a deep iterated loop space,
+    sugared or already desugared, is not bounded by the interpreter's
+    recursion limit.
     """
-    copies = _copies(expr)
+    copies, nested = _copies(expr)
     if copies > EXPANSION_CEILING:
         raise ValueError(
             f"expansion of {_count_text(copies)} copies is over the ceiling of "
             f"{EXPANSION_CEILING}"
         )
+    if not copies and not nested:
+        return expr
     return _expand(expr)
 
 
@@ -432,13 +451,14 @@ def _count_text(n: int) -> str:
         return f"<{digits + (n >= 10**digits)}-digit number>"
 
 
-def _copies(expr: SpaceExpr) -> int:
-    """Copies that expanding ``expr`` builds, summed over the whole expression.
+def _copies(expr: SpaceExpr) -> tuple[int, bool]:
+    """Copies that expanding ``expr`` builds, summed over the whole
+    expression, and whether it holds a suspension of a suspension.
 
     One per circle of a ``T<N>`` or ``B<m>`` and one per level of a
     ``loop`` or ``bloop``, whose bouquet is built once for all its levels.
     """
-    total, stack = 0, [expr]
+    total, nested, stack = 0, False, [expr]
     while stack:
         # Dispatch on the exact type: class patterns cost several times more
         # per node, and this runs on every desugar call.
@@ -450,6 +470,7 @@ def _copies(expr: SpaceExpr) -> int:
             stack += e.children
         elif kind is Susp:
             stack.append(e.child)
+            nested = nested or type(e.child) is Susp
         elif kind is Loop:
             total += e.iterations
             stack.append(e.target)
@@ -460,7 +481,7 @@ def _copies(expr: SpaceExpr) -> int:
             total += e.factors
         elif kind is Bouquet:
             total += e.circles
-    return total
+    return total, nested
 
 
 def _expand(expr: SpaceExpr) -> SpaceExpr:

@@ -26,9 +26,11 @@ subterm is reported rather than raised.
 Every product the engine forms, a power included, is one call of
 ``charged_product`` on (polynomial, count) runs: J. C. P. Miller's
 recurrence for several factors (Knuth, TAOCP Vol. 2, 4.7), run only
-after the whole product is charged to the size budget.  ``shift_degree``
-reads an expression's degree multiplying nothing, so the levels of a
-chain and the factors of a product are charged before any is formed.  Past
+after the whole product is charged to the size budget.  ``split_level``
+reads an expression's degree multiplying nothing, and its polynomial in
+the same pass where it holds no product or torus; ``form_level`` forms
+the rest once the caller has charged them.  So the levels of a chain and
+the factors of a product are charged before any is formed.  Past
 ``MAX_DEGREE`` or ``MAX_DIGITS`` a ``DecomposeError`` names the estimate
 and the ceiling instead of computing an answer that could not be printed.
 """
@@ -65,9 +67,10 @@ __all__ = [
     "SphereSplitting",
     "charge_degree",
     "charged_product",
-    "shift_degree",
+    "form_level",
     "shift_polynomial",
     "sphere_splitting",
+    "split_level",
 ]
 
 # Ceilings of the size budget.  An answer's largest coefficient is at most
@@ -216,7 +219,8 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
     product, P that of the distinct p and R = sum of k p' P / p, P q' = R q
     gives n q_n = sum over d >= 1 of (R_{d-1} - (n - d) P_d) q_{n-d}, an
     exact division costing one step per term of P and R.  Where every k
-    is 1, q is P and R is not formed.
+    is 1, q is P and R is not formed; a single run of a binomial
+    1 + c t^s is the recurrence's one step, its binomial row.
     """
     counts: dict[ShiftPolynomial, int] = {}
     degree = 0
@@ -234,6 +238,16 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
         )
     if list(counts.values()) in ([], [1]):
         return next(iter(counts), _ONE)
+    [(poly, k), *others] = counts.items()
+    if not others and len(poly.coeffs) == 2:
+        # P = 1 + c t^s: the recurrence has one step, never past n, and
+        # n q_n = c (k - n + 1) q_{n-1} is the binomial row.
+        shift, c = poly.coeffs[1]
+        pairs, q = [(0, 1)], 1
+        for n in range(1, k + 1):
+            q = q * (c * (k - n + 1)) // n
+            pairs.append((shift * n, q))
+        return ShiftPolynomial._trusted(tuple(pairs))
     g = gcd(*map(itemgetter(0), chain.from_iterable(poly.coeffs for poly in counts)))
     powers = len(counts) < sum(counts.values())  # some k > 1
     # P and R as dense lists over shift / g: each p makes P into P p and,
@@ -252,7 +266,8 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
         big_p, big_r = next_p, next_r
     q = big_p  # the product, if every k is 1
     if powers:
-        steps = [(d, big_r[d - 1], big_p[d]) for d in range(1, len(big_p))
+        # Step d of coefficient n is (R_{d-1} + d P_d - n P_d) q_{n-d}.
+        steps = [(d, big_r[d - 1] + d * big_p[d], big_p[d]) for d in range(1, len(big_p))
                  if big_r[d - 1] or big_p[d]]
         q = [1] + [0] * (degree // g)
         for n in range(1, len(q)):
@@ -260,9 +275,9 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
             for d, r, p in steps:
                 if d > n:
                     break
-                total += (r - (n - d) * p) * q[n - d]
+                total += (r - n * p) * q[n - d]
             q[n] = total // n
-    return ShiftPolynomial._trusted(tuple(filter(itemgetter(1), zip(range(0, g * len(q), g), q))))
+    return ShiftPolynomial._trusted(tuple([(g * i, c) for i, c in enumerate(q) if c]))
 
 
 def charge_degree(degree: int) -> None:
@@ -284,7 +299,11 @@ _ONE = ShiftPolynomial._trusted(((0, 1),))
 _CIRCLE = ShiftPolynomial._trusted(((0, 1), (1, 1)))
 
 
-def _poly_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPolynomial:
+def _poly_of(
+    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]], charged: bool = False
+) -> ShiftPolynomial:
+    """The shift polynomial of ``expr``; ``charged`` where its degree has
+    passed the size budget already, so no product charges it again."""
     match expr:
         case Sphere(dim):
             return ShiftPolynomial._trusted(((0, 1), (dim, 1)))
@@ -301,30 +320,61 @@ def _poly_of(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> Shift
             shifts = [int(s) for s in declared]
             if any(s < 1 for s in shifts):
                 raise ValueError(f"declared shifts for {name!r} must all be >= 1")
-            return ShiftPolynomial.from_shifts(shifts)
+            counts: dict[int, int] = {}
+            for s in shifts:
+                counts[s] = counts.get(s, 0) + 1
+            return ShiftPolynomial._trusted(((0, 1), *sorted(counts.items())))
         case Wedge(children):
-            counts = {0: 1}
-            for child in children:
-                for shift, count in _poly_of(child, atom_shifts).coeffs[1:]:
-                    counts[shift] = counts.get(shift, 0) + count
-            return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
+            return _wedge([_poly_of(child, atom_shifts, charged) for child in children])
         case Susp(child, count):
-            inner = _poly_of(child, atom_shifts)
-            return ShiftPolynomial._trusted(
-                ((0, 1),) + tuple((i + count, c) for i, c in inner.coeffs[1:])
-            )
+            return _suspended(_poly_of(child, atom_shifts, charged), count)
         case Product(children):
-            charge_degree(_max_shift(expr, atom_shifts))  # before any factor is formed
+            if not charged:  # before any factor is formed
+                charge_degree(_max_shift(expr, atom_shifts))
             # A torus factor is a run of circles: as one dense factor it
             # would make the recurrence's P dense.
             return charged_product([
                 (_CIRCLE, child.factors) if isinstance(child, Torus)
-                else (_poly_of(child, atom_shifts), 1)
+                else (_poly_of(child, atom_shifts, True), 1)
                 for child in children
             ])
         case MapSpace() | Loop() | BouquetSpace():
             raise _Blocked(expr, "mapping spaces do not split into spheres")
     raise TypeError(f"not a space expression: {expr!r}")
+
+
+def _wedge(polys: list[ShiftPolynomial]) -> ShiftPolynomial:
+    counts = {0: 1}
+    for poly in polys:
+        for shift, count in poly.coeffs[1:]:
+            counts[shift] = counts.get(shift, 0) + count
+    return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
+
+
+def _suspended(poly: ShiftPolynomial, count: int) -> ShiftPolynomial:
+    return ShiftPolynomial._trusted(((0, 1),) + tuple((i + count, c) for i, c in poly.coeffs[1:]))
+
+
+def _split(
+    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]
+) -> tuple[int, ShiftPolynomial | None]:
+    """(degree, polynomial) of ``expr`` in one pass; see ``split_level``."""
+    kind = type(expr)
+    if kind is Sphere:
+        return expr.dim, ShiftPolynomial._trusted(((0, 1), (expr.dim, 1)))
+    if kind is Product or kind is Torus:
+        return _max_shift(expr, atom_shifts), None
+    if kind is Susp:
+        degree, poly = _split(expr.child, atom_shifts)
+        return degree and degree + expr.count, poly and _suspended(poly, expr.count)
+    if kind is Wedge:
+        parts = [_split(child, atom_shifts) for child in expr.children]
+        degree = max(part[0] for part in parts)
+        if any(poly is None for _, poly in parts):
+            return degree, None
+        return degree, _wedge([poly for _, poly in parts])
+    poly = _poly_of(expr, atom_shifts)  # a bouquet, a point, an atom or a blocker
+    return poly.max_shift, poly
 
 
 def _max_shift(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
@@ -343,18 +393,29 @@ def _max_shift(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int
     return _poly_of(expr, atom_shifts).max_shift
 
 
-def shift_degree(
+def split_level(
     expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
-) -> int | None:
-    """The degree of the shift polynomial of ``expr``, None where it is blocked.
+) -> tuple[int, ShiftPolynomial | None] | None:
+    """The degree of the shift polynomial of ``expr`` and the polynomial, in one pass.
 
-    Nothing is multiplied, so a chain of levels can be charged to the size
-    budget before any of their polynomials is formed.
+    The polynomial is None where ``expr`` holds a product or a torus, whose
+    coefficients may be large: ``form_level`` forms it once the caller has
+    charged the degree.  None where ``expr`` is blocked.
     """
     try:
-        return _max_shift(expr, atom_shifts or {})
+        return _split(expr, atom_shifts or {})
     except _Blocked:
         return None
+
+
+def form_level(
+    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
+) -> ShiftPolynomial:
+    """The polynomial of a splittable ``expr`` whose degree the caller has charged.
+
+    Products are formed without reading their degree again.
+    """
+    return _poly_of(expr, atom_shifts or {}, True)
 
 
 def sphere_splitting(

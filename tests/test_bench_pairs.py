@@ -1,6 +1,7 @@
 """The summary of ``scripts/bench_pairs.py`` on hand-made result lines."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,65 @@ def test_workloads_are_summarized_apart_whatever_the_run_order(bench_pairs):
     assert summary["a"]["query_p50_ms"]["change_worse_by"] == -0.5
     assert summary["b"]["query_p50_ms"]["change_worse_by"] == 1.0
     assert summary["b"]["queries_per_s"]["change_wins"] == "0/2"
+
+
+def test_workloads_are_selected_in_benchmark_order_with_their_indices(bench_pairs):
+    names = ["a", "b", "c"]
+    assert bench_pairs.select_workloads(names, None) == [(0, "a"), (1, "b"), (2, "c")]
+    assert bench_pairs.select_workloads(names, ["c", "a"]) == [(0, "a"), (2, "c")]
+    assert bench_pairs.select_workloads(names, ["b", "b"]) == [(1, "b")]
+    with pytest.raises(ValueError, match="unknown workload 'd'"):
+        bench_pairs.select_workloads(names, ["a", "d"])
+
+
+def _fake_runs(bench_pairs, monkeypatch):
+    """Stub out git, the checkouts and gbench; returns the (workload, seed, side) runs."""
+    calls = []
+
+    bench = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    result = {"correct": True, "attempted": 1, "failed": 0,
+              "metrics": {metric["name"]: {"value": 1.0} for metric in bench["end_to_end"]}}
+
+    def run_once(tree, command, workload, seed, seconds, trace=0):
+        calls.append((workload, seed, tree.name))
+        return result
+
+    def git(root, *args):
+        return f"{SCRIPT.parents[1]}\n".encode() if "--show-toplevel" in args else b"abc1234\n"
+
+    monkeypatch.setattr(bench_pairs, "_git", git)
+    monkeypatch.setattr(bench_pairs, "extract_revision", lambda root, revision, dest: None)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda root, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_the_workload_option_runs_only_the_named_workloads(bench_pairs, monkeypatch, tmp_path):
+    calls = _fake_runs(bench_pairs, monkeypatch)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "2", "--first-seed", "500", "--out", str(out)]
+    assert bench_pairs.main([*argv, "--workload", "profile-ingest"]) == 0
+    # profile-ingest is the third workload, so its seeds are those of a full run.
+    assert calls == [("profile-ingest", 700, "parent"), ("profile-ingest", 700, "change"),
+                     ("profile-ingest", 701, "change"), ("profile-ingest", 701, "parent")]
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert list(doc["summary"]) == ["profile-ingest"]
+    assert "700-701 (profile-ingest)" in doc["protocol"]
+
+    calls.clear()
+    assert bench_pairs.main(argv) == 0
+    assert [call[:2] for call in calls[:6:2]] == [
+        ("rewrite-ladder", 500), ("eval-multiplicity", 600), ("profile-ingest", 700)]
+    assert len(calls) == 12
+
+
+def test_an_unknown_workload_is_a_usage_error(bench_pairs, monkeypatch, tmp_path, capsys):
+    calls = _fake_runs(bench_pairs, monkeypatch)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "2", "--first-seed", "1", "--out", str(out),
+            "--workload", "rewrite-ladder", "--workload", "no-such-load"]
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(argv)
+    assert exit_.value.code == 2
+    assert "unknown workload 'no-such-load'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gottlieb
-from conftest import run_capped, splittable_exprs
-from gottlieb.decompose import DecomposeError, closed_form_bouquet, decompose
-from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm
+from conftest import run_capped, space_exprs, splittable_exprs
+from gottlieb.decompose import DecomposeError, _walk_chain, closed_form_bouquet, decompose
+from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, term_text
 from gottlieb.oracle import crosscheck
 from gottlieb.spaces import (
     Atom,
@@ -103,6 +103,38 @@ def test_residual_targets_keep_the_remaining_curried_factors():
         "G[1](Y) + G[2](Y) + Gen[Σ^1 A -> map(prod(S1, susp(B, 2)), Y)] "
         "+ Gen[Σ^3 B -> Y] + Gen[Σ^4 B -> Y]"
     )
+
+
+def test_families_sharing_a_source_text_interleave_by_suspension():
+    result = decompose(parse_space("map(A, map(S1, map(A, Y)))"), 2)
+    assert str(result) == (
+        "G[2](Y) + G[3](Y) + Gen[Σ^2 A -> Y] + Gen[Σ^2 A -> map(S1, map(A, Y))] "
+        "+ Gen[Σ^3 A -> Y]"
+    )
+
+
+_SOURCES = st.one_of(
+    space_exprs(), st.sampled_from([Atom("A"), Sphere(1), Susp(Atom("A")), Susp(Atom("A"), 2)])
+)
+
+
+@settings(max_examples=150)
+@given(st.lists(_SOURCES, min_size=1, max_size=4), st.sampled_from([Atom("Y"), Point()]),
+       st.integers(1, 3), st.sampled_from([GottliebTerm, PiTerm]))
+def test_the_walk_puts_its_answer_in_canonical_order_and_renders_each_term(
+    sources, core, n, kind
+):
+    # The walk orders its terms by precomputed texts and __str__ renders the
+    # common kinds itself; both must agree with the checked constructor and
+    # with term_text.  Repeated sources make families that share a text.
+    expr = core
+    for source in reversed(sources):
+        expr = MapSpace(source, expr)
+    result = _walk_chain(expr, {"B": (1, 2)}).at(n, kind)
+    assert FormalSum(result.terms).terms == result.terms
+    parts = [term_text(term) if mult == 1 else f"{mult}*{term_text(term)}"
+             for term, mult in result]
+    assert str(result) == (" + ".join(parts) or "0")
 
 
 def test_suspension_folds_into_residual_exponent():
@@ -260,6 +292,18 @@ def test_residual_prefixes_multiply_no_dense_polynomials():
     assert [int(total) for total in totals] == [2**6000, 2**9000, 2**9003]
 
 
+def test_residual_terms_are_ordered_without_formatting_each_target():
+    # Two residual families of 6001 and 9001 terms over targets of about
+    # 3000 nodes.  Formatting the target of every term to sort them took
+    # 15 s; each family's texts are now formatted once.
+    chain = "loop(map(A, map(T3000, map(B, loop(Y, 3)))), 6000)"
+    result, _ = run_capped([sys.executable, "-c", _ROWS, chain], _ENV, timeout=60)
+    assert result.returncode == 0, result.stderr
+    seconds, terms, _ = result.stdout.split()
+    assert int(terms) == 24006
+    assert float(seconds) < 2, seconds
+
+
 _REFUSED = """
 import sys
 from gottlieb import DecomposeError, decompose, parse_space
@@ -320,10 +364,11 @@ def test_the_engine_multiplies_no_two_polynomials(monkeypatch):
 
 def test_runs_split_each_distinct_source_once(monkeypatch):
     # The package root re-exports the function under the module's name.
-    # The walk reads each distinct source's degree once; after the chain is
-    # charged, each splittable one is split once.
+    # The walk reads each distinct source's degree and polynomial in one
+    # pass; after the chain is charged, each source whose polynomial that
+    # pass left unformed, a product's, is formed once.
     engine = importlib.import_module("gottlieb.decompose")
-    calls = {"shift_degree": [], "sphere_splitting": []}
+    calls = {"split_level": [], "form_level": []}
 
     def counting(name):
         function = getattr(engine, name)
@@ -334,14 +379,21 @@ def test_runs_split_each_distinct_source_once(monkeypatch):
 
         monkeypatch.setattr(engine, name, counted)
 
-    counting("shift_degree")
-    counting("sphere_splitting")
+    counting("split_level")
+    counting("form_level")
     expr = parse_space("map(prod(S1, S2, S1, T3), map(A, map(S2, loop(map(S1, Y), 5))))")
     result = decompose(expr, 1)
-    assert sorted(calls["shift_degree"]) == ["A", "S1", "S2"]
-    assert sorted(calls["sphere_splitting"]) == ["S1", "S2"]
+    assert sorted(calls["split_level"]) == ["A", "S1", "S2"]
+    assert calls["form_level"] == []
     assert result == decompose(desugar(expr), 1)
     assert str(result).startswith("G[1](Y) + 11*G[2](Y) + ")
+
+    calls["split_level"].clear()
+    expr = parse_space("map(susp(prod(S1, S2)), map(S1, map(susp(prod(S1, S2)), map(B2, Y))))")
+    result = decompose(expr, 1)
+    assert sorted(calls["split_level"]) == ["B2", "S1", "susp(prod(S1, S2))"]
+    assert calls["form_level"] == ["susp(prod(S1, S2))"]
+    assert result == decompose(desugar(expr), 1)
 
 
 def test_a_blocked_source_is_refused_by_the_sum_of_its_copies_unbuilt(monkeypatch):

@@ -1,5 +1,7 @@
 """Expression grammar: parsing, printing, validation, and desugaring."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 
@@ -164,6 +166,27 @@ def test_desugar_is_idempotent(expr):
 
 
 @given(space_exprs())
+def test_desugar_returns_a_fixed_point_as_is(expr):
+    once = desugar(expr)
+    assert desugar(once) is once
+    # New nodes are built exactly where there is sugar or a nested suspension.
+    assert (once is expr) == (once == expr)
+
+
+def test_desugar_builds_where_there_is_sugar_or_a_nested_suspension():
+    plain = parse_space("map(prod(S1, susp(wedge(A, S2), 2)), map(pt, Y))")
+    assert desugar(plain) is plain
+    for text, expanded in [
+        ("susp(susp(A), 2)", Susp(Atom("A"), 3)),
+        ("map(S1, map(susp(susp(S2)), Y))", parse_space("map(S1, map(susp(S2, 2), Y))")),
+        ("prod(S2, T1)", Product((Sphere(2), Sphere(1)))),
+        ("map(S2, loop(Y))", parse_space("map(S2, map(S1, Y))")),
+    ]:
+        expr = parse_space(text)
+        assert desugar(expr) == expanded and desugar(expr) is not expr
+
+
+@given(space_exprs())
 def test_desugar_removes_sugar_nodes(expr):
     def has_sugar(e):
         if isinstance(e, (Torus, Bouquet, Loop, BouquetSpace)):
@@ -206,6 +229,35 @@ def test_deep_chains_compare_hash_and_print_without_recursion():
     assert chain != _chain(depth - 1)
     assert format_space(chain) == "map(S1, " * depth + "Y" + ")" * depth
     assert desugar(Loop(Atom("Y"), depth)) == chain  # exactly at the expansion ceiling
+
+
+def _generated_repr():
+    """The ``__repr__`` that ``dataclass`` generates for MapSpace's fields."""
+    twin = type("MapSpace", (spaces.SpaceExpr,), {
+        "__annotations__": {"source": spaces.SpaceExpr, "target": spaces.SpaceExpr},
+    })
+    return dataclass(frozen=True)(twin).__repr__
+
+
+@given(space_exprs())
+def test_map_space_repr_is_the_generated_text(expr):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MapSpace, "__repr__", _generated_repr())
+        expected = repr(expr), repr(desugar(expr))
+    assert (repr(expr), repr(desugar(expr))) == expected
+
+
+def test_deep_chains_repr_without_recursion():
+    assert "__repr__" in MapSpace.__dict__
+    for depth in (3000, 10_000):
+        text = repr(desugar(parse_space(f"loop(Y, {depth})")))
+        assert text == ("MapSpace(source=Sphere(dim=1), target=" * depth + "Atom(name='Y')"
+                        + ")" * depth)
+    nested = MapSpace(_chain(10_000), Loop(_chain(10_000, Point()), 2))
+    assert repr(nested) == (
+        "MapSpace(source=" + repr(_chain(10_000)) + ", target=Loop(target="
+        + repr(_chain(10_000, Point())) + ", iterations=2))"
+    )
 
 
 @pytest.mark.parametrize(

@@ -28,9 +28,10 @@ from gottlieb.splitting import (
     NotSplittableError,
     ShiftPolynomial,
     charged_product,
-    shift_degree,
+    form_level,
     sphere_splitting,
     shift_polynomial,
+    split_level,
 )
 
 
@@ -211,11 +212,27 @@ def test_charged_product_charges_the_total_of_its_runs():
 
 
 @given(space_exprs())
-def test_shift_degree_is_the_degree_of_the_formed_polynomial(expr):
-    # The walk charges these degrees before it forms any polynomial.
+def test_split_level_reads_the_degree_and_polynomial_of_the_formed_one(expr):
+    # The walk charges these degrees before it forms any polynomial of a
+    # product or torus; every other polynomial comes in the same pass.
     shifts = {"B": (1, 3), "s9": (2,)}
     poly = sphere_splitting(expr, shifts).poly
-    assert shift_degree(expr, shifts) == (None if poly is None else poly.max_shift)
+    split = split_level(expr, shifts)
+    if poly is None:
+        assert split is None
+        return
+    degree, formed = split
+    assert degree == poly.max_shift
+    assert formed == (None if _holds_product_or_torus(expr) else poly)
+    assert form_level(expr, shifts) == poly
+
+
+def _holds_product_or_torus(expr) -> bool:
+    if isinstance(expr, (Product, Torus)):
+        return True
+    if isinstance(expr, Wedge):
+        return any(_holds_product_or_torus(child) for child in expr.children)
+    return isinstance(expr, Susp) and _holds_product_or_torus(expr.child)
 
 
 def test_sugar_splits_without_expansion():
