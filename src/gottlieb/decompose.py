@@ -20,27 +20,26 @@ not bounded by the interpreter's recursion limit.  Each splitting level
 adds a run (source, count): a ``map(S1, ...)`` level or a product factor
 one, ``loop``/``bloop`` N copies of S1 or of the m-circle bouquet
 (1 + m t), ``T<N>`` N circles, all read where the sugar stands; equal
-levels in a row are one run.  The walk reads each distinct source once
-(``splitting.split_level``): its degree, and its polynomial too unless
-the source holds a product or a torus, whose polynomial may be large.  A
-residual records how many runs came before it and keeps its source and
-target as written.  Product factors are walked by index: the curried
-target ``map(prod(rest), Y)`` is built only when a nested product or a
-residual needs it.
+levels in a row are one run.  The walk reads each distinct source's
+degree once (``splitting._degree``), forming no polynomial.  A residual
+records how many runs came before it and keeps its source and target as
+written.  Product factors are walked by index: the curried target
+``map(prod(rest), Y)`` is built only when a nested product or a residual
+needs it.
 
 At the end the chain's degree is charged to the size budget, and only
-then is each distinct source whose polynomial was left unformed split,
-once (``splitting.form_level``, which charges no product again).
-``splitting.charged_product`` forms the core polynomial from all runs,
-which charges their digits, and each residual's from running totals of
-the runs before it: ``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail
-at once with a ``DecomposeError`` naming the estimate and the ceiling,
-and so do a hundred distinct ``susp(T9000)`` levels, none of which is
-formed.  The pass (``_walk_chain``) returns these polynomials, and
-``at(n)`` reads degree n off them as an offset: the core atom gives
-``G[n + i](Y)`` (``pi[n + i](Y)`` for ``fox``) with multiplicity c_i, a
-residual ``Gen`` terms at n + s + i for a source suspended s times.  So
-a window of degrees costs one pass.  The first ``at`` desugars each
+then is each distinct splittable source's polynomial formed, once
+(``splitting._form``).  ``splitting.charged_product`` forms the core
+polynomial from all runs, which charges their digits, and each
+residual's from running totals of the runs before it:
+``bloop(Y, 10, 5000)`` or ``map(T200000, Y)`` fail at once with a
+``DecomposeError`` naming the estimate and the ceiling, and so do a
+hundred distinct ``susp(T9000)`` levels, none of which is formed.  The
+pass (``_walk_chain``) returns these polynomials, and ``at(n)`` reads
+degree n off them as an offset: the core atom gives ``G[n + i](Y)``
+(``pi[n + i](Y)`` for ``fox``) with multiplicity c_i, a residual
+``Gen`` terms at n + s + i for a source suspended s times.  So a window
+of degrees costs one pass.  The first ``at`` desugars each
 residual's source and target, and formats them where there are several
 families to order; later degrees reuse both.  The terms are distinct by
 construction, the core's come out in degree order and ahead of the
@@ -72,11 +71,12 @@ from .spaces import (
 )
 from .splitting import (
     DecomposeError,
+    NotSplittableError,
     ShiftPolynomial,
+    _degree,
+    _form,
     charge_degree,
     charged_product,
-    form_level,
-    split_level,
 )
 
 __all__ = ["DecomposeError", "closed_form_bouquet", "decompose"]
@@ -89,8 +89,8 @@ class _Walk:
     """One degree-free pass: the runs, the core atom and the residuals.
 
     ``levels`` maps each distinct source to a [degree, polynomial] record
-    (None where it is blocked), read in one pass; a polynomial left None
-    there, a product's, is formed only after the core's degree is charged.
+    (None where it is blocked); the polynomial is formed only after the
+    core's degree is charged.
     ``runs`` holds one [record, count, source] per run of equal levels
     and ``families`` one (source, target, before) per blocked level, in
     the order met, with source and target as written and ``before`` the
@@ -102,7 +102,7 @@ class _Walk:
     """
 
     def __init__(self, atom_shifts) -> None:
-        self.atom_shifts = atom_shifts
+        self.atom_shifts = atom_shifts or {}
         self.core: str | None = None
         self.families: list[tuple[SpaceExpr, SpaceExpr, int]] = []
         self.levels: dict[SpaceExpr, list | None] = {}
@@ -119,8 +119,11 @@ class _Walk:
         if run is None or source is not run[2]:  # a lookup where the source changes
             level = self.levels.get(source, _UNREAD)
             if level is _UNREAD:
-                split = split_level(source, self.atom_shifts)
-                level = self.levels[source] = split and [*split]
+                try:
+                    level = [_degree(source, self.atom_shifts), None]
+                except NotSplittableError:
+                    level = None
+                self.levels[source] = level
             if level is None:
                 return False
             if run is None or level is not run[0]:
@@ -222,8 +225,8 @@ def _walk_chain(e: SpaceExpr, atom_shifts) -> _Walk:
             break
     charge_degree(sum(level[0] * k for level, k, _ in walk.runs))  # before any product is formed
     for source, level in walk.levels.items():
-        if level is not None and level[1] is None:
-            level[1] = form_level(source, atom_shifts)
+        if level is not None:
+            level[1] = _form(source, walk.atom_shifts)
     runs = [(level[1], k) for level, k, _ in walk.runs]
     prefixes = walk.prefixes
     prefixes[len(runs)] = charged_product(runs)

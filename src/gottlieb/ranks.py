@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .abelian import AbelianGroup
 from .profiles import GradedGroup, Incomplete, ProfileError, SpaceProfile
 from .spaces import SpaceExpr, _nat
-from .splitting import sphere_splitting
+from .splitting import NotSplittableError, _degree
 
 __all__ = [
     "HypothesisError",
@@ -165,12 +165,12 @@ def propagate_flags(
     """
     t_space = y_profile.flags.t_space
     g_target = y_profile.flags.g_space
-    if sphere_splitting(source, atom_shifts).splittable:
-        g_space = g_target
-    elif g_target is False:
-        g_space = False
+    try:
+        _degree(source, atom_shifts or {})  # whether it splits; no polynomial is formed
+    except NotSplittableError:
+        g_space = False if g_target is False else None
     else:
-        g_space = None
+        g_space = g_target
     return PropagatedFlags(g_space=g_space, t_space=t_space)
 
 

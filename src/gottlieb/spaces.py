@@ -230,6 +230,9 @@ class SpaceParseError(ValueError):
         super().__init__(detail)
 
 
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
 # Token kinds: NAME, INT, LPAREN, RPAREN, COMMA, END.
 def _lex(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -247,9 +250,8 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
         elif ch == ",":
             tokens.append(("COMMA", ch, i))
             i += 1
-        elif ch.isdigit():
-            m = re.match(r"[0-9]+", text[i:])
-            digits = m.group(0)
+        elif "0" <= ch <= "9":  # str.isdigit() also accepts non-ASCII digits
+            digits = _DIGITS_RE.match(text, i).group(0)
             if digits.startswith("0") and len(digits) > 1:
                 raise SpaceParseError(f"number {digits!r} has a leading zero", i)
             tokens.append(("INT", digits, i))

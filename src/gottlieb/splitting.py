@@ -20,19 +20,21 @@ Rules, computed directly on polynomials:
 * the N-torus gives (1 + t)^N and the m-circle bouquet 1 + m t, read
   off the sugar nodes without building N factors or m wedge summands.
 
-Mapping spaces and undeclared atoms block the splitting, and the blocking
-subterm is reported rather than raised.
+Mapping spaces and undeclared atoms block the splitting:
+``sphere_splitting`` reports the blocking subterm, ``shift_polynomial``
+raises ``NotSplittableError`` naming it.
 
 Every product the engine forms, a power included, is one call of
 ``charged_product`` on (polynomial, count) runs: J. C. P. Miller's
 recurrence for several factors (Knuth, TAOCP Vol. 2, 4.7), run only
-after the whole product is charged to the size budget.  ``split_level``
-reads an expression's degree multiplying nothing, and its polynomial in
-the same pass where it holds no product or torus; ``form_level`` forms
-the rest once the caller has charged them.  So the levels of a chain and
-the factors of a product are charged before any is formed.  Past
-``MAX_DEGREE`` or ``MAX_DIGITS`` a ``DecomposeError`` names the estimate
-and the ceiling instead of computing an answer that could not be printed.
+after the whole product is charged to the size budget.  Two functions
+read an expression, and both raise ``NotSplittableError`` at a blocker:
+``_degree`` reads its polynomial's degree, forming nothing but an atom's
+declared shifts, and ``_form`` forms the polynomial, charging each
+product's degree before any of its factors is formed.  So a caller can
+charge the levels of a chain before any is formed.  Past ``MAX_DEGREE``
+or ``MAX_DIGITS`` a ``DecomposeError`` names the estimate and the
+ceiling instead of computing an answer that could not be printed.
 """
 
 from dataclasses import dataclass
@@ -67,10 +69,8 @@ __all__ = [
     "SphereSplitting",
     "charge_degree",
     "charged_product",
-    "form_level",
     "shift_polynomial",
     "sphere_splitting",
-    "split_level",
 ]
 
 # Ceilings of the size budget.  An answer's largest coefficient is at most
@@ -91,9 +91,13 @@ class NotSplittableError(ValueError):
     """Raised where a sphere splitting is a hard precondition."""
 
     def __init__(self, blocker: SpaceExpr, reason: str):
+        super().__init__(blocker, reason)
         self.blocker = blocker
         self.reason = reason
-        super().__init__(f"{format_space(blocker)} does not split: {reason}")
+
+    def __str__(self) -> str:
+        # Formatted when read: the walk catches one per blocked source.
+        return f"{format_space(self.blocker)} does not split: {self.reason}"
 
 
 @dataclass(frozen=True)
@@ -289,133 +293,73 @@ def charge_degree(degree: int) -> None:
         )
 
 
-class _Blocked(Exception):
-    def __init__(self, blocker: SpaceExpr, reason: str):
-        self.blocker = blocker
-        self.reason = reason
-
-
 _ONE = ShiftPolynomial._trusted(((0, 1),))
 _CIRCLE = ShiftPolynomial._trusted(((0, 1), (1, 1)))
 
 
-def _poly_of(
-    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]], charged: bool = False
-) -> ShiftPolynomial:
-    """The shift polynomial of ``expr``; ``charged`` where its degree has
-    passed the size budget already, so no product charges it again."""
+def _degree(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
+    """The degree of ``_form(expr)``, forming nothing but an atom's declared
+    polynomial; raises ``NotSplittableError`` where ``expr`` is blocked."""
+    # Here and in _form, class patterns capture nothing: a positional
+    # capture costs about as much again per node as the match itself.
     match expr:
-        case Sphere(dim):
-            return ShiftPolynomial._trusted(((0, 1), (dim, 1)))
-        case Torus(factors):
-            return charged_product(((_CIRCLE, factors),))
-        case Bouquet(circles):
-            return ShiftPolynomial._trusted(((0, 1), (1, circles)))
-        case Point():
-            return ShiftPolynomial.one()
-        case Atom(name):
-            declared = atom_shifts.get(name)
-            if declared is None:
-                raise _Blocked(expr, "atom has no declared suspension shifts")
-            shifts = [int(s) for s in declared]
-            if any(s < 1 for s in shifts):
-                raise ValueError(f"declared shifts for {name!r} must all be >= 1")
-            counts: dict[int, int] = {}
-            for s in shifts:
-                counts[s] = counts.get(s, 0) + 1
-            return ShiftPolynomial._trusted(((0, 1), *sorted(counts.items())))
-        case Wedge(children):
-            return _wedge([_poly_of(child, atom_shifts, charged) for child in children])
-        case Susp(child, count):
-            return _suspended(_poly_of(child, atom_shifts, charged), count)
-        case Product(children):
-            if not charged:  # before any factor is formed
-                charge_degree(_max_shift(expr, atom_shifts))
+        case Sphere():
+            return expr.dim
+        case Wedge():
+            return max([_degree(child, atom_shifts) for child in expr.children])
+        case Product():
+            return sum([_degree(child, atom_shifts) for child in expr.children])
+        case Torus():
+            return expr.factors
+        case Susp():
+            return (inner := _degree(expr.child, atom_shifts)) and inner + expr.count
+    return _form(expr, atom_shifts).max_shift  # a bouquet, a point, an atom or a blocker
+
+
+def _form(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPolynomial:
+    """The shift polynomial of ``expr``; a product charges its degree to the
+    size budget before any factor is formed."""
+    match expr:
+        case Sphere():
+            return ShiftPolynomial._trusted(((0, 1), (expr.dim, 1)))
+        case Wedge():
+            counts = {0: 1}
+            for child in expr.children:
+                for shift, c in _form(child, atom_shifts).coeffs[1:]:
+                    counts[shift] = counts.get(shift, 0) + c
+            return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
+        case Product():
+            charge_degree(_degree(expr, atom_shifts))
             # A torus factor is a run of circles: as one dense factor it
             # would make the recurrence's P dense.
             return charged_product([
                 (_CIRCLE, child.factors) if isinstance(child, Torus)
-                else (_poly_of(child, atom_shifts, True), 1)
-                for child in children
+                else (_form(child, atom_shifts), 1)
+                for child in expr.children
             ])
+        case Susp():
+            shifted = [(i + expr.count, c) for i, c in _form(expr.child, atom_shifts).coeffs[1:]]
+            return ShiftPolynomial._trusted(((0, 1), *shifted))
+        case Torus():
+            return charged_product(((_CIRCLE, expr.factors),))
+        case Bouquet():
+            return ShiftPolynomial._trusted(((0, 1), (1, expr.circles)))
+        case Point():
+            return _ONE
+        case Atom():
+            declared = atom_shifts.get(expr.name)
+            if declared is None:
+                raise NotSplittableError(expr, "atom has no declared suspension shifts")
+            shifts = [int(s) for s in declared]
+            if any(s < 1 for s in shifts):
+                raise ValueError(f"declared shifts for {expr.name!r} must all be >= 1")
+            counts = {}
+            for s in shifts:
+                counts[s] = counts.get(s, 0) + 1
+            return ShiftPolynomial._trusted(((0, 1), *sorted(counts.items())))
         case MapSpace() | Loop() | BouquetSpace():
-            raise _Blocked(expr, "mapping spaces do not split into spheres")
+            raise NotSplittableError(expr, "mapping spaces do not split into spheres")
     raise TypeError(f"not a space expression: {expr!r}")
-
-
-def _wedge(polys: list[ShiftPolynomial]) -> ShiftPolynomial:
-    counts = {0: 1}
-    for poly in polys:
-        for shift, count in poly.coeffs[1:]:
-            counts[shift] = counts.get(shift, 0) + count
-    return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
-
-
-def _suspended(poly: ShiftPolynomial, count: int) -> ShiftPolynomial:
-    return ShiftPolynomial._trusted(((0, 1),) + tuple((i + count, c) for i, c in poly.coeffs[1:]))
-
-
-def _split(
-    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]
-) -> tuple[int, ShiftPolynomial | None]:
-    """(degree, polynomial) of ``expr`` in one pass; see ``split_level``."""
-    kind = type(expr)
-    if kind is Sphere:
-        return expr.dim, ShiftPolynomial._trusted(((0, 1), (expr.dim, 1)))
-    if kind is Product or kind is Torus:
-        return _max_shift(expr, atom_shifts), None
-    if kind is Susp:
-        degree, poly = _split(expr.child, atom_shifts)
-        return degree and degree + expr.count, poly and _suspended(poly, expr.count)
-    if kind is Wedge:
-        parts = [_split(child, atom_shifts) for child in expr.children]
-        degree = max(part[0] for part in parts)
-        if any(poly is None for _, poly in parts):
-            return degree, None
-        return degree, _wedge([poly for _, poly in parts])
-    poly = _poly_of(expr, atom_shifts)  # a bouquet, a point, an atom or a blocker
-    return poly.max_shift, poly
-
-
-def _max_shift(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
-    """The degree of ``_poly_of(expr)``, forming only the leaves' polynomials."""
-    match expr:
-        case Sphere(dim):
-            return dim
-        case Torus(factors):
-            return factors
-        case Product(children):
-            return sum(_max_shift(child, atom_shifts) for child in children)
-        case Wedge(children):
-            return max(_max_shift(child, atom_shifts) for child in children)
-        case Susp(child, count):
-            return (inner := _max_shift(child, atom_shifts)) and inner + count
-    return _poly_of(expr, atom_shifts).max_shift
-
-
-def split_level(
-    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
-) -> tuple[int, ShiftPolynomial | None] | None:
-    """The degree of the shift polynomial of ``expr`` and the polynomial, in one pass.
-
-    The polynomial is None where ``expr`` holds a product or a torus, whose
-    coefficients may be large: ``form_level`` forms it once the caller has
-    charged the degree.  None where ``expr`` is blocked.
-    """
-    try:
-        return _split(expr, atom_shifts or {})
-    except _Blocked:
-        return None
-
-
-def form_level(
-    expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
-) -> ShiftPolynomial:
-    """The polynomial of a splittable ``expr`` whose degree the caller has charged.
-
-    Products are formed without reading their degree again.
-    """
-    return _poly_of(expr, atom_shifts or {}, True)
 
 
 def sphere_splitting(
@@ -428,8 +372,8 @@ def sphere_splitting(
     ``desugar``; a blocker is reported as written.
     """
     try:
-        poly = _poly_of(expr, atom_shifts or {})
-    except _Blocked as blocked:
+        poly = _form(expr, atom_shifts or {})
+    except NotSplittableError as blocked:
         return SphereSplitting(None, blocked.blocker, blocked.reason)
     return SphereSplitting(poly)
 
@@ -437,12 +381,10 @@ def sphere_splitting(
 def shift_polynomial(
     expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]] | None = None
 ) -> ShiftPolynomial:
-    """Shift polynomial of a splittable expression; raises if it is blocked.
+    """Shift polynomial of a splittable expression; raises ``NotSplittableError``
+    if it is blocked.
 
     Multiplicative over products: the polynomial of prod(A, B) is the
     product of the polynomials of A and B.
     """
-    splitting = sphere_splitting(expr, atom_shifts)
-    if not splitting.splittable:
-        raise NotSplittableError(splitting.blocker, splitting.reason)
-    return splitting.poly
+    return _form(expr, atom_shifts or {})

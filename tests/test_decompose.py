@@ -364,35 +364,35 @@ def test_the_engine_multiplies_no_two_polynomials(monkeypatch):
 
 def test_runs_split_each_distinct_source_once(monkeypatch):
     # The package root re-exports the function under the module's name.
-    # The walk reads each distinct source's degree and polynomial in one
-    # pass; after the chain is charged, each source whose polynomial that
-    # pass left unformed, a product's, is formed once.
+    # The walk reads each distinct source's degree once; after the chain
+    # is charged, each splittable distinct source is formed once.
     engine = importlib.import_module("gottlieb.decompose")
-    calls = {"split_level": [], "form_level": []}
+    calls = {"_degree": [], "_form": []}
 
     def counting(name):
         function = getattr(engine, name)
 
-        def counted(source, atom_shifts=None):
+        def counted(source, atom_shifts):
             calls[name].append(str(source))
             return function(source, atom_shifts)
 
         monkeypatch.setattr(engine, name, counted)
 
-    counting("split_level")
-    counting("form_level")
+    counting("_degree")
+    counting("_form")
     expr = parse_space("map(prod(S1, S2, S1, T3), map(A, map(S2, loop(map(S1, Y), 5))))")
     result = decompose(expr, 1)
-    assert sorted(calls["split_level"]) == ["A", "S1", "S2"]
-    assert calls["form_level"] == []
+    assert sorted(calls["_degree"]) == ["A", "S1", "S2"]
+    assert sorted(calls["_form"]) == ["S1", "S2"]
     assert result == decompose(desugar(expr), 1)
     assert str(result).startswith("G[1](Y) + 11*G[2](Y) + ")
 
-    calls["split_level"].clear()
+    calls["_degree"].clear()
+    calls["_form"].clear()
     expr = parse_space("map(susp(prod(S1, S2)), map(S1, map(susp(prod(S1, S2)), map(B2, Y))))")
     result = decompose(expr, 1)
-    assert sorted(calls["split_level"]) == ["B2", "S1", "susp(prod(S1, S2))"]
-    assert calls["form_level"] == ["susp(prod(S1, S2))"]
+    assert sorted(calls["_degree"]) == ["B2", "S1", "susp(prod(S1, S2))"]
+    assert sorted(calls["_form"]) == ["B2", "S1", "susp(prod(S1, S2))"]
     assert result == decompose(desugar(expr), 1)
 
 

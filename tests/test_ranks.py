@@ -9,6 +9,7 @@ import pytest
 
 import gottlieb
 from conftest import db_of, run_capped, synthetic_space
+from gottlieb.cli import main
 from gottlieb.abelian import canonicalize, parse_group
 from gottlieb.decompose import decompose
 from gottlieb.profiles import Flags, GradedGroup, Incomplete, SpaceProfile, evaluate
@@ -168,6 +169,26 @@ def test_flag_propagation_uses_atom_shifts():
     y = SpaceProfile("Y", flags=Flags(g_space=True))
     assert propagate_flags(Atom("X"), y).g_space is None
     assert propagate_flags(Atom("X"), y, {"X": (5,)}).g_space is True
+
+
+_DEMO = str(Path(__file__).resolve().parents[1] / "profiles" / "synthetic_demo.json")
+
+
+def test_flags_read_splittability_without_forming_the_polynomial(capsys):
+    # A splitting's polynomial may be over the size budget; whether the
+    # source splits is read off its degree, which costs its digits.
+    def flags(text):
+        code = main(["flags", "--expr", text, "--profiles", _DEMO])
+        return code, capsys.readouterr()
+
+    expected = flags("map(S2, GY)")
+    assert expected[0] == 0 and expected[1].out == "g_space: true\nt_space: true\n"
+    for text in ("map(T20000, GY)", "map(prod(S6000, S6000), GY)",
+                 "map(T100000000000000000000, GY)", "map(S20000, GY)"):
+        assert flags(text) == expected, text
+    assert flags("map(prod(T20000, B), GY)")[1].out == "g_space: unknown\nt_space: true\n"
+    y = SpaceProfile("Y", flags=Flags(g_space=False))
+    assert propagate_flags(parse_space("prod(T20000, map(S1, Y))"), y).g_space is False
 
 
 def _graded(ranks_or_groups, bound=None):

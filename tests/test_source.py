@@ -208,3 +208,15 @@ def test_sugar_is_expanded_only_where_a_residual_is_read_and_in_the_oracles():
         for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), _calls_desugar)
     }
     assert found == {"decompose._Walk.at"}
+
+
+_SPACE_NODES = {"Sphere", "Torus", "Product", "Wedge", "Susp", "Atom", "Bouquet", "Point",
+                "MapSpace", "Loop", "BouquetSpace"}
+
+
+def test_splitting_reads_space_nodes_in_two_functions():
+    # _degree reads a source's degree and _form its polynomial; a third
+    # reader dispatching on the same nodes would have to agree with both.
+    tree = ast.parse((Path(gottlieb.__file__).parent / "splitting.py").read_text(encoding="utf-8"))
+    found = set(_scopes(tree, lambda node: isinstance(node, ast.Name) and node.id in _SPACE_NODES))
+    assert found == {"_degree", "_form"}

@@ -1,5 +1,6 @@
 """Expression grammar: parsing, printing, validation, and desugaring."""
 
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 
 import gottlieb.spaces as spaces
 from conftest import space_exprs
+from gottlieb.cli import main
 from gottlieb.spaces import (
     Atom,
     Bouquet,
@@ -114,6 +116,25 @@ def test_parse_errors_carry_position_and_expectation():
     with pytest.raises(SpaceParseError) as err:
         parse_space("S1 x")  # trailing input
     assert err.value.position == 3
+
+
+def test_non_ascii_digits_are_unexpected_characters(capsys):
+    # str.isdigit() accepts them; an integer literal is ASCII digits only.
+    for text, position in (("²", 0), ("S1 ²", 3), ("susp(S1, ٣)", 9)):
+        with pytest.raises(SpaceParseError, match="^unexpected character") as err:
+            parse_space(text)
+        assert err.value.position == position
+    assert main(["decompose", "--expr", "²", "--degree", "1"]) == 2
+    assert capsys.readouterr().err == "error: unexpected character '²' at position 0\n"
+
+
+def test_lexing_is_linear_in_the_integer_literals():
+    # Each literal is matched in place, with no copy of the rest of the input.
+    text = "wedge(" + ", ".join(["susp(S1, 2)"] * 100_000) + ")"
+    start = time.perf_counter()
+    tokens = spaces._lex(text)
+    assert time.perf_counter() - start < 1
+    assert sum(kind == "INT" for kind, _, _ in tokens) == 100_000
 
 
 def test_node_validation():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gottlieb.splitting as splitting
 from conftest import space_exprs, splittable_exprs
 from gottlieb.oracle import tuple_enumeration_shifts
 from gottlieb.spaces import (
@@ -27,11 +28,11 @@ from gottlieb.splitting import (
     DecomposeError,
     NotSplittableError,
     ShiftPolynomial,
+    _degree,
+    _form,
     charged_product,
-    form_level,
     sphere_splitting,
     shift_polynomial,
-    split_level,
 )
 
 
@@ -212,27 +213,81 @@ def test_charged_product_charges_the_total_of_its_runs():
 
 
 @given(space_exprs())
-def test_split_level_reads_the_degree_and_polynomial_of_the_formed_one(expr):
-    # The walk charges these degrees before it forms any polynomial of a
-    # product or torus; every other polynomial comes in the same pass.
+def test_degree_and_form_read_the_polynomial_of_the_splitting(expr):
+    # The walk charges these degrees before it forms any polynomial.
     shifts = {"B": (1, 3), "s9": (2,)}
     poly = sphere_splitting(expr, shifts).poly
-    split = split_level(expr, shifts)
     if poly is None:
-        assert split is None
+        with pytest.raises(NotSplittableError):
+            _degree(expr, shifts)
+        with pytest.raises(NotSplittableError):
+            _form(expr, shifts)
         return
-    degree, formed = split
-    assert degree == poly.max_shift
-    assert formed == (None if _holds_product_or_torus(expr) else poly)
-    assert form_level(expr, shifts) == poly
+    assert _degree(expr, shifts) == poly.max_shift
+    assert _form(expr, shifts) == poly
 
 
-def _holds_product_or_torus(expr) -> bool:
-    if isinstance(expr, (Product, Torus)):
-        return True
-    if isinstance(expr, Wedge):
-        return any(_holds_product_or_torus(child) for child in expr.children)
-    return isinstance(expr, Susp) and _holds_product_or_torus(expr.child)
+_SHIFTS = {"X": (10, 5, 10)}
+_NODE_KINDS = [
+    # (expression, degree, polynomial), one case per kind of node.
+    ("S5", 5, {0: 1, 5: 1}),
+    ("T3", 3, {0: 1, 1: 3, 2: 3, 3: 1}),
+    ("B4", 1, {0: 1, 1: 4}),
+    ("pt", 0, {0: 1}),
+    ("X", 10, {0: 1, 5: 1, 10: 2}),
+    ("wedge(S2, T2, S1)", 2, {0: 1, 1: 3, 2: 2}),
+    ("prod(S2, wedge(S1, S3))", 5, {0: 1, 1: 1, 2: 1, 3: 2, 5: 1}),
+    ("susp(pt, 3)", 0, {0: 1}),
+    ("susp(susp(wedge(S2, pt), 2), 3)", 7, {0: 1, 7: 1}),
+    ("susp(prod(B2, T2), 4)", 7, {0: 1, 5: 4, 6: 5, 7: 2}),
+]
+
+
+@pytest.mark.parametrize(("text", "degree", "poly"), _NODE_KINDS)
+def test_degree_and_form_of_each_node_kind(text, degree, poly):
+    expr = parse_space(text)
+    assert _degree(expr, _SHIFTS) == degree
+    assert _form(expr, _SHIFTS).as_dict() == poly
+
+
+@pytest.mark.parametrize(("text", "blocker"), [
+    ("A", "A"),
+    ("map(S1, Y)", "map(S1, Y)"),
+    ("wedge(S1, susp(loop(Y, 2)))", "loop(Y, 2)"),
+    ("prod(T2, bloop(Y, 2, 3), A)", "bloop(Y, 2, 3)"),
+])
+def test_degree_and_form_raise_at_a_blocker(text, blocker):
+    for reader in (_degree, _form):
+        with pytest.raises(NotSplittableError) as err:
+            reader(parse_space(text), _SHIFTS)
+        assert str(err.value.blocker) == blocker
+
+
+def test_only_a_product_charges_its_own_degree():
+    # A product's degree is charged before its factors are formed; neither
+    # a suspension nor a wedge is charged, and a torus only as its one run.
+    assert sphere_splitting(parse_space("susp(T10000)")).poly.max_shift == 10001
+    assert sphere_splitting(parse_space("wedge(T3, S20000)")).poly.max_shift == 20000
+    for text, degree in [
+        ("wedge(prod(S6000, S6000), S1)", 12000),
+        ("wedge(prod(S3000, S3000), prod(S7000, S7000), prod(S6000, S6000))", 14000),
+        ("prod(susp(T9000), susp(T9001))", 18003),
+    ]:
+        with pytest.raises(DecomposeError, match=f"^answer too large: degree shift {degree} "):
+            sphere_splitting(parse_space(text))
+
+
+@pytest.mark.parametrize(("text", "degree"), [
+    ("prod(susp(T9000), susp(T9001))", 18003),
+    ("prod(S1, susp(T20000))", 20002),
+])
+def test_a_product_is_charged_before_any_factor_is_formed(monkeypatch, text, degree):
+    def formed(runs):
+        raise AssertionError("a polynomial was formed")
+
+    monkeypatch.setattr(splitting, "charged_product", formed)
+    with pytest.raises(DecomposeError, match=f"^answer too large: degree shift {degree} "):
+        sphere_splitting(parse_space(text))
 
 
 def test_sugar_splits_without_expansion():
