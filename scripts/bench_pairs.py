@@ -26,14 +26,18 @@ every run, so an interrupted batch keeps what it measured.  The summary
 gives per metric the quartiles of each side
 (``statistics.quantiles(method="inclusive")``), how many pairs the change
 won, ``change_worse_by`` (the relative median difference in the metric's
-bad direction; negative when the change reads better) and whether that
-is ``within_bound`` of ``BENCHMARK.json``'s bound.  Neither ``gbench/`` nor
-``BENCHMARK.json`` is changed.
+bad direction; negative when the change reads better), whether that is
+``within_bound`` of ``BENCHMARK.json``'s bound, and whether a gain is
+shown (``gain_shown``): the change wins at least nine pairs in ten, ties
+counting for neither side, and its median beats the parent's by more than
+the parent's q3 - q1.  Neither ``gbench/`` nor ``BENCHMARK.json`` is
+changed.
 """
 
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -45,6 +49,7 @@ import tempfile
 from pathlib import Path
 
 SEED_STRIDE = 100  # seeds of the w-th workload start at first_seed + 100 * w
+GAIN_WINS = 0.9  # the share of pairs a shown gain must win
 
 
 def _git(root: Path, *args: str) -> bytes:
@@ -124,13 +129,16 @@ def summarize(runs: list, end_to_end: list) -> dict:
             change = [result["metrics"][name]["value"] for result in sides["change"]]
             wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
             base, new = statistics.median(parent), statistics.median(change)
-            worse_by = ((new - base) if lower else (base - new)) / base
+            gain = (base - new) if lower else (new - base)
+            worse_by = -gain / base
+            q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
             entry[name] = {
                 "parent_q1_median_q3": _quartiles(parent),
                 "change_q1_median_q3": _quartiles(change),
                 "change_wins": f"{wins}/{len(parent)}",
                 "change_worse_by": round(worse_by, 4),
                 "within_bound": worse_by <= metric["bound"],
+                "gain_shown": wins >= math.ceil(GAIN_WINS * len(parent)) and gain > q3 - q1,
             }
         summary[workload] = entry
     return summary
@@ -226,7 +234,8 @@ def main(argv=None) -> int:
             row = entry[name]
             print(f"{workload:18} {name:14} parent {row['parent_q1_median_q3']} change "
                   f"{row['change_q1_median_q3']} wins {row['change_wins']} worse_by "
-                  f"{row['change_worse_by']:+.4f} within_bound {row['within_bound']}")
+                  f"{row['change_worse_by']:+.4f} within_bound {row['within_bound']} "
+                  f"gain_shown {row['gain_shown']}")
     return 0
 
 

@@ -18,10 +18,13 @@ checks.  A weighted sum m_1 g_1 + ... + m_t g_t, which is what evaluating
 a formal sum makes, merges once: every summand's count times its weight
 goes into one map keyed by (p, k), which costs O(terms x summands per
 term), and the distinct keys are sorted once.  The invariant-factor chain
-d_1 | d_2 | ... | d_s is a derived view computed on demand; text output
-prints a run of n >= 2 equal factors d as ``(Z/d)^n``.  A sum can still
-have a factor, count or rank past 4300 digits; ``str`` then raises
-``ValueError`` naming that number's size.
+d_1 | d_2 | ... | d_s is computed on demand as runs of equal factors, by
+exponent drops: the largest factor takes every prime's highest power, and
+each distinct summand ends one run of its prime, where the factor is
+divided once.  So printing costs one division per distinct summand,
+whatever the counts; text output prints a run of n >= 2 equal factors d
+as ``(Z/d)^n``.  A sum can still have a factor, count or rank past 4300
+digits; ``str`` then raises ``ValueError`` naming that number's size.
 All arithmetic is exact integer arithmetic; orders are factored and
 primes certified by ``gottlieb.numtheory`` (standard library only).  An
 order that Pollard-Brent rho cannot split within its work budget raises
@@ -226,32 +229,37 @@ class AbelianGroup(_Record):
     def _factor_runs(self) -> list[tuple[int, int]]:
         """The invariant factors as runs (d, n) of n equal factors d, ascending.
 
-        The largest factor collects the highest exponent of every prime, the
-        next factor the second highest, and so on.  The factor only changes
-        where some prime's run of equal exponents ends, so each step takes
-        the shortest remaining run and ends at least one of them.
+        Factors are counted from the largest down.  The largest collects
+        the highest exponent of every prime, the next the second highest,
+        and so on, so a prime's part of the factor only drops where one of
+        its runs of equal exponents ends: by p^(k - k') into its next
+        exponent k', or by p^k past its last.  Each distinct summand gives
+        one such drop, and the factor changes only at their positions: one
+        exact division per distinct summand, whatever the counts.
         """
-        # Per prime, [exponent, copies left] in ascending order: the top of
-        # each stack is that prime's highest exponent not yet used up.
-        stacks: dict[int, list[list[int]]] = {}
-        for p, k, count in self.torsion:
-            if p in stacks:
-                stacks[p].append([k, count])
+        d = 1
+        drops = []  # (position from the top, divisor)
+        prime = exponent = position = 0
+        for p, k, count in reversed(self.torsion):  # primes, then exponents, descending
+            if p == prime:
+                drops.append((position, p ** (exponent - k)))
+                position += count
             else:
-                stacks[p] = [[k, count]]
+                if prime:
+                    drops.append((position, prime**exponent))
+                d *= p**k
+                position = count
+            prime, exponent = p, k
+        if prime:
+            drops.append((position, prime**exponent))
+        drops.sort()
         runs = []
-        while stacks:
-            step = min([stack[-1][1] for stack in stacks.values()])
-            d = 1
-            for p, stack in list(stacks.items()):
-                top = stack[-1]
-                d *= p ** top[0]
-                top[1] -= step
-                if not top[1]:
-                    stack.pop()
-                    if not stack:
-                        del stacks[p]
-            runs.append((d, step))
+        start = 0
+        for position, drop in drops:
+            if position != start:
+                runs.append((d, position - start))
+                start = position
+            d //= drop
         runs.reverse()
         return runs
 
@@ -371,11 +379,13 @@ def _merged(triples: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], 
     """Sort (p, k, count) triples and add up the counts of equal (p, k)."""
     triples.sort()
     merged: list[tuple[int, int, int]] = []
+    last_p = last_k = 0  # no summand has exponent 0
     for p, k, count in triples:  # equal (p, k) are now adjacent
-        if merged and merged[-1][0] == p and merged[-1][1] == k:
+        if k == last_k and p == last_p:
             merged[-1] = (p, k, merged[-1][2] + count)
         else:
             merged.append((p, k, count))
+            last_p, last_k = p, k
     return tuple(merged)
 
 

@@ -97,27 +97,32 @@ _KIND_ORDER = {GottliebTerm: 0, PiTerm: 1, RelTerm: 2, GenGottliebTerm: 3}
 
 
 def term_text(term: Term) -> str:
+    # Class patterns capture nothing: a positional capture costs about as
+    # much again as the match itself.
     match term:
-        case GottliebTerm(space, degree):
-            return f"G[{degree}]({space})"
-        case PiTerm(space, degree):
-            return f"pi[{degree}]({space})"
-        case RelTerm(map_name, degree):
-            return f"Grel[{degree}]({map_name})"
-        case GenGottliebTerm(source, suspensions, target):
-            return f"Gen[Σ^{suspensions} {format_space(source)} -> {format_space(target)}]"
+        case GottliebTerm():
+            return f"G[{term.degree}]({term.space})"
+        case PiTerm():
+            return f"pi[{term.degree}]({term.space})"
+        case RelTerm():
+            return f"Grel[{term.degree}]({term.map_name})"
+        case GenGottliebTerm():
+            return (
+                f"Gen[Σ^{term.suspensions} {format_space(term.source)} -> "
+                f"{format_space(term.target)}]"
+            )
     raise TypeError(f"not a term: {term!r}")
 
 
 def _term_key(term: Term):
     kind = _KIND_ORDER[type(term)]
     match term:
-        case GottliebTerm(space, degree) | PiTerm(space, degree):
-            return (kind, space, degree)
-        case RelTerm(map_name, degree):
-            return (kind, map_name, degree)
-        case GenGottliebTerm(source, suspensions, target):
-            return (kind, format_space(source), suspensions, format_space(target))
+        case GottliebTerm() | PiTerm():
+            return (kind, term.space, term.degree)
+        case RelTerm():
+            return (kind, term.map_name, term.degree)
+        case GenGottliebTerm():
+            return (kind, format_space(term.source), term.suspensions, format_space(term.target))
 
 
 @dataclass(frozen=True)

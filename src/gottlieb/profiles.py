@@ -153,10 +153,11 @@ class GradedGroup(_Record):
 
     def lookup(self, degree: int) -> AbelianGroup | None:
         """The group at ``degree``, or None when the table does not know it."""
+        group = self.entries.get(degree)  # entries hold only degrees 1..zero_above
+        if group is not None:
+            return group
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        if degree in self.entries:
-            return self.entries[degree]
         if self.zero_above is not None and degree > self.zero_above:
             return TRIVIAL
         return None

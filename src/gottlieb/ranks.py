@@ -17,12 +17,16 @@ G-space target gives an unknown rather than a claim.
 
 ``free_loop_necessary_condition`` checks the degreewise test that any
 candidate free-loop-space model must pass: G_d(candidate) must equal
-G_d(Y) + G_{d+1}(Y) on the requested degree window.
+G_d(Y) + G_{d+1}(Y) on the requested degree window.  It compares ranks
+and merged torsion, so a passing degree builds no sum; only a failing one
+forms G_d(Y) + G_{d+1}(Y), to print it.  Over two tables that both declare
+a bound it stops at the larger one: every degree above reads the trivial
+group three times and passes.
 """
 
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, _merged
 from .profiles import GradedGroup, Incomplete, ProfileError, SpaceProfile
 from .spaces import SpaceExpr, _nat
 from .splitting import NotSplittableError, _degree
@@ -126,23 +130,25 @@ def top_degree_report(
         raise HypothesisError(
             f"{y_profile.name!r} declares no zero_above bound; the top degree is undefined"
         )
-    groups = {d: y_profile.gottlieb.lookup(d) for d in range(1, bound + 1)}
-    missing = [f"gamma[{d}]({y_profile.name})" for d, g in groups.items() if g is None]
+    missing = []
+    top = rank = None
+    for d in range(1, bound + 1):
+        group = y_profile.gottlieb.lookup(d)
+        if group is None:
+            missing.append(f"gamma[{d}]({y_profile.name})")
+        elif group.rank > 0:
+            top, rank = d, group.rank
     if missing:
         return Incomplete(tuple(missing), ())
-    top = None
-    for d, group in groups.items():
-        if group.rank > 0:
-            top = d
     if top is None:
         return TopDegreeReport(None, None)
     value = gamma_of_map_space(x_profile, y_profile, top, unchecked=unchecked)
-    if value != groups[top].rank:
+    if value != rank:
         raise ProfileError(
             f"rank at the top degree must survive to the mapping space, "
-            f"got {value} != {groups[top].rank}"
+            f"got {value} != {rank}"
         )
-    return TopDegreeReport(top, groups[top].rank)
+    return TopDegreeReport(top, rank)
 
 
 @dataclass(frozen=True)
@@ -196,32 +202,39 @@ def free_loop_necessary_condition(
     Failing any degree disqualifies the candidate as a free loop space of
     the base.  The first definite mismatch wins; if no mismatch is found
     but some degrees could not be checked, the verdict is incomplete.  A
-    step-1 ``range`` is read as given; any other iterable is sorted and
-    deduplicated.
+    step-1 ``range`` is read in order, never materialized, and cut at the
+    larger bound when both tables declare one; any other iterable is
+    sorted and deduplicated.
     """
-    if not (isinstance(degrees, range) and degrees.step == 1):
-        degrees = sorted(set(degrees))
+    if isinstance(degrees, range) and degrees.step == 1:
+        if degrees:
+            _nat(degrees.start, "degree")  # the rest are integers above it
+            # Above both bounds every read is the trivial group, so every
+            # degree there passes.
+            if candidate.zero_above is not None and base.zero_above is not None:
+                bound = max(candidate.zero_above, base.zero_above)
+                degrees = range(degrees.start, min(degrees.stop, bound + 1))
+    else:
+        degrees = (_nat(d, "degree") for d in sorted(set(degrees)))
     missing: list[str] = []
     for d in degrees:
-        _nat(d, "degree")
-        left = candidate.lookup(d)
-        lower, upper = base.lookup(d), base.lookup(d + 1)
-        unknown = []
-        if left is None:
-            unknown.append(f"candidate G[{d}]")
-        if lower is None:
-            unknown.append(f"base G[{d}]")
-        if upper is None:
-            unknown.append(f"base G[{d + 1}]")
-        if unknown:
-            missing.extend(unknown)
+        left, lower, upper = candidate.lookup(d), base.lookup(d), base.lookup(d + 1)
+        if left is None or lower is None or upper is None:
+            if left is None:
+                missing.append(f"candidate G[{d}]")
+            if lower is None:
+                missing.append(f"base G[{d}]")
+            if upper is None:
+                missing.append(f"base G[{d + 1}]")
             continue
-        expected = lower.direct_sum(upper)
-        if left != expected:
+        if left.rank != lower.rank + upper.rank or left.torsion != _merged(
+            [*lower.torsion, *upper.torsion]
+        ):
             return LoopCheckVerdict(
                 "fail",
                 failing_degree=d,
-                detail=f"degree {d}: candidate has {left}, a free loop space needs {expected}",
+                detail=f"degree {d}: candidate has {left}, "
+                f"a free loop space needs {lower.direct_sum(upper)}",
             )
     if missing:
         return LoopCheckVerdict("incomplete", missing=tuple(dict.fromkeys(missing)))

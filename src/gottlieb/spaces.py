@@ -388,33 +388,35 @@ def format_space(expr: SpaceExpr) -> str:
 
 
 def _format_node(expr: SpaceExpr) -> str:
+    # Here and in _expand and _desugar_node, class patterns capture nothing:
+    # a positional capture costs about as much again per node as the match.
     match expr:
-        case Atom(name):
-            return name
-        case Sphere(dim):
-            return f"S{dim}"
+        case Atom():
+            return expr.name
+        case Sphere():
+            return f"S{expr.dim}"
         case Point():
             return "pt"
-        case Torus(factors):
-            return f"T{factors}"
-        case Bouquet(circles):
-            return f"B{circles}"
-        case Wedge(children):
-            return "wedge(" + ", ".join(format_space(c) for c in children) + ")"
-        case Product(children):
-            return "prod(" + ", ".join(format_space(c) for c in children) + ")"
-        case Susp(child, count):
-            if count == 1:
-                return f"susp({format_space(child)})"
-            return f"susp({format_space(child)}, {count})"
-        case Loop(target, iterations):
-            if iterations == 1:
-                return f"loop({format_space(target)})"
-            return f"loop({format_space(target)}, {iterations})"
-        case BouquetSpace(target, circles, iterations):
-            if iterations == 1:
-                return f"bloop({format_space(target)}, {circles})"
-            return f"bloop({format_space(target)}, {circles}, {iterations})"
+        case Torus():
+            return f"T{expr.factors}"
+        case Bouquet():
+            return f"B{expr.circles}"
+        case Wedge():
+            return "wedge(" + ", ".join(format_space(c) for c in expr.children) + ")"
+        case Product():
+            return "prod(" + ", ".join(format_space(c) for c in expr.children) + ")"
+        case Susp():
+            if expr.count == 1:
+                return f"susp({format_space(expr.child)})"
+            return f"susp({format_space(expr.child)}, {expr.count})"
+        case Loop():
+            if expr.iterations == 1:
+                return f"loop({format_space(expr.target)})"
+            return f"loop({format_space(expr.target)}, {expr.iterations})"
+        case BouquetSpace():
+            if expr.iterations == 1:
+                return f"bloop({format_space(expr.target)}, {expr.circles})"
+            return f"bloop({format_space(expr.target)}, {expr.circles}, {expr.iterations})"
     raise TypeError(f"not a space expression: {expr!r}")
 
 
@@ -491,15 +493,15 @@ def _expand(expr: SpaceExpr) -> SpaceExpr:
     e = expr
     while True:
         match e:
-            case MapSpace(source, target):
-                levels.append((_expand(source), 1))
-            case Loop(target, iterations):
-                levels.append((Sphere(1), iterations))
-            case BouquetSpace(target, circles, iterations):
-                levels.append((_desugar_node(Bouquet(circles)), iterations))
+            case MapSpace():
+                levels.append((_expand(e.source), 1))
+            case Loop():
+                levels.append((Sphere(1), e.iterations))
+            case BouquetSpace():
+                levels.append((_desugar_node(Bouquet(e.circles)), e.iterations))
             case _:
                 break
-        e = target
+        e = e.target
     out = _desugar_node(e)
     for source, repeats in reversed(levels):
         for _ in range(repeats):
@@ -511,21 +513,21 @@ def _desugar_node(expr: SpaceExpr) -> SpaceExpr:
     match expr:
         case Atom() | Sphere() | Point():
             return expr
-        case Wedge(children):
-            return Wedge(tuple(_expand(c) for c in children))
-        case Product(children):
-            return Product(tuple(_expand(c) for c in children))
-        case Susp(child, count):
-            inner = _expand(child)
+        case Wedge():
+            return Wedge(tuple(_expand(c) for c in expr.children))
+        case Product():
+            return Product(tuple(_expand(c) for c in expr.children))
+        case Susp():
+            inner = _expand(expr.child)
             if isinstance(inner, Susp):
-                return Susp(inner.child, inner.count + count)
-            return Susp(inner, count)
-        case Torus(factors):
-            if factors == 1:
+                return Susp(inner.child, inner.count + expr.count)
+            return Susp(inner, expr.count)
+        case Torus():
+            if expr.factors == 1:
                 return Sphere(1)
-            return Product((Sphere(1),) * factors)
-        case Bouquet(circles):
-            if circles == 1:
+            return Product((Sphere(1),) * expr.factors)
+        case Bouquet():
+            if expr.circles == 1:
                 return Sphere(1)
-            return Wedge((Sphere(1),) * circles)
+            return Wedge((Sphere(1),) * expr.circles)
     raise TypeError(f"not a space expression: {expr!r}")

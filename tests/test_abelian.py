@@ -209,3 +209,47 @@ def test_is_trivial():
     assert TRIVIAL.is_trivial
     assert not canonicalize(1).is_trivial
     assert not canonicalize(0, [2]).is_trivial
+
+
+def _multi_exponent_groups(max_count):
+    """Up to four primes, each with up to four exponents, and counts up to ``max_count``."""
+    prime_part = st.tuples(
+        st.sampled_from([2, 3, 5, 7, 10**9 + 7]),
+        st.dictionaries(st.integers(1, 9), st.integers(1, max_count), min_size=1, max_size=4),
+    )
+    return st.builds(
+        lambda rank, parts: AbelianGroup(
+            rank, [(p, k, count) for p, counts in parts for k, count in counts.items()]),
+        st.integers(0, 3),
+        st.lists(prime_part, max_size=4, unique_by=lambda part: part[0]),
+    )
+
+
+def _reference_factors(group):
+    """Per prime, its exponents one per summand in descending order; the
+    factors are their prime powers multiplied position by position."""
+    columns = {}
+    for p, k, count in group.torsion:
+        columns.setdefault(p, []).extend([k] * count)
+    factors = []
+    for p, exponents in columns.items():
+        exponents.sort(reverse=True)
+        factors += [1] * (len(exponents) - len(factors))
+        for i, k in enumerate(exponents):
+            factors[i] *= p**k
+    return factors[::-1]
+
+
+@given(_multi_exponent_groups(5))
+def test_factor_runs_multiply_exponents_position_by_position(group):
+    runs = group._factor_runs()
+    assert [d for d, n in runs for _ in range(n)] == _reference_factors(group)
+    assert all(n >= 1 for d, n in runs)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # runs are maximal
+
+
+@given(_multi_exponent_groups(10**30), st.integers(1, 10**30))
+def test_factor_runs_scale_with_the_counts(group, copies):
+    runs = group._factor_runs()
+    assert group.scaled(copies)._factor_runs() == [(d, n * copies) for d, n in runs]
+    assert parse_group(str(group)) == group

@@ -138,3 +138,36 @@ def test_an_unknown_workload_is_a_usage_error(bench_pairs, monkeypatch, tmp_path
     assert exit_.value.code == 2
     assert "unknown workload 'no-such-load'" in capsys.readouterr().err
     assert calls == [] and not out.exists()
+
+
+def _gain(bench_pairs, parent_p50, change_p50):
+    parent = [line(p50, 1000) for p50 in parent_p50]
+    change = [line(p50, 1000) for p50 in change_p50]
+    return bench_pairs.summarize(runs_of("w", parent, change), END_TO_END)["w"]
+
+
+def test_a_gain_is_shown_by_nine_wins_in_ten_past_the_parents_spread(bench_pairs):
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    entry = _gain(bench_pairs, parent, [p * 0.77 for p in parent])
+    assert entry["query_p50_ms"]["change_wins"] == "10/10"
+    assert entry["query_p50_ms"]["gain_shown"] is True
+    # Equal throughput on every pair: ties count for neither side.
+    assert entry["queries_per_s"]["change_wins"] == "0/10"
+    assert entry["queries_per_s"]["gain_shown"] is False
+
+
+def test_a_gain_inside_the_parents_spread_is_not_shown(bench_pairs):
+    # A 23% median gain, every pair won, but the parent's q3 - q1 is 37.5% of its median.
+    parent = [0.70, 0.75, 0.80, 0.85, 1.00, 1.00, 1.15, 1.20, 1.25, 1.30]
+    entry = _gain(bench_pairs, parent, [p * 0.77 for p in parent])["query_p50_ms"]
+    assert entry["change_wins"] == "10/10"
+    assert entry["change_worse_by"] == -0.23
+    assert entry["gain_shown"] is False
+
+
+def test_a_gain_won_on_eight_pairs_in_ten_is_not_shown(bench_pairs):
+    parent = [1.00] * 10
+    change = [0.5] * 8 + [1.5] * 2
+    entry = _gain(bench_pairs, parent, change)["query_p50_ms"]
+    assert entry["change_wins"] == "8/10"
+    assert entry["gain_shown"] is False

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gottlieb
 from conftest import db_of, run_capped, synthetic_space
@@ -15,6 +16,7 @@ from gottlieb.decompose import decompose
 from gottlieb.profiles import Flags, GradedGroup, Incomplete, SpaceProfile, evaluate
 from gottlieb.ranks import (
     HypothesisError,
+    LoopCheckVerdict,
     PropagatedFlags,
     TopDegreeReport,
     free_loop_necessary_condition,
@@ -263,3 +265,108 @@ def test_free_loop_check_reads_a_huge_range_as_given():
     result, elapsed = run_capped([sys.executable, "-c", code], env)
     assert (result.returncode, result.stdout) == (0, "fail 1\n"), result.stderr
     assert elapsed < 1, elapsed
+
+
+def test_free_loop_check_stops_at_the_bounds_of_a_huge_range():
+    # Above both bounds every read is the trivial group, so the check ends
+    # at the larger bound instead of walking 10^20 passing degrees.
+    code = (
+        "from gottlieb.abelian import parse_group\n"
+        "from gottlieb.profiles import GradedGroup\n"
+        "from gottlieb.ranks import free_loop_necessary_condition\n"
+        "base = GradedGroup({1: parse_group('Z'), 2: parse_group('Z/2')}, zero_above=2)\n"
+        "candidate = GradedGroup({1: parse_group('Z + Z/2'), 2: parse_group('Z/2'),"
+        " 3: parse_group('0')}, zero_above=3)\n"
+        "verdict = free_loop_necessary_condition(candidate, base, range(1, 10**20 + 1))\n"
+        "print(verdict.status, verdict.failing_degree)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+    result, elapsed = run_capped([sys.executable, "-c", code], env)
+    assert (result.returncode, result.stdout) == (0, "pass None\n"), result.stderr
+    assert elapsed < 1, elapsed
+
+
+def _read(table, degree):
+    """A table's group at ``degree`` by its definition, without ``lookup``."""
+    if degree in table.entries:
+        return table.entries[degree]
+    if table.zero_above is not None and degree > table.zero_above:
+        return canonicalize(0)
+    return None
+
+
+def _reference_verdict(candidate, base, degrees):
+    """The loop check written from G_d(candidate) == G_d(base) + G_{d+1}(base)."""
+    missing = []
+    for d in sorted(set(degrees)):
+        reads = {f"candidate G[{d}]": _read(candidate, d), f"base G[{d}]": _read(base, d),
+                 f"base G[{d + 1}]": _read(base, d + 1)}
+        unknown = [name for name, group in reads.items() if group is None]
+        if unknown:
+            missing += unknown
+            continue
+        left, lower, upper = reads.values()
+        if left != lower.direct_sum(upper):
+            return LoopCheckVerdict(
+                "fail", d, f"degree {d}: candidate has {left}, "
+                f"a free loop space needs {lower.direct_sum(upper)}")
+    if missing:
+        return LoopCheckVerdict("incomplete", missing=tuple(dict.fromkeys(missing)))
+    return LoopCheckVerdict("pass")
+
+
+_SMALL_GROUPS = st.builds(
+    canonicalize, st.integers(0, 2), st.lists(st.sampled_from([2, 3, 4, 6, 8]), max_size=3)
+)
+
+
+@st.composite
+def _loop_check_cases(draw):
+    top = draw(st.integers(1, 6))
+    known = st.booleans() if draw(st.booleans()) else st.just(True)  # gaps or none
+    base_entries = {d: draw(_SMALL_GROUPS) for d in range(1, top + 2) if draw(known)}
+    base = GradedGroup(base_entries, zero_above=draw(st.sampled_from([None, top + 1])))
+    candidate_entries = {}
+    for d in range(1, top + 1):
+        lower, upper = _read(base, d), _read(base, d + 1)
+        if draw(known) and lower is not None and upper is not None:
+            candidate_entries[d] = lower.direct_sum(upper)
+    window = draw(st.one_of(
+        st.builds(range, st.integers(1, top + 1), st.integers(1, top + 4)),
+        st.lists(st.integers(1, top + 3), max_size=6),
+    ))
+    checked = sorted(set(window) & set(candidate_entries))
+    where = draw(st.sampled_from([None, 0, len(checked) // 2, -1]))
+    if where is not None and checked:
+        bad = checked[where]
+        candidate_entries[bad] = candidate_entries[bad].direct_sum(draw(st.sampled_from(
+            [canonicalize(1), canonicalize(0, [2]), canonicalize(0, [3, 3])])))
+    candidate = GradedGroup(candidate_entries, zero_above=draw(st.sampled_from([None, top])))
+    return candidate, base, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(_loop_check_cases())
+def test_free_loop_check_agrees_with_its_definition(case):
+    candidate, base, window = case
+    assert free_loop_necessary_condition(candidate, base, window) == _reference_verdict(
+        candidate, base, window)
+
+
+def test_rank_reads_go_through_lookup(monkeypatch):
+    # Every table read is a lookup call, three per checked degree and one per
+    # Betti number, so a count of lookups measures the work done.
+    calls = []
+    read = GradedGroup.lookup
+    monkeypatch.setattr(GradedGroup, "lookup", lambda table, d: calls.append(d) or read(table, d))
+    base = _graded({d: "Z + Z/2" for d in range(1, 9)}, bound=8)
+    candidate = _graded({d: "Z^2 + (Z/2)^2" for d in range(1, 8)} | {8: "Z + Z/2"}, bound=8)
+    assert free_loop_necessary_condition(candidate, base, range(1, 8)).passed
+    assert len(calls) == 3 * 7
+    calls.clear()
+    assert free_loop_necessary_condition(candidate, base, [3, 1, 3]).passed
+    assert calls == [1, 1, 2, 3, 3, 4]
+    calls.clear()
+    y = _ranked("Y", {d: 1 for d in range(1, 9)}, bound=8)
+    assert gamma_of_map_space(GOOD_X, y, 2) == 1 + 0 + 3
+    assert calls == [2, 3, 4]

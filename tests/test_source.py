@@ -126,6 +126,18 @@ def test_package_never_expands_invariant_factors():
     assert offenders == []
 
 
+def test_dispatchers_match_classes_without_capturing():
+    # A positional capture in a class pattern costs about as much again per
+    # node as the match itself; the dispatchers read the fields they need.
+    root = Path(gottlieb.__file__).parent
+    offenders = [
+        f"{name}:{node.lineno}"
+        for name in ("formal.py", "spaces.py", "splitting.py")
+        for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.MatchClass) and (node.patterns or node.kwd_patterns)
+    ]
+    assert offenders == []
+
 
 def test_only_main_prints_in_the_cli():
     # Commands return (code, obj, lines); main is the one output point.
