@@ -8,27 +8,28 @@ groups, and direct sum adds counts.  ``direct_sum`` and ``scaled`` cost
 O(distinct summands) whatever the multiplicities, which is what a mapping
 space answer needs: a few distinct groups, each repeated C(N, j) times.
 
-Validation happens once, where outside input enters: the constructor, and
-the profile reader through the same ``_checked_torsion``, check every
-item (integers, p prime, k >= 1, count >= 1, p^k of at most 4300
-decimal digits, so every admitted summand prints under the interpreter's
-default digit limit), and ``canonicalize`` checks its orders and factors
-them.  Sums and multiples of valid groups are valid, so they skip the
-checks.  A weighted sum m_1 g_1 + ... + m_t g_t, which is what evaluating
-a formal sum makes, merges once: every summand's count times its weight
-goes into one map keyed by (p, k), which costs O(terms x summands per
-term), and the distinct keys are sorted once.  The invariant-factor chain
-d_1 | d_2 | ... | d_s is computed on demand as runs of equal factors, by
-exponent drops: the largest factor takes every prime's highest power, and
-each distinct summand ends one run of its prime, where the factor is
-divided once.  So printing costs one division per distinct summand,
-whatever the counts; text output prints a run of n >= 2 equal factors d
-as ``(Z/d)^n``.  A sum can still have a factor, count or rank past 4300
-digits; ``str`` then raises ``ValueError`` naming that number's size.
-All arithmetic is exact integer arithmetic; orders are factored and
-primes certified by ``gottlieb.numtheory`` (standard library only).  An
-order that Pollard-Brent rho cannot split within its work budget raises
-``ValueError``, which profile loading reports as a schema error.
+Validation happens once, where outside input enters: the constructor and
+the profile reader read torsion items through ``_canonical_torsion``, one
+loop that checks every item (integers, p prime, k >= 1, count >= 1, p^k of
+at most 4300 decimal digits, so every admitted summand prints under the
+interpreter's default digit limit) and takes items already in canonical
+order, as ``save`` writes them, as they stand; ``canonicalize`` checks its
+orders and factors them.  Sums and multiples of valid groups are valid, so
+they skip the checks.  A weighted sum m_1 g_1 + ... + m_t g_t, which is
+what evaluating a formal sum makes, merges once: every summand's count
+times its weight goes into one map keyed by (p, k), which costs O(terms x
+summands per term), and the distinct keys are sorted once.  The
+invariant-factor chain d_1 | d_2 | ... | d_s is computed on demand as runs
+of equal factors, by exponent drops: the largest factor takes every
+prime's highest power, and each distinct summand ends one run of its
+prime, where the factor is divided once.  So printing costs one division
+per distinct summand, whatever the counts; text output prints a run of
+n >= 2 equal factors d as ``(Z/d)^n``.  A sum can still have a factor, count
+or rank past 4300 digits; ``str`` then raises ``ValueError`` naming that
+number's size.  All arithmetic is exact integer arithmetic; orders are
+factored and primes certified by ``gottlieb.numtheory`` (standard library
+only).  An order that Pollard-Brent rho cannot split within its work budget
+raises ``ValueError``, which profile loading reports as a schema error.
 
 >>> g = canonicalize(1, [6, 4])
 >>> g.torsion
@@ -142,13 +143,17 @@ class _Record:
         return self.__class__, self._values(self)
 
 
-def _checked_torsion(items) -> list[tuple[int, int, int]]:
-    """Validated (p, k, count) triples from (p, k) pairs and (p, k, count) triples.
+def _canonical_torsion(items) -> tuple[tuple[int, int, int], ...]:
+    """Canonical (p, k, count) triples from (p, k) pairs and (p, k, count) triples.
 
     Raises ``TypeError`` for an item that is not two or three integers and
     ``ValueError`` for k < 1, count < 1, p^k past 4300 digits or p not prime.
+    Items already in strictly increasing (p, k) order, as ``save`` writes
+    them, are taken as they stand; any others are sorted and merged.
     """
     triples = []
+    last_p = last_k = 0  # no summand has exponent 0
+    ordered = True
     for item in items:
         # This loop is the cost of every load, so the common case (plain
         # ints, a short prime power) takes the cheapest tests first.
@@ -156,13 +161,14 @@ def _checked_torsion(items) -> list[tuple[int, int, int]]:
         if size == 2:
             p, k = item
             count = 1
+            plain = type(p) is int and type(k) is int
         elif size == 3:
             p, k, count = item
+            plain = type(p) is int and type(k) is int and type(count) is int
         else:
             p = k = count = None
-        if not (type(p) is int and type(k) is int and type(count) is int) and not (
-            _is_int(p) and _is_int(k) and _is_int(count)
-        ):
+            plain = False
+        if not plain and not (_is_int(p) and _is_int(k) and _is_int(count)):
             raise TypeError(
                 f"torsion item must be two integers (p, k) or three (p, k, count), "
                 f"got {item!r}"
@@ -175,8 +181,11 @@ def _checked_torsion(items) -> list[tuple[int, int, int]]:
             raise ValueError(f"torsion order p^k exceeds {_MAX_DIGITS} digits")
         if not isprime(p):
             raise ValueError(f"torsion base must be prime, got {p}")
+        if ordered:
+            ordered = p > last_p or p == last_p and k > last_k
+            last_p, last_k = p, k
         triples.append((p, k, count))
-    return triples
+    return tuple(triples) if ordered else _merged(triples)
 
 
 class AbelianGroup(_Record):
@@ -195,7 +204,7 @@ class AbelianGroup(_Record):
     def __init__(self, rank: int = 0, torsion=()) -> None:
         _check_rank(rank)
         _set(self, "rank", rank)
-        _set(self, "torsion", _merged(_checked_torsion(torsion)))
+        _set(self, "torsion", _canonical_torsion(torsion))
 
     @property
     def is_trivial(self) -> bool:
@@ -380,11 +389,12 @@ def _merged(triples: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], 
     triples.sort()
     merged: list[tuple[int, int, int]] = []
     last_p = last_k = 0  # no summand has exponent 0
-    for p, k, count in triples:  # equal (p, k) are now adjacent
+    for triple in triples:  # equal (p, k) are now adjacent
+        p, k, count = triple
         if k == last_k and p == last_p:
             merged[-1] = (p, k, merged[-1][2] + count)
         else:
-            merged.append((p, k, count))
+            merged.append(triple)
             last_p, last_k = p, k
     return tuple(merged)
 

@@ -193,6 +193,10 @@ def _cmd_rank(args, db):
     obj = {"expr": format_space(expr), "hypotheses_verified": verified}
     lines: list[str] = []
     if args.degree is None:
+        bound, known = y.gottlieb.zero_above, len(y.gottlieb.entries)
+        if bound is not None and bound - known > WINDOW_CEILING and (unchecked or verified):
+            raise _UsageError(f"rank report of {bound - known} unknown degrees "
+                              f"is over the ceiling of {WINDOW_CEILING}")
         result = top_degree_report(x, y, unchecked=unchecked)
     else:
         obj["degree"] = args.degree

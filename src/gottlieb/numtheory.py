@@ -9,15 +9,20 @@ counterexample is known.  This is the rule ``sympy.isprime`` applies.
 For n >= 10^6 the verdict is memoized, 1024 verdicts per process, and the
 memo is looked up before any arithmetic, trial division included.
 
-``factorint`` returns ``{prime: exponent}``.  After trial division by the
-primes below 1000, a composite cofactor takes one gcd with the product of
-the primes in [1000, 10^4), which finds all of its prime factors there.
-What is left has no prime factor below 10^4; it is split with a
-perfect-power check, a few Fermat steps (close factors) and Brent's
-variant of Pollard's rho (BIT 20, 1980).  Rho runs on a work budget that
-scales with the size of the number, so every call ends in bounded time;
-when the budget runs out it raises ``ValueError``.  Factors found before
-rho do not use up its budget.
+``factorint`` returns ``{prime: exponent}``, cheap stages first.  One gcd
+with the product of the primes below 1000 names those dividing n; a lone
+one is divided out directly.  A cofactor below 10^6 is then prime; a
+larger one takes a primality test and a perfect-power check.  The first
+composite that is not a perfect power takes a gcd with the product of
+the primes in [1000, 10^4), which finds all of its factors there, or when
+it has none, gcds with products of 256 primes of [10^4, 10^5), built on
+first need, up to the first that shares one (Bernstein, "How to find
+smooth parts of integers", 2004).  Fermat steps and Brent's variant of
+Pollard's rho (BIT 20, 1980) split the rest.  Rho runs on a work budget
+that scales with the size of the number, so every call ends in bounded
+time; when the budget runs out it raises ``ValueError``.  Factors found
+before rho do not use up its budget: prime factors below 10^5 cost it
+nothing, but where n has factors in both bands rho finds those above 10^4.
 
 >>> factorint(2**5 * 3 * 1000003**2)
 {2: 5, 3: 1, 1000003: 2}
@@ -27,24 +32,26 @@ rho do not use up its budget.
 False
 """
 
+from collections.abc import Iterator
 from functools import cache, lru_cache
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 __all__ = ["factorint", "isprime"]
 
 
-def _primes_below(limit: int) -> list[int]:
-    """The sieve of Eratosthenes."""
+def _primes_below(limit: int) -> Iterator[int]:
+    """The primes below ``limit`` in ascending order, by the sieve of Eratosthenes."""
     flags = bytearray([1]) * limit
     flags[:2] = b"\0\0"
     for i in range(2, isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return [i for i, flag in enumerate(flags) if flag]
+    return compress(range(limit), flags)
 
 
 _TRIAL_BOUND = 1000
-_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+_SMALL_PRIMES = list(_primes_below(_TRIAL_BOUND))
 _SMALL_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = prod(_SMALL_PRIMES)
 _MR_BASES = _SMALL_PRIMES[:13]
@@ -52,8 +59,13 @@ _MR_LIMIT = 3317044064679887385961981
 # One gcd with the product of the primes in [_TRIAL_BOUND, _GCD_BOUND)
 # finds all of a cofactor's 4-digit prime factors at once (7-11 us on a
 # 30-130-bit cofactor with CPython 3.11 on x86-64, where rho took 50-300 us
-# for each factor).  Past 10^4 the product grows and the gcd stops paying.
+# for each factor).  Past 10^4 one product grows and its gcd stops paying.
 _GCD_BOUND = 10_000
+# The next band, in blocks: 50-60 us for a factor there on that host, where
+# rho took about 200 us.  Blocks of 256 primes found a factor in 60 us,
+# blocks of 128 in 67 us, and missed in 124 against 151 us.
+_BAND_BOUND = 100_000
+_BLOCK = 256
 _FERMAT_STEPS = 8
 # Rho's budget, counted in steps on a number of one machine word.  A step
 # on a b-bit number costs about 1 + (b / 320)^1.7 of those (measured with
@@ -152,38 +164,42 @@ def _half(x: int, n: int) -> int:
 def factorint(n: int) -> dict[int, int]:
     """The prime factorization of the integer ``n >= 1`` as ``{p: k}``.
 
-    Trial division removes the primes below 1000.  What is left goes
-    through a primality test and a perfect-power check; the first composite
-    that is not a perfect power sheds its primes below 10^4 in one gcd, and
-    Fermat steps and Pollard-Brent rho split the rest.  So prime cofactors
-    and powers of a prime never pay for the gcd.
+    A gcd with the product of the primes below 1000 names the ones that
+    divide n.  What is left goes through a primality test and a
+    perfect-power check; the first composite that is not a perfect power
+    sheds its primes below 10^4 in one gcd, or when it has none, those of
+    the first block of [10^4, 10^5) that shares one.  Fermat steps and
+    Pollard-Brent rho split the rest.  So prime cofactors and powers of a
+    prime never pay for the gcd.
 
     Raises ``ValueError`` when rho exhausts its work budget on a cofactor,
     which happens when ``n`` has two prime factors of more than about ten
-    digits that are not close together.  Prime factors below 10^4 cost
-    that budget nothing.
+    digits that are not close together.  Prime factors below 10^5 found by
+    the gcds cost that budget nothing.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"cannot factor {n!r}: expected an integer >= 1")
     factors: dict[int, int] = {}
     rest = n
-    small = gcd(n, _PRIMORIAL)
-    for p in _SMALL_PRIMES:
-        if small == 1:
-            break
-        if small % p == 0:
-            small //= p
-            k = 0
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            factors[p] = k
+    small = gcd(n, _PRIMORIAL)  # the product of the primes below 1000 dividing n
+    if small > 1:
+        for p in (small,) if small in _SMALL_SET else _SMALL_PRIMES:
+            if small % p == 0:
+                small //= p
+                k = 0
+                while rest % p == 0:
+                    rest //= p
+                    k += 1
+                factors[p] = k
+                if small == 1:
+                    break
     work = _RHO_WORK
     least = _TRIAL_BOUND  # every pending number has no prime factor below this
     pending = [(rest, 1)] if rest > 1 else []
     while pending:
         m, e = pending.pop()
-        if isprime(m):
+        # Below 1000^2, a number with no prime factor below 1000 is prime.
+        if m < _TRIAL_BOUND**2 or isprime(m):
             factors[m] = factors.get(m, 0) + e
             continue
         root, k = _perfect_power(m, least)
@@ -209,24 +225,45 @@ def factorint(n: int) -> dict[int, int]:
 @cache
 def _gcd_primes() -> tuple[list[int], int]:
     """The 1061 primes in [_TRIAL_BOUND, _GCD_BOUND) and their product."""
-    primes = _primes_below(_GCD_BOUND)[len(_SMALL_PRIMES) :]
+    primes = list(_primes_below(_GCD_BOUND))[len(_SMALL_PRIMES) :]
     return primes, prod(primes)
 
 
+@cache
+def _band_blocks() -> list[tuple[int, int]]:
+    """(least prime, product) of each block of _BLOCK primes in [_GCD_BOUND,
+    _BAND_BOUND): 33 products of about 4300 bits, built on first need."""
+    primes = islice(_primes_below(_BAND_BOUND), len(_SMALL_PRIMES) + len(_gcd_primes()[0]), None)
+    blocks = []
+    while block := list(islice(primes, _BLOCK)):
+        blocks.append((block[0], prod(block)))
+    return blocks
+
+
 def _divide_gcd_primes(m: int, e: int, factors: dict[int, int]) -> int:
-    """m without its prime factors in [_TRIAL_BOUND, _GCD_BOUND).
+    """m without its prime factors in [_TRIAL_BOUND, _GCD_BOUND), or when it
+    has none, without those of the first block of [_GCD_BOUND, _BAND_BOUND)
+    that shares one.
 
     Those primes go into ``factors`` with their exponents in m^e; m has no
     prime factor below _TRIAL_BOUND.
     """
     primes, product = _gcd_primes()
     g = gcd(m, product % m)
+    if g == 1:
+        for least, product in _band_blocks():
+            g = gcd(m, product % m)
+            if g > 1:
+                primes = range(least, _BAND_BOUND)  # from here g's least divisor is prime
+                break
+        else:
+            return m
     candidates = iter(primes)
     while g > 1:
-        # g is a product of distinct primes of [_TRIAL_BOUND, _GCD_BOUND),
-        # so it is prime exactly when it is below _GCD_BOUND; otherwise
-        # walk on to its next prime factor.
-        p = g if g < _GCD_BOUND else next(q for q in candidates if g % q == 0)
+        # g is a product of distinct primes of at least _TRIAL_BOUND, so it
+        # is prime exactly when it is below _TRIAL_BOUND^2 > _BAND_BOUND;
+        # otherwise walk on to its next prime factor.
+        p = g if g < _BAND_BOUND else next(q for q in candidates if g % q == 0)
         g //= p
         k = 0
         while m % p == 0:

@@ -28,10 +28,12 @@ Entry degrees are decimal strings >= 1.  Groups are written either in the
 text codec ("Z^r + Z/d + (Z/e)^n + ...", where (Z/e)^n is n copies of Z/e)
 or structurally as {"rank": r, "torsion": [[p, k], [p, k, count], ...]},
 where [p, k] is one summand Z/p^k and [p, k, count] is count of them;
-``save`` always emits the structural form, with [p, k] for a count of 1.
-It writes the indent-2, key-sorted layout of ``json.dumps`` directly (the
-standard encoder is pure Python when it indents), and a test pins its
-bytes to the standard encoder's output.
+``save`` always emits the structural form, with [p, k] for a count of 1,
+in (p, k) order, which the reader (``abelian._canonical_torsion``, one
+pass) takes as it stands.  It writes the indent-2, key-sorted layout of
+``json.dumps`` directly (the standard encoder is pure Python when it
+indents), a table's groups straight through ``_dump_group``, and a test
+pins its bytes to the standard encoder's output.
 A structured p^k may have at most 4300 digits, the limit the text codec
 has for every integer (a product of such powers can still be too long to
 print; see ``abelian``).  JSON integers past the interpreter's digit limit
@@ -62,9 +64,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
 from .abelian import (
     TRIVIAL,
     AbelianGroup,
+    _canonical_torsion,
     _check_rank,
-    _checked_torsion,
-    _merged,
     _Record,
     _set,
     _trusted,
@@ -94,7 +95,6 @@ __all__ = [
     "save",
 ]
 
-_DEGREE_KEY_RE = re.compile(r"[1-9][0-9]*\Z")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
@@ -506,15 +506,18 @@ def _group_from_json(value, path: str) -> AbelianGroup:
             return AbelianGroup.from_text(value)
         except (TypeError, ValueError) as exc:
             raise ProfileError(str(exc), path) from exc
-    obj = _require_object(value, path)
-    _check_keys(obj, _GROUP_KEYS, path)
-    rank = obj.get("rank", 0)
-    torsion = obj.get("torsion", [])
+    if not isinstance(value, dict):
+        raise ProfileError("expected an object", path)
+    if not value.keys() <= _GROUP_KEYS:
+        raise ProfileError(f"unknown key {min(value.keys() - _GROUP_KEYS)!r}", path)
+    rank = value.get("rank", 0)
+    torsion = value.get("torsion", [])
     if not isinstance(torsion, list):
         raise ProfileError("torsion must be a list of [prime, exponent(, count)] items", path)
     try:
-        _check_rank(rank)
-        return _trusted(rank, _merged(_checked_torsion(torsion)))
+        if type(rank) is not int or rank < 0:
+            _check_rank(rank)
+        return _trusted(rank, _canonical_torsion(torsion))
     except (TypeError, ValueError) as exc:
         # Any item of the wrong shape fails the check above too; its own
         # message, for the first such item, comes before the check's.
@@ -534,7 +537,8 @@ def _graded_from_json(value, path: str) -> GradedGroup:
     entries_obj = _require_object(obj.get("entries", {}), f"{path}.entries")
     entries: dict[int, AbelianGroup] = {}
     for key, group_value in entries_obj.items():
-        if not isinstance(key, str) or not _DEGREE_KEY_RE.fullmatch(key):
+        # The keys of a JSON object are strings; a degree's is [1-9][0-9]*.
+        if not (key.isascii() and key.isdigit() and key[0] != "0"):
             raise ProfileError(
                 f"degree key {key!r} must be a decimal string >= 1", f"{path}.entries"
             )
@@ -665,7 +669,7 @@ def _dump(value, level: int) -> str:
     ``group_to_json``.  ``level`` is the depth of ``value`` in the document.
     """
     if isinstance(value, AbelianGroup):
-        return _dump_group(value, level)
+        return _dump_group(value, _group_layout(level))
     if value.__class__ in _SCHEMA:
         value = {key: field for key, (_, default) in _SCHEMA[value.__class__].items()
                  if (field := getattr(value, key)) != default}
@@ -673,8 +677,10 @@ def _dump(value, level: int) -> str:
         if not value:
             return "{}"
         pad = "\n" + "  " * (level + 1)
+        layout = _group_layout(level + 1)  # a table's groups are written here directly
         items = [
-            f"{_dump_str(key)}: {_dump(item, level + 1)}"
+            f"{_dump_str(key)}: {_dump_group(item, layout)}" if item.__class__ is AbelianGroup
+            else f"{_dump_str(key)}: {_dump(item, level + 1)}"
             for key, item in sorted(zip(map(str, value), value.values()))
         ]
         return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
@@ -695,10 +701,10 @@ def _dump(value, level: int) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _dump_group(group: AbelianGroup, level: int) -> str:
+def _dump_group(group: AbelianGroup, layout: tuple[str, str, str, str, str]) -> str:
     # The [p, k] and [p, k, count] items are most of a saved document, so
     # each is one %-format of a template built once for its depth.
-    empty, full, pair, triple, sep = _group_layout(level)
+    empty, full, pair, triple, sep = layout
     if not group.torsion:
         return empty % group.rank
     items = sep.join([

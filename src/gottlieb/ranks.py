@@ -130,18 +130,14 @@ def top_degree_report(
         raise HypothesisError(
             f"{y_profile.name!r} declares no zero_above bound; the top degree is undefined"
         )
-    missing = []
-    top = rank = None
-    for d in range(1, bound + 1):
-        group = y_profile.gottlieb.lookup(d)
-        if group is None:
-            missing.append(f"gamma[{d}]({y_profile.name})")
-        elif group.rank > 0:
-            top, rank = d, group.rank
-    if missing:
+    entries = y_profile.gottlieb.entries
+    if len(entries) < bound:  # entries hold only degrees 1..bound: one is unknown
+        missing = (f"gamma[{d}]({y_profile.name})" for d in range(1, bound + 1) if d not in entries)
         return Incomplete(tuple(missing), ())
+    top = max((d for d, group in entries.items() if group.rank > 0), default=None)
     if top is None:
         return TopDegreeReport(None, None)
+    rank = entries[top].rank
     value = gamma_of_map_space(x_profile, y_profile, top, unchecked=unchecked)
     if value != rank:
         raise ProfileError(

@@ -298,8 +298,8 @@ _CIRCLE = ShiftPolynomial._trusted(((0, 1), (1, 1)))
 
 
 def _degree(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
-    """The degree of ``_form(expr)``, forming nothing but an atom's declared
-    polynomial; raises ``NotSplittableError`` where ``expr`` is blocked."""
+    """The degree of ``_form(expr)``, forming no polynomial but a bouquet's
+    or a point's; raises ``NotSplittableError`` where ``expr`` is blocked."""
     # Here and in _form, class patterns capture nothing: a positional
     # capture costs about as much again per node as the match itself.
     match expr:
@@ -313,7 +313,9 @@ def _degree(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
             return expr.factors
         case Susp():
             return (inner := _degree(expr.child, atom_shifts)) and inner + expr.count
-    return _form(expr, atom_shifts).max_shift  # a bouquet, a point, an atom or a blocker
+        case Atom():
+            return max(_declared_shifts(expr, atom_shifts), default=0)
+    return _form(expr, atom_shifts).max_shift  # a bouquet, a point or a blocker
 
 
 def _form(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPolynomial:
@@ -347,19 +349,24 @@ def _form(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPol
         case Point():
             return _ONE
         case Atom():
-            declared = atom_shifts.get(expr.name)
-            if declared is None:
-                raise NotSplittableError(expr, "atom has no declared suspension shifts")
-            shifts = [int(s) for s in declared]
-            if any(s < 1 for s in shifts):
-                raise ValueError(f"declared shifts for {expr.name!r} must all be >= 1")
             counts = {}
-            for s in shifts:
+            for s in _declared_shifts(expr, atom_shifts):
                 counts[s] = counts.get(s, 0) + 1
             return ShiftPolynomial._trusted(((0, 1), *sorted(counts.items())))
         case MapSpace() | Loop() | BouquetSpace():
             raise NotSplittableError(expr, "mapping spaces do not split into spheres")
     raise TypeError(f"not a space expression: {expr!r}")
+
+
+def _declared_shifts(atom, atom_shifts: Mapping[str, Sequence[int]]) -> list[int]:
+    """The atom's declared shifts as integers, each checked to be >= 1."""
+    declared = atom_shifts.get(atom.name)
+    if declared is None:
+        raise NotSplittableError(atom, "atom has no declared suspension shifts")
+    shifts = list(map(int, declared))
+    if shifts and min(shifts) < 1:
+        raise ValueError(f"declared shifts for {atom.name!r} must all be >= 1")
+    return shifts
 
 
 def sphere_splitting(

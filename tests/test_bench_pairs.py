@@ -171,3 +171,41 @@ def test_a_gain_won_on_eight_pairs_in_ten_is_not_shown(bench_pairs):
     entry = _gain(bench_pairs, parent, change)["query_p50_ms"]
     assert entry["change_wins"] == "8/10"
     assert entry["gain_shown"] is False
+
+
+@pytest.fixture(scope="module")
+def rung_times():
+    spec = importlib.util.spec_from_file_location("rung_times", SCRIPT.with_name("rung_times.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_metrics_are_computed_as_the_benchmark_computes_them(rung_times):
+    # Twelve queries of 1..12 ms: p50 is their median, the tail the 11th
+    # largest (the 2nd smallest here) and throughput queries over their sum.
+    timings = [("a" if t % 2 else "b", t / 1000) for t in range(12, 0, -1)]
+    metrics = rung_times.run_metrics(timings)
+    assert metrics["p50_ms"] == pytest.approx(6.5)
+    assert metrics["tail_ms"] == pytest.approx(2.0)
+    assert metrics["queries_per_s"] == pytest.approx(12 / 0.078)
+    # Fewer than eleven queries: the tail is the fastest one.
+    assert rung_times.run_metrics([("a", 0.003), ("a", 0.001)])["tail_ms"] == pytest.approx(1.0)
+
+
+def test_rung_medians_are_medians_of_per_run_medians(rung_times):
+    runs = {
+        "parent": [[("x", 0.001), ("x", 0.003), ("y", 0.010)],
+                   [("x", 0.005), ("x", 0.005), ("y", 0.020)],
+                   [("x", 0.004), ("y", 0.030)]],
+        "change": [[("x", 0.001), ("y", 0.002)]],
+    }
+    summary = rung_times.summarize(runs)
+    # Per-run medians of x: 2, 5 and 4 ms; of y: 10, 20 and 30 ms.
+    assert summary["parent"]["rungs_ms"] == pytest.approx({"x": 4.0, "y": 20.0})
+    assert summary["change"]["rungs_ms"] == pytest.approx({"x": 1.0, "y": 2.0})
+    # Per-run p50s 3, 5 and 17 ms: their median.
+    assert summary["parent"]["p50_ms"] == pytest.approx(5.0)
+    per_run_qps = [3 / 0.014, 3 / 0.030, 2 / 0.034]
+    assert summary["parent"]["queries_per_s"] == pytest.approx(sorted(per_run_qps)[1])
+    assert summary["change"]["queries_per_s"] == pytest.approx(2 / 0.003)

@@ -1,9 +1,18 @@
 """Which stage of ``factorint`` splits which cofactor."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import gottlieb
 from gottlieb import numtheory
 from gottlieb.numtheory import factorint
+
+DEMO = Path(__file__).resolve().parents[1] / "profiles" / "synthetic_demo.json"
 
 
 @pytest.fixture
@@ -41,6 +50,8 @@ def test_prime_powers_skip_the_gcd(gcd_calls, n, factors):
         (1009 * 10007 * 100000000000031, {1009: 1, 10007: 1, 100000000000031: 1}),
         ((1237 * 100000000000031) ** 2, {1237: 2, 100000000000031: 2}),
         (1009 * 9973, {1009: 1, 9973: 1}),
+        (10007 * 100000000000031, {10007: 1, 100000000000031: 1}),
+        ((10007 * 100000000000031) ** 2, {10007: 2, 100000000000031: 2}),
     ],
 )
 def test_other_composites_take_the_gcd_once(gcd_calls, n, factors):
@@ -64,3 +75,47 @@ def test_integer_roots_are_exact_near_powers():
             for m in (r**k - 1, r**k, r**k + 1):
                 x = numtheory._iroot(m, k)
                 assert x**k <= m < (x + 1) ** k, (k, r)
+
+
+# The primes of the second band, [10^4, 10^5), and 15-digit cofactors.
+BAND_PRIMES = [p for p in range(10_001, 100_000, 2) if all(p % q for q in range(3, 317, 2))]
+Q15 = [100000000000031, 100000000000067, 100000000000097, 999999999999989]
+
+
+def test_second_band_finds_a_five_digit_factor_without_rho(monkeypatch):
+    def no_rho(m, work):
+        pytest.fail(f"rho called on {m}")
+
+    monkeypatch.setattr(numtheory, "_brent", no_rho)
+    rng = random.Random(39)
+    assert len(BAND_PRIMES) == 8363
+    for p in rng.sample(BAND_PRIMES, 40):
+        q = rng.choice(Q15)
+        assert factorint(p * q) == {p: 1, q: 1}
+        assert factorint(p**3 * q**2) == {p: 3, q: 2}
+    # Two primes of one block: the block's gcd is their product.
+    assert factorint(10007 * 10009 * Q15[0]) == {10007: 1, 10009: 1, Q15[0]: 1}
+    assert factorint(99989 * 99991 * Q15[1] ** 2) == {99989: 1, 99991: 1, Q15[1]: 2}
+
+
+def test_second_band_leaves_a_later_block_and_a_first_band_mix_to_rho():
+    # Only the first block that shares a factor is divided out, and only
+    # when the first band found nothing: the rest is rho's, and still exact.
+    for n, factors in [
+        (10007 * 99991 * Q15[2], {10007: 1, 99991: 1, Q15[2]: 1}),
+        (1009 * 10007 * Q15[3], {1009: 1, 10007: 1, Q15[3]: 1}),
+    ]:
+        assert factorint(n) == factors
+
+
+def test_loading_the_demo_profile_never_builds_the_second_band():
+    code = (
+        "import gottlieb\n"
+        "from gottlieb import numtheory\n"
+        f"gottlieb.load(open({str(DEMO)!r}, encoding='utf-8').read())\n"
+        "print(numtheory._band_blocks.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr

@@ -1,5 +1,6 @@
 """Rank computations, hypothesis gating, flags, and the free-loop check."""
 
+import json
 import os
 import random
 import sys
@@ -145,6 +146,69 @@ def test_top_degree_reports_gaps():
     result = top_degree_report(GOOD_X, y)
     assert isinstance(result, Incomplete)
     assert result.missing == ("gamma[2](Y)",)
+
+
+def _scanned_top_degree(y):
+    """The top-degree report by its definition: every degree 1..bound read in turn."""
+    missing, top = [], None
+    for d in range(1, y.gottlieb.zero_above + 1):
+        group = y.gottlieb.lookup(d)
+        if group is None:
+            missing.append(f"gamma[{d}]({y.name})")
+        elif group.rank > 0:
+            top = d
+    if missing:
+        return Incomplete(tuple(missing), ())
+    return TopDegreeReport(top, None if top is None else y.gottlieb.lookup(top).rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.dictionaries(st.integers(1, 8), st.integers(0, 2)))
+def test_top_degree_report_agrees_with_a_scan_of_every_degree(bound, ranks):
+    # Complete tables, tables with gaps, all-zero and empty ones.
+    y = _ranked("Y", {d: r for d, r in ranks.items() if d <= bound}, bound=bound)
+    x = SpaceProfile("X", betti=(1,), flags=Flags(finite=True))
+    assert top_degree_report(x, y) == _scanned_top_degree(y)
+
+
+def _bounded_doc(tmp_path, entries, bound):
+    doc = {"spaces": {
+        "X": {"betti": [1, 1], "flags": {"finite": True}},
+        "Y": {"flags": {"finite": True, "simply_connected": True},
+              "gottlieb": {"entries": entries, "zero_above": bound}},
+    }}
+    path = tmp_path / "bounded.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_rank_report_refuses_more_unknown_degrees_than_the_ceiling(tmp_path):
+    # Two entries under a bound of 10^12: listing the unknown degrees would
+    # never end, so the CLI refuses before reading any of them.
+    path = _bounded_doc(tmp_path, {"1": "Z", "2": "Z/2"}, 10**12)
+    env = dict(os.environ, PYTHONPATH=str(Path(gottlieb.__file__).parents[1]))
+    argv = [sys.executable, "-m", "gottlieb.cli", "rank", "--expr", "map(X, Y)",
+            "--profiles", path]
+    result, elapsed = run_capped(argv, env)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == ("error: rank report of 999999999998 unknown degrees "
+                             "is over the ceiling of 10000\n")
+    assert elapsed < 1, elapsed
+
+
+def test_rank_report_at_the_ceiling_lists_its_unknown_degrees(tmp_path, capsys):
+    path = _bounded_doc(tmp_path, {"1": "Z"}, 10_001)
+    assert main(["rank", "--expr", "map(X, Y)", "--profiles", path, "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["missing"] == [f"gamma[{d}](Y)" for d in range(2, 10_002)]
+
+
+def test_rank_report_of_a_complete_table_reads_its_entries(tmp_path, capsys):
+    path = _bounded_doc(tmp_path, {str(d): "Z" if d in (3, 40) else "Z/2" for d in range(1, 41)},
+                        40)
+    assert main(["rank", "--expr", "map(X, Y)", "--profiles", path]) == 0
+    assert capsys.readouterr().out == "top degree 40: gamma = 1\n"
 
 
 def test_flag_propagation_truth_table():

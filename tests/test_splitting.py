@@ -263,6 +263,25 @@ def test_degree_and_form_raise_at_a_blocker(text, blocker):
         assert str(err.value.blocker) == blocker
 
 
+@pytest.mark.parametrize("declared", [
+    (10, 5, 10), (3, 1, 2), (7,), (), [4, 4, 4], (True, 2), ("3", 1), (2.0, 5), (2.9,),
+])
+def test_degree_of_an_atom_is_the_largest_shift_of_its_polynomial(declared):
+    atom = Atom("X")
+    assert _degree(atom, {"X": declared}) == _form(atom, {"X": declared}).max_shift
+
+
+@pytest.mark.parametrize("declared", [(0,), (3, -1), ("x",), (None,), (1, "0"), 5])
+def test_degree_and_form_refuse_bad_shifts_alike(declared):
+    atom = Atom("X")
+    errors = []
+    for reader in (_degree, _form):
+        with pytest.raises((TypeError, ValueError)) as err:
+            reader(atom, {"X": declared})
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+
+
 def test_only_a_product_charges_its_own_degree():
     # A product's degree is charged before its factors are formed; neither
     # a suspension nor a wedge is charged, and a torus only as its one run.
