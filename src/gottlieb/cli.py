@@ -398,9 +398,6 @@ def main(argv=None) -> int:
         # ValueErrors, so this needs none of the modules a command defers.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: expression nested too deeply to process", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ suspensions, target text) keys: the answer is built with no merge, and
 no term is hashed or formatted.
 """
 
+import sys
 from math import comb
 from operator import itemgetter
 
@@ -64,6 +65,7 @@ from .spaces import (
     Sphere,
     Susp,
     Torus,
+    _count_text,
     _nat,
     atom_name,
     desugar,
@@ -142,14 +144,6 @@ class _Walk:
 
         ``degree`` must be an integer >= 1, since the terms are built unchecked.
         """
-        terms = []
-        if self.core is not None:
-            # The coefficients are sorted by shift, so the core terms come in
-            # degree order, which is canonical, and ahead of every residual.
-            terms = [
-                (_trusted_term(kind, self.core, degree + shift), count)
-                for shift, count in self.prefixes[len(self.runs)].coeffs
-            ]
         if self.views is None:
             # Each family desugared once per walk, and its texts formatted
             # once where there are families to put in order.
@@ -162,6 +156,18 @@ class _Walk:
                 texts = (format_space(source), format_space(target)) if ordering else (None, None)
                 self.views.append((source, suspensions, target, *texts,
                                    self.prefixes[before].coeffs))
+        core = self.prefixes[len(self.runs)].coeffs if self.core is not None else ()
+        # The largest term degree, before any term is built: the core's top
+        # shift, or a family's suspensions and its top shift.
+        top = core[-1][0] if core else None
+        for _, suspensions, _, _, _, coeffs in self.views:
+            if top is None or suspensions + coeffs[-1][0] > top:
+                top = suspensions + coeffs[-1][0]
+        if top is not None:
+            _printable(degree + top)
+        # The coefficients are sorted by shift, so the core terms come in
+        # degree order, which is canonical, and ahead of every residual.
+        terms = [(_trusted_term(kind, self.core, degree + shift), count) for shift, count in core]
         # Residual terms sort by (source text, suspensions, target text); no
         # term is hashed or formatted here.
         residuals = []
@@ -175,6 +181,18 @@ class _Walk:
         residuals.sort(key=itemgetter(0))
         terms += map(itemgetter(1), residuals)
         return FormalSum._trusted(terms, ordered=True)
+
+
+def _printable(degree: int) -> None:
+    """Refuse an answer whose largest term degree (the n of ``G[n]`` or the
+    k of ``Σ^k``) has more digits than the interpreter prints."""
+    try:
+        str(degree)
+    except ValueError:
+        raise DecomposeError(
+            f"answer too large: a term's degree {_count_text(degree)} exceeds the "
+            f"printing limit of {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _rest(factors: tuple[SpaceExpr, ...], i: int, target: SpaceExpr) -> SpaceExpr:

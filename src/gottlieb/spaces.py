@@ -25,10 +25,16 @@ and formatting normalizes nothing but whitespace.  ``desugar`` removes the
 Torus/Bouquet/Loop/BouquetSpace sugar and merges nested suspensions; it is
 idempotent, and it is the only code that expands a count, under
 ``EXPANSION_CEILING``.
+
+No reader recurses.  ``parse_space`` is one loop over the tokens, and
+``_postorder`` is the one walk of a tree, children before parents, that
+``desugar``, ``==``, ``hash`` and ``splitting`` loop over; so depth is
+bounded by the size budgets, not by the interpreter's recursion limit.
 """
 
 import re
 from dataclasses import dataclass
+from operator import is_
 
 from .names import IDENT_RE, INDEXED_RE, KEYWORDS, is_valid_atom_name
 
@@ -59,12 +65,34 @@ EXPANSION_CEILING = 100_000
 
 
 class SpaceExpr:
-    """Base class for space expression nodes; all nodes are immutable."""
+    """Base class for space expression nodes; all nodes are immutable.
+
+    Two expressions are equal when their ``_signature`` lists are, and
+    the hash is that list's, so neither is bounded by the interpreter's
+    recursion limit.  A node keeps its hash once computed, but not in a
+    pickle: a name's hash differs from one process to the next.
+    """
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return format_space(self)
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, SpaceExpr):
+            return NotImplemented
+        return type(self) is type(other) and _signature(self) == _signature(other)
+
+    def __hash__(self) -> int:
+        fields = self.__dict__
+        if "_hash" not in fields:
+            fields["_hash"] = hash(tuple(_signature(self)))
+        return fields["_hash"]
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
 
 def _nat(value, what: str) -> int:
@@ -85,7 +113,7 @@ def _children(value, what: str) -> tuple:
     return items
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(SpaceExpr):
     name: str
 
@@ -94,7 +122,7 @@ class Atom(SpaceExpr):
             raise ValueError(f"invalid or reserved atom name {self.name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sphere(SpaceExpr):
     dim: int
 
@@ -102,12 +130,12 @@ class Sphere(SpaceExpr):
         _nat(self.dim, "sphere dimension")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point(SpaceExpr):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wedge(SpaceExpr):
     children: tuple[SpaceExpr, ...]
 
@@ -115,7 +143,7 @@ class Wedge(SpaceExpr):
         object.__setattr__(self, "children", _children(self.children, "wedge"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(SpaceExpr):
     children: tuple[SpaceExpr, ...]
 
@@ -123,7 +151,7 @@ class Product(SpaceExpr):
         object.__setattr__(self, "children", _children(self.children, "product"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Susp(SpaceExpr):
     child: SpaceExpr
     count: int = 1
@@ -132,36 +160,16 @@ class Susp(SpaceExpr):
         _nat(self.count, "suspension count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapSpace(SpaceExpr):
     """Constant-map component of the free mapping space from ``source`` to ``target``.
 
-    Equality, hashing and ``repr`` walk a chain of targets in a loop, so a
-    deep iterated loop space is not bounded by the interpreter's recursion
-    limit.
+    ``repr`` walks a chain of targets in a loop, so a deep iterated loop
+    space prints the generated text without recursing.
     """
 
     source: SpaceExpr
     target: SpaceExpr
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not MapSpace:
-            return NotImplemented
-        a, b = self, other
-        while type(a) is MapSpace and type(b) is MapSpace:
-            if a is b:
-                return True
-            if a.source != b.source:
-                return False
-            a, b = a.target, b.target
-        return a == b
-
-    def __hash__(self) -> int:
-        sources, e = [], self
-        while type(e) is MapSpace:
-            sources.append(e.source)
-            e = e.target
-        return hash((tuple(sources), e))
 
     def __repr__(self) -> str:
         # The generated repr's text, built along the chain of targets.
@@ -173,7 +181,7 @@ class MapSpace(SpaceExpr):
         return heads + repr(e) + ")" * len(sources)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Torus(SpaceExpr):
     factors: int
 
@@ -181,7 +189,7 @@ class Torus(SpaceExpr):
         _nat(self.factors, "torus factor count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Bouquet(SpaceExpr):
     circles: int
 
@@ -189,7 +197,7 @@ class Bouquet(SpaceExpr):
         _nat(self.circles, "bouquet circle count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Loop(SpaceExpr):
     target: SpaceExpr
     iterations: int = 1
@@ -198,7 +206,7 @@ class Loop(SpaceExpr):
         _nat(self.iterations, "loop iteration count")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BouquetSpace(SpaceExpr):
     target: SpaceExpr
     circles: int
@@ -233,22 +241,19 @@ class SpaceParseError(ValueError):
 _DIGITS_RE = re.compile(r"[0-9]+")
 
 
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
+
+
 # Token kinds: NAME, INT, LPAREN, RPAREN, COMMA, END.
 def _lex(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[ch], ch, i))
             i += 1
-        elif ch == "(":
-            tokens.append(("LPAREN", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", ch, i))
-            i += 1
-        elif ch == ",":
-            tokens.append(("COMMA", ch, i))
+        elif ch == " " or ch.isspace():
             i += 1
         elif "0" <= ch <= "9":  # str.isdigit() also accepts non-ASCII digits
             digits = _DIGITS_RE.match(text, i).group(0)
@@ -275,149 +280,235 @@ def _int_literal(digits: str, at: int) -> int:
         raise SpaceParseError(message, at) from None
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
+def _unexpected(token: tuple[str, str, int], expected: tuple[str, ...]) -> SpaceParseError:
+    shown = token[1] if token[1] else "end of input"
+    return SpaceParseError(f"unexpected {shown!r}", token[2], expected)
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def take(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            shown = tok[1] if tok[1] else "end of input"
-            raise SpaceParseError(f"unexpected {shown!r}", tok[2], expected)
-        self.pos += 1
-        return tok
-
-    def nat(self, what: str) -> int:
-        tok = self.take("INT", ("a positive integer",))
-        value = _int_literal(tok[1], tok[2])
-        if value < 1:
-            raise SpaceParseError(f"{what} must be >= 1", tok[2])
-        return value
-
-    def space(self) -> SpaceExpr:
-        kind, value, at = self.peek()
-        if kind != "NAME":
-            shown = value if value else "end of input"
-            raise SpaceParseError(f"unexpected {shown!r}", at, ("a space expression",))
-        self.pos += 1
-        if value == "pt":
-            return Point()
-        if value in KEYWORDS:
-            return self.call(value, at)
-        if m := INDEXED_RE.fullmatch(value):
-            letter, digits = m.groups()
-            if digits.startswith("0"):
-                raise SpaceParseError(
-                    f"reserved name {value!r} has a malformed index", at
-                )
-            index = _int_literal(digits, at + len(letter))
-            return {"S": Sphere, "T": Torus, "B": Bouquet}[letter](index)
-        return Atom(value)
-
-    def call(self, keyword: str, at: int) -> SpaceExpr:
-        self.take("LPAREN", ("'('",))
-        if keyword in ("wedge", "prod"):
-            children = [self.space()]
-            while self.peek()[0] == "COMMA":
-                self.pos += 1
-                children.append(self.space())
-            self.take("RPAREN", ("','", "')'"))
-            return (Wedge if keyword == "wedge" else Product)(tuple(children))
-        if keyword == "susp":
-            child = self.space()
-            count = 1
-            if self.peek()[0] == "COMMA":
-                self.pos += 1
-                count = self.nat("suspension count")
-            self.take("RPAREN", ("','", "')'"))
-            return Susp(child, count)
-        if keyword == "map":
-            source = self.space()
-            self.take("COMMA", ("','",))
-            target = self.space()
-            self.take("RPAREN", ("')'",))
-            return MapSpace(source, target)
-        if keyword == "loop":
-            target = self.space()
-            iterations = 1
-            if self.peek()[0] == "COMMA":
-                self.pos += 1
-                iterations = self.nat("loop iteration count")
-            self.take("RPAREN", ("','", "')'"))
-            return Loop(target, iterations)
-        if keyword == "bloop":
-            target = self.space()
-            self.take("COMMA", ("','",))
-            circles = self.nat("bouquet circle count")
-            iterations = 1
-            if self.peek()[0] == "COMMA":
-                self.pos += 1
-                iterations = self.nat("iteration count")
-            self.take("RPAREN", ("','", "')'"))
-            return BouquetSpace(target, circles, iterations)
-        raise SpaceParseError(f"{keyword!r} is reserved", at)  # pragma: no cover
+# The keyword calls that take counts after their space, and what each
+# count is called; a bouquet space's first count is required.
+_COUNTED = {
+    "susp": (Susp, ("suspension count",)),
+    "loop": (Loop, ("loop iteration count",)),
+    "bloop": (BouquetSpace, ("bouquet circle count", "iteration count")),
+}
+_INDEXED = {"S": Sphere, "T": Torus, "B": Bouquet}
+_CALLS = frozenset(KEYWORDS) - {"pt"}
 
 
 def parse_space(text: str) -> SpaceExpr:
-    """Parse concrete syntax into a SpaceExpr, rejecting trailing input."""
-    parser = _Parser(_lex(text))
-    expr = parser.space()
-    parser.take("END", ("end of input",))
-    return expr
+    """Parse concrete syntax into a SpaceExpr, rejecting trailing input.
+
+    One loop over the tokens: a keyword opens a call on ``calls``, and
+    each finished space is taken by the innermost open call, which closes
+    when its ``)`` follows.  Nesting is bounded only by the input.
+    """
+    tokens = _lex(text)
+    calls: list[list] = []  # each open call: [keyword, arguments so far...]
+    leaves: dict[str, SpaceExpr] = {}  # a name repeated in the text is one node
+    i = 0
+    while True:
+        kind, value, at = tokens[i]
+        if kind != "NAME":
+            raise _unexpected(tokens[i], ("a space expression",))
+        i += 1
+        if value in _CALLS:
+            if tokens[i][0] != "LPAREN":
+                raise _unexpected(tokens[i], ("'('",))
+            i += 1
+            calls.append([value])
+            continue
+        node = leaves.get(value)
+        if node is None:
+            if m := INDEXED_RE.fullmatch(value):
+                letter, digits = m.groups()
+                if digits.startswith("0"):
+                    raise SpaceParseError(f"reserved name {value!r} has a malformed index", at)
+                node = _INDEXED[letter](_int_literal(digits, at + len(letter)))
+            else:
+                node = Point() if value == "pt" else Atom(value)
+            leaves[value] = node
+        # Close every call that ``node`` completes.
+        while calls:
+            call = calls[-1]
+            call.append(node)
+            keyword = call[0]
+            kind = tokens[i][0]
+            if keyword == "map":
+                if len(call) == 2:
+                    if kind != "COMMA":
+                        raise _unexpected(tokens[i], ("','",))
+                    i += 1
+                    break
+                if kind != "RPAREN":
+                    raise _unexpected(tokens[i], ("')'",))
+                node = MapSpace(call[1], call[2])
+            elif keyword == "wedge" or keyword == "prod":
+                if kind == "COMMA":
+                    i += 1
+                    break
+                if kind != "RPAREN":
+                    raise _unexpected(tokens[i], ("','", "')'"))
+                node = (Wedge if keyword == "wedge" else Product)(tuple(call[1:]))
+            else:
+                cls, names = _COUNTED[keyword]
+                for what in names:
+                    if tokens[i][0] != "COMMA":
+                        if keyword == "bloop" and len(call) == 2:
+                            raise _unexpected(tokens[i], ("','",))
+                        break
+                    kind, digits, at = tokens[i + 1]
+                    if kind != "INT":
+                        raise _unexpected(tokens[i + 1], ("a positive integer",))
+                    count = _int_literal(digits, at)
+                    if count < 1:
+                        raise SpaceParseError(f"{what} must be >= 1", at)
+                    call.append(count)
+                    i += 2
+                if tokens[i][0] != "RPAREN":
+                    raise _unexpected(tokens[i], ("','", "')'"))
+                node = cls(*call[1:])
+            i += 1
+            calls.pop()
+        else:
+            if tokens[i][0] != "END":
+                raise _unexpected(tokens[i], ("end of input",))
+            return node
+
+
+# Mapping nodes: a reader of a source's splitting stops at them.
+_MAPPING = (MapSpace, Loop, BouquetSpace)
+_PARENTS = frozenset({Wedge, Product, Susp, *_MAPPING})  # the kinds with children
+_SUGAR = frozenset({Torus, Bouquet, Loop, BouquetSpace, Susp})  # what ``_copies`` reads
+
+
+def _postorder(expr: SpaceExpr, leaves: tuple[type, ...] = ()) -> list[SpaceExpr]:
+    """Every node of ``expr``, children before their parents and in order.
+
+    The one walk of a space tree: each reader is a loop over this list
+    with a stack of values, a node's children's values on top of it.
+    Nodes whose kind is in ``leaves`` are listed without their children.
+    """
+    if type(expr) not in _PARENTS:
+        return [expr]
+    order, stack = [], [expr]
+    while stack:
+        e = stack.pop()
+        order.append(e)
+        kind = type(e)
+        if kind not in _PARENTS or kind in leaves:
+            continue
+        if kind is Wedge or kind is Product:
+            stack += e.children
+        elif kind is Susp:
+            stack.append(e.child)
+        elif kind is MapSpace:
+            stack.append(e.source)
+            stack.append(e.target)
+        elif kind is Loop or kind is BouquetSpace:
+            stack.append(e.target)
+    # Popped parent first and last child first: the reverse is the post-order.
+    order.reverse()
+    return order
+
+
+def _signature(expr: SpaceExpr) -> list:
+    """The kind and fields of every node of ``expr`` in post-order, with a
+    wedge's or product's arity for its children: equal lists are exactly
+    equal trees."""
+    out = []
+    for e in _postorder(expr):
+        kind = type(e)
+        out.append(kind)
+        if kind is Wedge or kind is Product:
+            out.append(len(e.children))
+        elif kind is Susp:
+            out.append(e.count)
+        elif kind is Loop:
+            out.append(e.iterations)
+        elif kind is BouquetSpace:
+            out += (e.circles, e.iterations)
+        elif kind is Sphere:
+            out.append(e.dim)
+        elif kind is Atom:
+            out.append(e.name)
+        elif kind is Torus:
+            out.append(e.factors)
+        elif kind is Bouquet:
+            out.append(e.circles)
+    return out
+
+
+_END_SOURCE = object()  # on ``format_space``'s stack: a mapping source ends here
 
 
 def format_space(expr: SpaceExpr) -> str:
     """Canonical concrete syntax; inverse to ``parse_space`` on valid trees.
 
-    A chain of mapping spaces is printed along its targets in a loop, a
-    source node repeated along it (as ``desugar`` repeats a loop's circle)
-    formatted once.
+    A stack of nodes and of the literal text between them, written into
+    one list, so the time is linear in the text.  A source node repeated
+    along a chain of mapping spaces (as ``desugar`` repeats a loop's
+    circle) is formatted once, and its run of levels written at once.
     """
-    heads, source, head = [], None, ""
-    while isinstance(expr, MapSpace):
-        if expr.source is not source:
-            source = expr.source
-            head = f"map({format_space(source)}, "
-        heads.append(head)
-        expr = expr.target
-    return "".join(heads) + _format_node(expr) + ")" * len(heads)
-
-
-def _format_node(expr: SpaceExpr) -> str:
-    # Here and in _expand and _desugar_node, class patterns capture nothing:
-    # a positional capture costs about as much again per node as the match.
-    match expr:
-        case Atom():
-            return expr.name
-        case Sphere():
-            return f"S{expr.dim}"
-        case Point():
-            return "pt"
-        case Torus():
-            return f"T{expr.factors}"
-        case Bouquet():
-            return f"B{expr.circles}"
-        case Wedge():
-            return "wedge(" + ", ".join(format_space(c) for c in expr.children) + ")"
-        case Product():
-            return "prod(" + ", ".join(format_space(c) for c in expr.children) + ")"
-        case Susp():
-            if expr.count == 1:
-                return f"susp({format_space(expr.child)})"
-            return f"susp({format_space(expr.child)}, {expr.count})"
-        case Loop():
-            if expr.iterations == 1:
-                return f"loop({format_space(expr.target)})"
-            return f"loop({format_space(expr.target)}, {expr.iterations})"
-        case BouquetSpace():
-            if expr.iterations == 1:
-                return f"bloop({format_space(expr.target)}, {expr.circles})"
-            return f"bloop({format_space(expr.target)}, {expr.circles}, {expr.iterations})"
-    raise TypeError(f"not a space expression: {expr!r}")
+    out, stack = [], [expr]
+    starts, sources = [], []  # mapping sources being written, and where
+    source = head = None  # the last mapping source written, and "map(<it>, "
+    while stack:
+        e = stack.pop()
+        kind = type(e)
+        if kind is str:
+            out.append(e)
+        elif kind is Atom:
+            out.append(e.name)
+        elif kind is Sphere:
+            out.append(f"S{e.dim}")
+        elif kind is MapSpace:
+            if e.source is source:
+                # The levels of a run over one source are written at once.
+                levels = 0
+                while type(e) is MapSpace and e.source is source:
+                    levels += 1
+                    e = e.target
+                out.append(head * levels)
+                stack.append(")" * levels)
+                stack.append(e)
+            else:
+                stack.append(")")
+                stack.append(e.target)
+                stack.append(_END_SOURCE)
+                stack.append(e.source)
+                starts.append(len(out))
+                sources.append(e.source)
+        elif e is _END_SOURCE:
+            start = starts.pop()
+            source, head = sources.pop(), "".join(["map(", *out[start:], ", "])
+            out[start:] = (head,)
+        elif kind is Wedge or kind is Product:
+            out.append("wedge(" if kind is Wedge else "prod(")
+            stack.append(")")
+            children = e.children
+            for child in children[:0:-1]:
+                stack += (child, ", ")
+            stack.append(children[0])
+        elif kind is Susp:
+            out.append("susp(")
+            stack += (")" if e.count == 1 else f", {e.count})", e.child)
+        elif kind is Point:
+            out.append("pt")
+        elif kind is Torus:
+            out.append(f"T{e.factors}")
+        elif kind is Bouquet:
+            out.append(f"B{e.circles}")
+        elif kind is Loop:
+            out.append("loop(")
+            stack += (")" if e.iterations == 1 else f", {e.iterations})", e.target)
+        elif kind is BouquetSpace:
+            out.append("bloop(")
+            counts = (e.circles,) if e.iterations == 1 else (e.circles, e.iterations)
+            stack += ("".join(f", {n}" for n in counts) + ")", e.target)
+        else:
+            raise TypeError(f"not a space expression: {e!r}")
+    return "".join(out)
 
 
 def desugar(expr: SpaceExpr) -> SpaceExpr:
@@ -429,12 +520,11 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
     The result is a fixed point of ``desugar``, and a fixed point, with
     no sugar and no nested suspension, is returned as is.  An expression
     of more than ``EXPANSION_CEILING`` copies (``_copies``) raises
-    ``ValueError`` before any node is built.  Chains of mapping spaces are
-    walked along their targets in a loop, so a deep iterated loop space,
-    sugared or already desugared, is not bounded by the interpreter's
-    recursion limit.
+    ``ValueError`` before any node is built.  Both read the walk's list
+    of nodes, so depth is bounded by the ceiling and the input alone.
     """
-    copies, nested = _copies(expr)
+    nodes = _postorder(expr)
+    copies, nested = _copies(nodes)
     if copies > EXPANSION_CEILING:
         raise ValueError(
             f"expansion of {_count_text(copies)} copies is over the ceiling of "
@@ -442,7 +532,7 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
         )
     if not copies and not nested:
         return expr
-    return _expand(expr)
+    return _expand(nodes)
 
 
 def _count_text(n: int) -> str:
@@ -455,32 +545,24 @@ def _count_text(n: int) -> str:
         return f"<{digits + (n >= 10**digits)}-digit number>"
 
 
-def _copies(expr: SpaceExpr) -> tuple[int, bool]:
-    """Copies that expanding ``expr`` builds, summed over the whole
-    expression, and whether it holds a suspension of a suspension.
+def _copies(nodes: list[SpaceExpr]) -> tuple[int, bool]:
+    """Copies that expanding the walk's ``nodes`` builds, summed over the
+    whole expression, and whether it holds a suspension of a suspension.
 
     One per circle of a ``T<N>`` or ``B<m>`` and one per level of a
     ``loop`` or ``bloop``, whose bouquet is built once for all its levels.
     """
-    total, nested, stack = 0, False, [expr]
-    while stack:
-        # Dispatch on the exact type: class patterns cost several times more
-        # per node, and this runs on every desugar call.
-        e = stack.pop()
+    if _SUGAR.isdisjoint(map(type, nodes)):
+        return 0, False
+    total, nested = 0, False
+    for e in nodes:
         kind = type(e)
-        if kind is MapSpace:
-            stack += (e.source, e.target)
-        elif kind is Wedge or kind is Product:
-            stack += e.children
-        elif kind is Susp:
-            stack.append(e.child)
+        if kind is Susp:
             nested = nested or type(e.child) is Susp
         elif kind is Loop:
             total += e.iterations
-            stack.append(e.target)
         elif kind is BouquetSpace:
             total += e.circles + e.iterations
-            stack.append(e.target)
         elif kind is Torus:
             total += e.factors
         elif kind is Bouquet:
@@ -488,46 +570,44 @@ def _copies(expr: SpaceExpr) -> tuple[int, bool]:
     return total, nested
 
 
-def _expand(expr: SpaceExpr) -> SpaceExpr:
-    levels: list[tuple[SpaceExpr, int]] = []  # (source, repeats), outermost first
-    e = expr
-    while True:
-        match e:
-            case MapSpace():
-                levels.append((_expand(e.source), 1))
-            case Loop():
-                levels.append((Sphere(1), e.iterations))
-            case BouquetSpace():
-                levels.append((_desugar_node(Bouquet(e.circles)), e.iterations))
-            case _:
-                break
-        e = e.target
-    out = _desugar_node(e)
-    for source, repeats in reversed(levels):
-        for _ in range(repeats):
-            out = MapSpace(source, out)
-    return out
+def _circles(n: int) -> SpaceExpr:
+    return Sphere(1) if n == 1 else Wedge((Sphere(1),) * n)
 
 
-def _desugar_node(expr: SpaceExpr) -> SpaceExpr:
-    match expr:
-        case Atom() | Sphere() | Point():
-            return expr
-        case Wedge():
-            return Wedge(tuple(_expand(c) for c in expr.children))
-        case Product():
-            return Product(tuple(_expand(c) for c in expr.children))
-        case Susp():
-            inner = _expand(expr.child)
-            if isinstance(inner, Susp):
-                return Susp(inner.child, inner.count + expr.count)
-            return Susp(inner, expr.count)
-        case Torus():
-            if expr.factors == 1:
-                return Sphere(1)
-            return Product((Sphere(1),) * expr.factors)
-        case Bouquet():
-            if expr.circles == 1:
-                return Sphere(1)
-            return Wedge((Sphere(1),) * expr.circles)
-    raise TypeError(f"not a space expression: {expr!r}")
+def _expand(nodes: list[SpaceExpr]) -> SpaceExpr:
+    """The desugared tree of the walk's ``nodes``.  A subtree with nothing
+    to expand is kept as is; a loop's levels share one circle node, a
+    bouquet space's one bouquet."""
+    done: list[SpaceExpr] = []
+    for e in nodes:
+        kind = type(e)
+        if kind is Wedge or kind is Product:
+            k = len(e.children)
+            children = tuple(done[-k:])
+            del done[-k:]
+            if not all(map(is_, children, e.children)):
+                e = kind(children)
+        elif kind is MapSpace:
+            target = done.pop()
+            source = done.pop()
+            if source is not e.source or target is not e.target:
+                e = MapSpace(source, target)
+        elif kind is Susp:
+            child = done.pop()
+            if type(child) is Susp:
+                e = Susp(child.child, child.count + e.count)
+            elif child is not e.child:
+                e = Susp(child, e.count)
+        elif kind is Loop or kind is BouquetSpace:
+            out, source = done.pop(), _circles(1 if kind is Loop else e.circles)
+            for _ in range(e.iterations):
+                out = MapSpace(source, out)
+            e = out
+        elif kind is Torus:
+            e = Sphere(1) if e.factors == 1 else Product((Sphere(1),) * e.factors)
+        elif kind is Bouquet:
+            e = _circles(e.circles)
+        elif kind is not Atom and kind is not Sphere and kind is not Point:
+            raise TypeError(f"not a space expression: {e!r}")
+        done.append(e)
+    return done[0]

@@ -28,13 +28,14 @@ Every product the engine forms, a power included, is one call of
 ``charged_product`` on (polynomial, count) runs: J. C. P. Miller's
 recurrence for several factors (Knuth, TAOCP Vol. 2, 4.7), run only
 after the whole product is charged to the size budget.  Two functions
-read an expression, and both raise ``NotSplittableError`` at a blocker:
-``_degree`` reads its polynomial's degree, forming nothing but an atom's
-declared shifts, and ``_form`` forms the polynomial, charging each
-product's degree before any of its factors is formed.  So a caller can
-charge the levels of a chain before any is formed.  Past ``MAX_DEGREE``
-or ``MAX_DIGITS`` a ``DecomposeError`` names the estimate and the
-ceiling instead of computing an answer that could not be printed.
+read an expression, each one loop over ``spaces._postorder``, and both
+raise ``NotSplittableError`` at the first blocker: ``_degree`` reads its
+polynomial's degree and forms no polynomial, and ``_form`` forms the
+polynomial, charging the degree of the outermost product of a subtree
+before any node in it is formed.  So a caller can charge the levels of
+a chain before any is formed.  Past ``MAX_DEGREE`` or ``MAX_DIGITS`` a
+``DecomposeError`` names the estimate and the ceiling instead of
+computing an answer that could not be printed.
 """
 
 from dataclasses import dataclass
@@ -56,7 +57,9 @@ from .spaces import (
     Susp,
     Torus,
     Wedge,
+    _MAPPING,
     _count_text,
+    _postorder,
     format_space,
 )
 
@@ -226,20 +229,7 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
     is 1, q is P and R is not formed; a single run of a binomial
     1 + c t^s is the recurrence's one step, its binomial row.
     """
-    counts: dict[ShiftPolynomial, int] = {}
-    degree = 0
-    for poly, k in runs:
-        if k and len(poly.coeffs) > 1:  # every power of the constant 1 is 1
-            counts[poly] = counts.get(poly, 0) + k
-            degree += k * poly.max_shift
-    charge_degree(degree)
-    # The degree check bounds every k, so this float sum is small.
-    digits = sum(k * log10(poly.total()) for poly, k in counts.items())
-    if digits > MAX_DIGITS:
-        raise DecomposeError(
-            f"answer too large: multiplicities of up to {ceil(digits)} digits "
-            f"exceed the size budget of {MAX_DIGITS} digits"
-        )
+    counts, degree = _charged(runs)
     if list(counts.values()) in ([], [1]):
         return next(iter(counts), _ONE)
     [(poly, k), *others] = counts.items()
@@ -284,6 +274,27 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
     return ShiftPolynomial._trusted(tuple([(g * i, c) for i, c in enumerate(q) if c]))
 
 
+def _charged(runs: Iterable[tuple[ShiftPolynomial, int]]) -> tuple[dict, int]:
+    """The runs merged into counts by polynomial, and their product's
+    degree, once it and then the product's digits are checked against
+    the size budget."""
+    counts: dict[ShiftPolynomial, int] = {}
+    degree = 0
+    for poly, k in runs:
+        if k and len(poly.coeffs) > 1:  # every power of the constant 1 is 1
+            counts[poly] = counts.get(poly, 0) + k
+            degree += k * poly.max_shift
+    charge_degree(degree)
+    # The degree check bounds every k, so this float sum is small.
+    digits = sum(k * log10(poly.total()) for poly, k in counts.items())
+    if digits > MAX_DIGITS:
+        raise DecomposeError(
+            f"answer too large: multiplicities of up to {ceil(digits)} digits "
+            f"exceed the size budget of {MAX_DIGITS} digits"
+        )
+    return counts, degree
+
+
 def charge_degree(degree: int) -> None:
     """Refuse an answer whose degree shift is past ``MAX_DEGREE``."""
     if degree > MAX_DEGREE:
@@ -298,64 +309,98 @@ _CIRCLE = ShiftPolynomial._trusted(((0, 1), (1, 1)))
 
 
 def _degree(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> int:
-    """The degree of ``_form(expr)``, forming no polynomial but a bouquet's
-    or a point's; raises ``NotSplittableError`` where ``expr`` is blocked."""
-    # Here and in _form, class patterns capture nothing: a positional
-    # capture costs about as much again per node as the match itself.
-    match expr:
-        case Sphere():
-            return expr.dim
-        case Wedge():
-            return max([_degree(child, atom_shifts) for child in expr.children])
-        case Product():
-            return sum([_degree(child, atom_shifts) for child in expr.children])
-        case Torus():
-            return expr.factors
-        case Susp():
-            return (inner := _degree(expr.child, atom_shifts)) and inner + expr.count
-        case Atom():
-            return max(_declared_shifts(expr, atom_shifts), default=0)
-    return _form(expr, atom_shifts).max_shift  # a bouquet, a point or a blocker
+    """The degree of ``_form(expr)``, forming no polynomial; raises
+    ``NotSplittableError`` at the first blocker in ``expr``."""
+    degrees = []
+    for e in _postorder(expr, _MAPPING):
+        kind = type(e)
+        if kind is Sphere:
+            degrees.append(e.dim)
+        elif kind is Wedge or kind is Product:
+            k = len(e.children)
+            degrees[-k:] = [(max if kind is Wedge else sum)(degrees[-k:])]
+        elif kind is Susp:
+            if degrees[-1]:  # a suspended point is still a point
+                degrees[-1] += e.count
+        elif kind is Torus:
+            degrees.append(e.factors)
+        elif kind is Bouquet or kind is Point:
+            degrees.append(1 if kind is Bouquet else 0)
+        elif kind is Atom:
+            degrees.append(max(_declared_shifts(e, atom_shifts), default=0))
+        elif kind in _MAPPING:
+            raise NotSplittableError(e, "mapping spaces do not split into spheres")
+        else:
+            raise TypeError(f"not a space expression: {e!r}")
+    return degrees[0]
 
 
 def _form(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPolynomial:
-    """The shift polynomial of ``expr``; a product charges its degree to the
-    size budget before any factor is formed."""
-    match expr:
-        case Sphere():
-            return ShiftPolynomial._trusted(((0, 1), (expr.dim, 1)))
-        case Wedge():
+    """The shift polynomial of ``expr``.
+
+    The outermost product of a subtree charges its degree to the size
+    budget before any node in it is formed, and a torus its own.  A torus
+    or a product stays unformed, as the counts of its factors, until a
+    wedge, a suspension or the answer reads it (``_formed``): a product
+    of products is formed once, and each product's digits are checked
+    where it stands.
+    """
+    polys: list = []  # a ShiftPolynomial, or the counts of an unformed product
+    todo = _postorder(expr, (*_MAPPING, Product))
+    todo.reverse()
+    charged = 0  # nodes of a charged product still to form
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if charged:
+            charged -= 1
+        elif kind is Product:
+            charge_degree(_degree(e, atom_shifts))
+            nodes = _postorder(e, _MAPPING)
+            charged = len(nodes)
+            todo += reversed(nodes)
+            continue
+        if kind is Sphere:
+            polys.append(ShiftPolynomial._trusted(((0, 1), (e.dim, 1))))
+        elif kind is Wedge:
+            k = len(e.children)
             counts = {0: 1}
-            for child in expr.children:
-                for shift, c in _form(child, atom_shifts).coeffs[1:]:
+            for poly in polys[-k:]:
+                for shift, c in _formed(poly).coeffs[1:]:
                     counts[shift] = counts.get(shift, 0) + c
-            return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
-        case Product():
-            charge_degree(_degree(expr, atom_shifts))
-            # A torus factor is a run of circles: as one dense factor it
-            # would make the recurrence's P dense.
-            return charged_product([
-                (_CIRCLE, child.factors) if isinstance(child, Torus)
-                else (_form(child, atom_shifts), 1)
-                for child in expr.children
-            ])
-        case Susp():
-            shifted = [(i + expr.count, c) for i, c in _form(expr.child, atom_shifts).coeffs[1:]]
-            return ShiftPolynomial._trusted(((0, 1), *shifted))
-        case Torus():
-            return charged_product(((_CIRCLE, expr.factors),))
-        case Bouquet():
-            return ShiftPolynomial._trusted(((0, 1), (1, expr.circles)))
-        case Point():
-            return _ONE
-        case Atom():
+            polys[-k:] = [ShiftPolynomial._trusted(tuple(sorted(counts.items())))]
+        elif kind is Product:
+            runs = []
+            for poly in polys[-len(e.children):]:
+                runs += poly.items() if type(poly) is dict else [(poly, 1)]
+            polys[-len(e.children):] = [_charged(runs)[0]]
+        elif kind is Susp:
+            shifted = [(i + e.count, c) for i, c in _formed(polys[-1]).coeffs[1:]]
+            polys[-1] = ShiftPolynomial._trusted(((0, 1), *shifted))
+        elif kind is Torus:
+            # A run of circles: as one dense factor of a product it would
+            # make the recurrence's P dense.
+            charge_degree(e.factors)
+            polys.append({_CIRCLE: e.factors})
+        elif kind is Bouquet:
+            polys.append(ShiftPolynomial._trusted(((0, 1), (1, e.circles))))
+        elif kind is Point:
+            polys.append(_ONE)
+        elif kind is Atom:
             counts = {}
-            for s in _declared_shifts(expr, atom_shifts):
+            for s in _declared_shifts(e, atom_shifts):
                 counts[s] = counts.get(s, 0) + 1
-            return ShiftPolynomial._trusted(((0, 1), *sorted(counts.items())))
-        case MapSpace() | Loop() | BouquetSpace():
-            raise NotSplittableError(expr, "mapping spaces do not split into spheres")
-    raise TypeError(f"not a space expression: {expr!r}")
+            polys.append(ShiftPolynomial._trusted(((0, 1), *sorted(counts.items()))))
+        elif kind in _MAPPING:
+            raise NotSplittableError(e, "mapping spaces do not split into spheres")
+        else:
+            raise TypeError(f"not a space expression: {e!r}")
+    return _formed(polys[0])
+
+
+def _formed(poly) -> ShiftPolynomial:
+    """``poly``, or the product its counts stand for."""
+    return charged_product(poly.items()) if type(poly) is dict else poly
 
 
 def _declared_shifts(atom, atom_shifts: Mapping[str, Sequence[int]]) -> list[int]:

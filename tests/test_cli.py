@@ -161,10 +161,14 @@ def test_overlong_integer_literal_exits_two(capsys, template):
 
 
 def test_pathologically_deep_expression_exits_two(capsys):
-    expr = "wedge(S1, " * 5000 + "S1" + ")" * 5000
-    code, _, err = run(capsys, "decompose", "--expr", expr, "--degree", "1")
+    # No reader recurses: a 5000-deep wedge is read to the end, and a bare
+    # wedge target has no rule, while the same wedge as a source splits.
+    wedge = "wedge(S1, " * 5000 + "S1" + ")" * 5000
+    code, _, err = run(capsys, "decompose", "--expr", wedge, "--degree", "1")
     assert code == 2
-    assert "nested too deeply" in err
+    assert err.startswith("error: no decomposition rule for target 'wedge(S1, wedge(S1, ")
+    code, out, _ = run(capsys, "decompose", "--expr", f"map({wedge}, Y)", "--degree", "1")
+    assert (code, out) == (0, "G[1](Y) + 5001*G[2](Y)\n")
 
 
 def test_deep_loop_decomposes(capsys):
@@ -207,6 +211,40 @@ def test_estimates_past_the_printing_limit_are_named_by_their_digits(capsys, exp
     expr = expr.format(n="9" * 4300)
     code, out, err = run(capsys, "decompose", "--expr", expr, "--degree", "1")
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(("expr", "degree"), [
+    ("map(susp(A, {n}), Y)", "1"),
+    ("map(susp(susp(A, {n}), {n}), Y)", "1"),
+    ("map(S1, Y)", "{n}"),
+])
+def test_a_term_degree_past_the_printing_limit_exits_two(capsys, fmt, expr, degree):
+    # Σ^{1 + s} of a residual, or G[n + 1] of the core, would have 4301
+    # digits; the walk refuses the answer before any term is built.
+    n = "9" * 4300
+    argv = ["decompose", "--expr", expr.format(n=n), "--degree", degree.format(n=n)]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: answer too large: a term's degree <4301-digit number> exceeds the "
+        "printing limit of 4300 digits\n"
+    )
+
+
+def test_a_term_degree_at_the_printing_limit_prints(capsys):
+    code, out, _ = run(capsys, "decompose", "--expr", f"map(susp(A, {'9' * 4299}), Y)",
+                       "--degree", "1")
+    assert code == 0
+    assert out == f"G[1](Y) + Gen[Σ^1{'0' * 4299} A -> Y]\n"
+
+
+def test_a_spelled_out_chain_of_9000_levels_decomposes(capsys):
+    expr = "map(S1, " * 9000 + "Y" + ")" * 9000
+    code, out, _ = run(capsys, "decompose", "--expr", expr, "--degree", "1")
+    assert code == 0
+    assert out.startswith("G[1](Y) + 9000*G[2](Y) + 40495500*G[3](Y) + ")
+    assert out.endswith(" + 9000*G[9000](Y) + G[9001](Y)\n")
 
 
 @pytest.mark.parametrize(

@@ -232,3 +232,70 @@ def test_splitting_reads_space_nodes_in_two_functions():
     tree = ast.parse((Path(gottlieb.__file__).parent / "splitting.py").read_text(encoding="utf-8"))
     found = set(_scopes(tree, lambda node: isinstance(node, ast.Name) and node.id in _SPACE_NODES))
     assert found == {"_degree", "_form"}
+
+
+def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """Module functions and methods, each with the ones it calls by name.
+
+    A name is resolved within the module: ``f(...)`` to a module function
+    or to the ``__init__``/``__post_init__`` of a module class,
+    ``self.m(...)`` and ``cls.m(...)`` to the enclosing class's method,
+    ``C.m(...)`` to class C's, and any other ``x.m(...)`` to every method
+    named m.  Calls made by a nested function count as its enclosing
+    function's.
+    """
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    methods = {
+        f"{name}.{item.name}": item
+        for name, node in classes.items()
+        for item in node.body if isinstance(item, ast.FunctionDef)
+    }
+
+    def callees(body: ast.AST, owner: str | None) -> set[str]:
+        found = set()
+        for node in ast.walk(body):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                if func.id in functions:
+                    found.add(func.id)
+                elif func.id in classes:
+                    found |= {f"{func.id}.{m}" for m in ("__init__", "__post_init__")} & set(methods)
+            elif isinstance(func, ast.Attribute):
+                value = func.value
+                if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+                        and value.func.id == "super":
+                    continue
+                if isinstance(value, ast.Name) and value.id in ("self", "cls") and owner:
+                    found |= {f"{owner}.{func.attr}"} & set(methods)
+                elif isinstance(value, ast.Name) and value.id in classes:
+                    found |= {f"{value.id}.{func.attr}"} & set(methods)
+                else:
+                    found |= {name for name in methods if name.split(".")[1] == func.attr}
+        return found
+
+    graph = {name: callees(node, None) for node in tree.body
+             if isinstance(node, ast.FunctionDef) for name in [node.name]}
+    graph.update({name: callees(node, name.split(".")[0]) for name, node in methods.items()})
+    return graph
+
+
+def test_space_readers_do_not_recurse():
+    # Every reader of a space tree walks it with an explicit stack, so the
+    # depth of an expression is bounded by the size budgets alone.
+    root = Path(gottlieb.__file__).parent
+    cycles = []
+    for name in ("spaces.py", "splitting.py", "formal.py", "decompose.py"):
+        graph = _call_graph(ast.parse((root / name).read_text(encoding="utf-8")))
+        for start in graph:
+            seen, todo = set(), list(graph[start])
+            while todo:
+                node = todo.pop()
+                if node not in seen:
+                    seen.add(node)
+                    todo += graph.get(node, ())
+            if start in seen:
+                cycles.append(f"{name}:{start}")
+    assert cycles == []

@@ -9,6 +9,8 @@ from hypothesis import given
 import gottlieb.spaces as spaces
 from conftest import space_exprs
 from gottlieb.cli import main
+from gottlieb.decompose import decompose
+from gottlieb.splitting import DecomposeError, sphere_splitting
 from gottlieb.spaces import (
     Atom,
     Bouquet,
@@ -299,3 +301,52 @@ def test_desugar_refuses_a_sum_of_copies_over_the_ceiling_unbuilt(monkeypatch, t
         desugar(expr)
     assert str(err.value) == f"expansion of {copies} copies is over the ceiling of 100000"
     assert spaces.EXPANSION_CEILING == 100_000
+
+
+_DEEP = 100_000  # levels, far past the interpreter's recursion limit
+
+
+def _nested(head: str, core: str = "S1", depth: int = _DEEP) -> str:
+    return head * depth + core + ")" * depth
+
+
+def _within_a_second(read):
+    start = time.perf_counter()
+    try:
+        result = read()
+    except DecomposeError as exc:
+        result = exc
+    assert time.perf_counter() - start < 1
+    return result
+
+
+@pytest.mark.parametrize(("head", "poly", "answer"), [
+    ("susp(", {0: 1, _DEEP + 1: 1}, "degree shift 100001"),
+    ("wedge(S1, ", {0: 1, 1: _DEEP + 1}, "G[1](Y) + 100001*G[2](Y)"),
+    ("prod(S1, ", "degree shift 100001", "degree shift 100001"),
+])
+def test_deep_nestings_are_read_without_recursion(head, poly, answer):
+    # Every reader walks with a stack of its own, so each one ends with an
+    # answer or a size-budget error; main catches no RecursionError.
+    text = _nested(head)
+    expr = _within_a_second(lambda: parse_space(text))
+    twin, other = parse_space(text), parse_space(_nested(head, "S2"))
+    assert _within_a_second(lambda: format_space(expr)) == text
+    assert _within_a_second(lambda: expr == twin) and expr != other
+    assert _within_a_second(lambda: hash(expr)) == hash(twin)
+    plain = _within_a_second(lambda: desugar(expr))
+    assert plain == (Susp(Sphere(1), _DEEP) if head == "susp(" else expr)
+    split = _within_a_second(lambda: sphere_splitting(expr))
+    if isinstance(split, DecomposeError):
+        assert str(split).startswith(f"answer too large: {poly} exceeds")
+    else:
+        assert split.poly.as_dict() == poly
+    result = _within_a_second(lambda: decompose(MapSpace(expr, Atom("Y")), 1))
+    assert str(result).startswith(answer if "G[" in answer else f"answer too large: {answer} ")
+
+
+def test_a_deep_spelled_out_chain_parses_and_prints():
+    text = _nested("map(S1, ", "Y")
+    expr = _within_a_second(lambda: parse_space(text))
+    assert expr == desugar(Loop(Atom("Y"), _DEEP))
+    assert _within_a_second(lambda: format_space(expr)) == text

@@ -363,3 +363,30 @@ def test_suspension_adds_to_every_shift(expr, k):
     base = sphere_splitting(expr).shifts
     lifted = sphere_splitting(Susp(expr, k)).shifts
     assert lifted == tuple(sorted(s + k for s in base))
+
+
+def test_nested_products_are_read_in_linear_work(monkeypatch):
+    # Only the outermost product reads its degree, and a product inside it
+    # is not formed on its own: the polynomial is formed once, from the
+    # counts of all the factors below it.
+    walked, formed = [], []
+    walk, product = splitting._postorder, splitting.charged_product
+
+    def counting_walk(expr, leaves=()):
+        nodes = walk(expr, leaves)
+        walked.append(len(nodes))
+        return nodes
+
+    def counting_product(runs):
+        formed.append(1)
+        return product(runs)
+
+    monkeypatch.setattr(splitting, "_postorder", counting_walk)
+    monkeypatch.setattr(splitting, "charged_product", counting_product)
+    for depth in (100, 400, 3000):
+        walked.clear()
+        formed.clear()
+        poly = sphere_splitting(parse_space("prod(S1, " * depth + "S1" + ")" * depth)).poly
+        assert poly.as_dict() == {i: comb(depth + 1, i) for i in range(depth + 2)}
+        assert sum(walked) <= 2 * (2 * depth + 1) + 1
+        assert len(formed) == 1
