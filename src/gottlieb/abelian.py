@@ -29,7 +29,8 @@ or rank past 4300 digits; ``str`` then raises ``ValueError`` naming that
 number's size.  All arithmetic is exact integer arithmetic; orders are
 factored and primes certified by ``gottlieb.numtheory`` (standard library
 only).  An order that Pollard-Brent rho cannot split within its work budget
-raises ``ValueError``, which profile loading reports as a schema error.
+raises ``ValueError``, as does a number past 1500 digits that would need a
+strong primality test; profile loading reports either as a schema error.
 
 >>> g = canonicalize(1, [6, 4])
 >>> g.torsion
@@ -48,9 +49,9 @@ True
 
 import re
 from collections.abc import Iterable
-from operator import attrgetter
 
-from .numtheory import factorint, isprime
+from .numtheory import _digits, factorint, isprime
+from .records import _Record, _set
 
 __all__ = [
     "AbelianGroup",
@@ -68,10 +69,6 @@ _SUMMAND_RE = re.compile(r"Z(?:\^([0-9]+))?|Z/([0-9]+)|\(Z/([0-9]+)\)\^([0-9]+)"
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10**_MAX_DIGITS
 _SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # 2^_SAFE_BITS < 10^4300
-
-
-# Sets a field of a record, whose own __setattr__ refuses every assignment.
-_set = object.__setattr__
 
 
 def _too_long(p: int, k: int) -> bool:
@@ -98,49 +95,6 @@ def _check_rank(rank) -> None:
         raise TypeError(f"rank must be an integer, got {rank!r}")
     if rank < 0:
         raise ValueError(f"rank must be non-negative, got {rank}")
-
-
-class _Record:
-    """Base of the frozen value records of the profile layer.
-
-    A subclass names its fields, two or more, in ``__slots__`` in constructor
-    order, and sets each once in ``__init__`` through ``object.__setattr__``.  It gets
-    what a frozen dataclass gives: field-wise ``==`` within one class
-    (``NotImplemented`` against any other), a hash of the field values, so
-    a record holding a dict is unhashable, the ``Name(field=value, ...)``
-    repr, ``__match_args__`` and ``AttributeError`` on any assignment or
-    deletion.  ``dataclasses`` is not used because importing it loads
-    ``inspect`` and ``ast`` and generating each class's methods runs
-    ``exec``: together about half of ``import gottlieb``.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        cls.__match_args__ = cls.__slots__
-        cls._values = attrgetter(*cls.__slots__)  # the tuple of field values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        values = self._values
-        return values(self) == values(other)
-
-    def __hash__(self) -> int:
-        return hash(self._values(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values(self)
 
 
 def _canonical_torsion(items) -> tuple[tuple[int, int, int], ...]:
@@ -349,12 +303,6 @@ class AbelianGroup(_Record):
                 raise ValueError(f"cyclic order must be >= 2 in {part!r}")
             orders[d] = orders.get(d, 0) + copies
         return _from_orders(rank, orders)
-
-
-def _digits(n: int) -> int:
-    """The number of decimal digits of ``n`` >= 1, without converting it."""
-    estimate = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
-    return estimate + (n >= 10**estimate)
 
 
 def _oversized(rank: int, runs: list[tuple[int, int]]) -> str | None:

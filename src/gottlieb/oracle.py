@@ -18,7 +18,7 @@ as a reported mismatch rather than a silent error:
   chain once, before any other strategy is set up.  A failure is data in
   the report, not an exception.  Its derived-profile check folds a
   synthetic table of the core atom outward through each level's shift
-  polynomial, one ``profiles._fold_table`` per level, and compares the
+  polynomial, one ``evaluation._fold_table`` per level, and compares the
   result with the evaluated ``decompose`` at every degree of the window.
 
 Two strategies are brute force by design and run only under a budget:
@@ -42,8 +42,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .abelian import AbelianGroup, canonicalize
 from .decompose import _walk_chain, closed_form_bouquet
+from .evaluation import _fold_table, evaluate
 from .formal import FormalSum, GottliebTerm, Term, _trusted_gen, _trusted_term
-from .profiles import GradedGroup, ProfileDb, SpaceProfile, _fold_table, evaluate
+from .profiles import GradedGroup, ProfileDb, SpaceProfile
 from .spaces import (
     Atom,
     Bouquet,

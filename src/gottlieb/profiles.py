@@ -28,57 +28,51 @@ Entry degrees are decimal strings >= 1.  Groups are written either in the
 text codec ("Z^r + Z/d + (Z/e)^n + ...", where (Z/e)^n is n copies of Z/e)
 or structurally as {"rank": r, "torsion": [[p, k], [p, k, count], ...]},
 where [p, k] is one summand Z/p^k and [p, k, count] is count of them;
-``save`` always emits the structural form, with [p, k] for a count of 1,
-in (p, k) order, which the reader (``abelian._canonical_torsion``, one
-pass) takes as it stands.  It writes the indent-2, key-sorted layout of
-``json.dumps`` directly (the standard encoder is pure Python when it
-indents), a table's groups straight through ``_dump_group``, and a test
-pins its bytes to the standard encoder's output.
-A structured p^k may have at most 4300 digits, the limit the text codec
-has for every integer (a product of such powers can still be too long to
-print; see ``abelian``).  JSON integers past the interpreter's digit limit
-are schema errors.  Unknown keys are rejected everywhere.  The schema is
-one table per object kind, ``_SCHEMA``, which drives the key check, the
-reader and ``save``: a new key is one row there plus its reader.  A graded
-table maps a degree to a group when an entry exists, to the trivial group
-when the degree exceeds ``zero_above``, and to "unknown" otherwise;
-evaluation of a formal sum returns either an AbelianGroup or an
-``Incomplete`` report listing what was missing.
+``save`` (in ``writer``) always emits the structural form, in (p, k)
+order, which the reader (``abelian._canonical_torsion``, one pass) takes
+as it stands.  A structured p^k may have at most 4300 digits, the limit
+the text codec has for every integer (a product of such powers can still
+be too long to print; see ``abelian``), and a prime past 1500 digits is
+refused (see ``numtheory``).  JSON integers past the interpreter's digit
+limit are schema errors.  Unknown keys are rejected everywhere.  The
+schema is one table per object kind, ``_SCHEMA``, which drives the key
+check, the reader and ``save``: a new key is one row there plus its
+reader.  A graded table maps a degree to a group when an entry exists, to
+the trivial group when the degree exceeds ``zero_above``, and to
+"unknown" otherwise; evaluation of a formal sum returns either an
+AbelianGroup or an ``Incomplete`` report listing what was missing.
 
-Loading a document needs only ``abelian`` and the atom-name lexicon of
-``names``, so those are the only package modules imported here at module
-level.  ``evaluate`` imports the term classes of ``formal``, and
-``gottlieb_table_of_map_space`` imports ``splitting``, inside the call: a
-fresh process that only loads a document (``import gottlieb;
-gottlieb.load(doc)``) then never compiles the expression language, which
-was most of its start-up time.  A repeated function-level import is a
-dictionary lookup, about a microsecond per call.
+A process compiles only the part of the profile layer it runs.  This
+module holds the records and the reader, and imports only ``names`` and
+``records`` of the package.  The group layer (``abelian``, and through it
+``numtheory``) is bound here by ``_holds_groups`` when the first table that
+holds a group is built, by the reader or a constructor, so loading a
+document of atoms, shifts and flags compiles neither.  ``evaluate`` and
+``gottlieb_table_of_map_space`` live in ``evaluation`` and the writer
+(``save``, ``group_to_json``) in ``writer``; each is compiled on first
+access of its name here (PEP 562) and then bound in this module's
+namespace, so warm calls pay no import.  Before, ``import gottlieb``
+compiled all of this and the group layer: gbench's fresh ``import
+gottlieb`` plus ``load`` (``BENCH_42.json``, CPython 3.11.7, 2-CPU
+x86-64, no bytecode cache) read 53.5 -> 46.9 ms for the atoms-only
+document of rewrite-ladder, and 56.5 -> 54.7 ms for the group tables of
+eval-multiplicity, which still compile the group layer.
 """
 
-import json
-import re
-from functools import cache, partial
-from json.encoder import encode_basestring_ascii as _dump_str
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TypeVar
+from __future__ import annotations
 
-from .abelian import (
-    TRIVIAL,
-    AbelianGroup,
-    _canonical_torsion,
-    _check_rank,
-    _Record,
-    _set,
-    _trusted,
-    _weighted_sum,
-)
-from .names import is_valid_atom_name
+import json
+from functools import partial
+from importlib import import_module
+from typing import TYPE_CHECKING
+
+from .names import IDENT_RE, is_valid_atom_name
+from .records import ProfileError, _Record, _set
 
 if TYPE_CHECKING:
-    from .formal import FormalSum
-    from .spaces import SpaceExpr
-    from .splitting import ShiftPolynomial
+    from typing import Callable, Iterable, Mapping, TypeVar
 
-_T = TypeVar("_T")
+    _T = TypeVar("_T")
 
 __all__ = [
     "Flags",
@@ -95,15 +89,20 @@ __all__ = [
     "save",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The group layer, bound by ``_holds_groups`` before the first table that
+# holds a group is built; until then a process has compiled no group code.
+AbelianGroup = TRIVIAL = _canonical_torsion = _check_rank = _trusted = None
 
 
-class ProfileError(ValueError):
-    """Schema or invariant violation, with the document path that failed."""
+def _holds_groups(entries, zero_above) -> None:
+    """Bind the group layer here if a table of ``entries`` and ``zero_above`` holds a group.
 
-    def __init__(self, message: str, path: str = ""):
-        self.path = path
-        super().__init__(f"{path}: {message}" if path else message)
+    A table with entries holds groups, and one with a bound answers the
+    trivial group past it.  The names are bound once per process.
+    """
+    global AbelianGroup, TRIVIAL, _canonical_torsion, _check_rank, _trusted
+    if TRIVIAL is None and (entries or zero_above is not None):
+        from .abelian import TRIVIAL, AbelianGroup, _canonical_torsion, _check_rank, _trusted
 
 
 def _check_bound(table: dict, bound, path: str = "") -> None:
@@ -132,8 +131,10 @@ class GradedGroup(_Record):
     def __init__(
         self, entries: Mapping[int, AbelianGroup] | None = None, zero_above: int | None = None
     ) -> None:
+        entries = {} if entries is None else dict(entries)
+        _holds_groups(entries, zero_above)
         table: dict[int, AbelianGroup] = {}
-        for degree, group in ({} if entries is None else dict(entries)).items():
+        for degree, group in entries.items():
             if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
                 raise ProfileError(f"entry degree must be an integer >= 1, got {degree!r}")
             if not isinstance(group, AbelianGroup):
@@ -144,8 +145,12 @@ class GradedGroup(_Record):
         _set(self, "zero_above", zero_above)
 
     @classmethod
-    def _trusted(cls, entries: dict[int, AbelianGroup], zero_above: int | None) -> "GradedGroup":
-        """A table from entries and a bound already checked, taking ``entries`` as is."""
+    def _trusted(cls, entries: dict[int, AbelianGroup], zero_above: int | None) -> GradedGroup:
+        """A table from entries and a bound already checked, taking ``entries`` as is.
+
+        The caller has bound the group layer: the entries are groups, and a
+        bound is copied from a table built with one.
+        """
         table = object.__new__(cls)
         _set(table, "entries", entries)
         _set(table, "zero_above", zero_above)
@@ -280,7 +285,7 @@ class MapProfile(_Record):
     ) -> None:
         if relative_gottlieb is None:
             relative_gottlieb = GradedGroup()
-        if not _NAME_RE.fullmatch(name or ""):
+        if not IDENT_RE.fullmatch(name or ""):
             raise ProfileError(f"map name {name!r} is not an identifier")
         for role, space in (("source", source), ("target", target)):
             if not is_valid_atom_name(space):
@@ -384,96 +389,8 @@ class Incomplete(_Record):
         _set(self, "partial", partial)
 
 
-def evaluate(formal_sum: "FormalSum", db: ProfileDb) -> AbelianGroup | Incomplete:
-    """Resolve every term of ``formal_sum`` against the tables in ``db``.
-
-    Returns the direct sum when everything resolves.  Unknown table values
-    and symbolic residuals produce an ``Incomplete`` carrying the partial
-    sum; referencing a space or map with no profile at all is an error.
-    The resolved terms are summed in one merge, O(terms x summands per
-    term) plus one sort of the answer's distinct summands.
-    """
-    from .formal import GenGottliebTerm, GottliebTerm, PiTerm, RelTerm, term_text
-
-    resolved: list[tuple[AbelianGroup, int]] = []
-    missing: list[str] = []
-    residuals: list[str] = []
-    for term, multiplicity in formal_sum:
-        if isinstance(term, GottliebTerm):
-            value = db.space(term.space).gottlieb.lookup(term.degree)
-        elif isinstance(term, PiTerm):
-            table = db.space(term.space).homotopy
-            value = None if table is None else table.lookup(term.degree)
-        elif isinstance(term, RelTerm):
-            value = db.map(term.map_name).relative_gottlieb.lookup(term.degree)
-        elif isinstance(term, GenGottliebTerm):
-            residuals.append(term_text(term))
-            continue
-        else:  # pragma: no cover - FormalSum already rejects foreign terms
-            raise TypeError(f"cannot evaluate term {term!r}")
-        if value is None:
-            missing.append(term_text(term))
-        else:
-            resolved.append((value, multiplicity))
-    total = _weighted_sum(resolved)
-    if missing or residuals:
-        return Incomplete(tuple(missing), tuple(residuals), total)
-    return total
-
-
-def gottlieb_table_of_map_space(
-    source: "SpaceExpr", target: str, degrees: Iterable[int], db: ProfileDb
-) -> GradedGroup | Incomplete:
-    """Derived Gottlieb table of map(source, target) on the given degrees.
-
-    The source must split into spheres (its shift polynomial drives the
-    degree shifts); the entry at degree d is the direct sum of c_i copies
-    of G_{d+i}(target), formed in one merge per degree.  The triviality
-    bound of the target is inherited, since shifting only raises degrees.
-    Unknown target degrees make the result Incomplete.
-    """
-    from .splitting import shift_polynomial
-
-    table = db.space(target).gottlieb
-    return _fold_table(table, shift_polynomial(source, db.atom_shifts()), degrees, target)
-
-
-def _fold_table(
-    table: GradedGroup, poly: "ShiftPolynomial", degrees: Iterable[int], target: str
-) -> GradedGroup | Incomplete:
-    """The table whose entry at degree d sums c_i copies of ``table`` at d + i.
-
-    ``poly`` is the source's shift polynomial and ``target`` names the
-    table's space in the ``Incomplete`` report.  The entries are sums of
-    valid groups and the bound is ``table``'s own, so the result is built
-    unchecked.
-    """
-    bound = table.zero_above
-    entries: dict[int, AbelianGroup] = {}
-    missing: list[str] = []
-    for degree in sorted(set(degrees)):
-        if isinstance(degree, bool) or not isinstance(degree, int):
-            raise TypeError(f"degree must be an integer, got {degree!r}")
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
-        if bound is not None and degree > bound:
-            continue  # implied trivial by the inherited bound
-        parts = []
-        for shift, count in poly.coeffs:
-            value = table.lookup(degree + shift)
-            if value is None:
-                missing.append(f"G[{degree + shift}]({target})")
-            else:
-                parts.append((value, count))
-        if len(parts) == len(poly.coeffs):
-            entries[degree] = _weighted_sum(parts)
-    if missing:
-        return Incomplete(tuple(dict.fromkeys(missing)), ())
-    return GradedGroup._trusted(entries, bound)
-
-
 # ---------------------------------------------------------------------------
-# Document parsing and serialization.
+# Document parsing.
 
 _GROUP_KEYS = {"rank", "torsion"}
 _NO_DEFAULT = object()  # the default of a key that every saved object of its kind has
@@ -535,6 +452,8 @@ def _graded_from_json(value, path: str) -> GradedGroup:
     obj = _require_object(value, path)
     _check_keys(obj, _SCHEMA[GradedGroup].keys(), path)
     entries_obj = _require_object(obj.get("entries", {}), f"{path}.entries")
+    zero_above = obj.get("zero_above")
+    _holds_groups(entries_obj, zero_above)
     entries: dict[int, AbelianGroup] = {}
     for key, group_value in entries_obj.items():
         # The keys of a JSON object are strings; a degree's is [1-9][0-9]*.
@@ -549,7 +468,6 @@ def _graded_from_json(value, path: str) -> GradedGroup:
                 f"degree key of {len(key)} digits is too long", f"{path}.entries"
             ) from None
         entries[degree] = _group_from_json(group_value, f"{path}.entries.{key}")
-    zero_above = obj.get("zero_above")
     if zero_above is not None and (isinstance(zero_above, bool) or not isinstance(zero_above, int)):
         raise ProfileError("zero_above must be an integer", f"{path}.zero_above")
     # Every degree is an integer >= 1 and every entry a group: only the
@@ -651,81 +569,19 @@ def load(document: str) -> ProfileDb:
     return _located("document", lambda: ProfileDb(spaces, maps))
 
 
-def group_to_json(group: AbelianGroup) -> dict:
-    """The structured form: [p, k] for one summand Z/p^k, [p, k, count] for more."""
-    return {
-        "rank": group.rank,
-        "torsion": [[p, k] if count == 1 else [p, k, count] for p, k, count in group.torsion],
-    }
+# The names that other modules define, bound here on first access.
+_DEFERRED = {
+    "evaluate": "evaluation",
+    "gottlieb_table_of_map_space": "evaluation",
+    "group_to_json": "writer",
+    "save": "writer",
+}
 
 
-def _dump(value, level: int) -> str:
-    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it.
-
-    A record of ``_SCHEMA`` is written as the object of its fields that
-    differ from their defaults.  Its fields hold records, dicts (keys are
-    written and sorted as strings), lists, tuples, strings, ints, bools and
-    AbelianGroup values, which ``_dump_group`` writes in the form of
-    ``group_to_json``.  ``level`` is the depth of ``value`` in the document.
-    """
-    if isinstance(value, AbelianGroup):
-        return _dump_group(value, _group_layout(level))
-    if value.__class__ in _SCHEMA:
-        value = {key: field for key, (_, default) in _SCHEMA[value.__class__].items()
-                 if (field := getattr(value, key)) != default}
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pad = "\n" + "  " * (level + 1)
-        layout = _group_layout(level + 1)  # a table's groups are written here directly
-        items = [
-            f"{_dump_str(key)}: {_dump_group(item, layout)}" if item.__class__ is AbelianGroup
-            else f"{_dump_str(key)}: {_dump(item, level + 1)}"
-            for key, item in sorted(zip(map(str, value), value.values()))
-        ]
-        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        pad = "\n" + "  " * (level + 1)
-        items = [_dump(item, level + 1) for item in value]
-        return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return _dump_str(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _dump_group(group: AbelianGroup, layout: tuple[str, str, str, str, str]) -> str:
-    # The [p, k] and [p, k, count] items are most of a saved document, so
-    # each is one %-format of a template built once for its depth.
-    empty, full, pair, triple, sep = layout
-    if not group.torsion:
-        return empty % group.rank
-    items = sep.join([
-        pair % (p, k) if count == 1 else triple % (p, k, count) for p, k, count in group.torsion
-    ])
-    return full % (group.rank, items)
-
-
-@cache
-def _group_layout(level: int) -> tuple[str, str, str, str, str]:
-    pad0, pad1, pad2, pad3 = ("\n" + "  " * (level + i) for i in range(4))
-    rank = "{" + pad1 + '"rank": %d,' + pad1 + '"torsion": '
-    return (
-        rank + "[]" + pad0 + "}",
-        rank + "[" + pad2 + "%s" + pad1 + "]" + pad0 + "}",
-        "[" + pad3 + "%d," + pad3 + "%d" + pad2 + "]",
-        "[" + pad3 + "%d," + pad3 + "%d," + pad3 + "%d" + pad2 + "]",
-        "," + pad2,
-    )
-
-
-def save(db: ProfileDb) -> str:
-    """Serialize a database; ``load(save(db))`` reproduces ``db`` exactly."""
-    return _dump(db, 0)
+def __getattr__(name: str):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__package__}.{module}"), name)
+    globals()[name] = value
+    return value

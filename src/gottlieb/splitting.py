@@ -211,8 +211,10 @@ class SphereSplitting:
         return tuple(shift for shift, count in self.poly.coeffs[1:] for _ in range(count))
 
     def __str__(self) -> str:
+        # The polynomial, one (shift, count) term each: the size of the answer,
+        # where ``shifts`` has one entry per sphere.
         if self.splittable:
-            return "{" + ", ".join(str(s) for s in self.shifts) + "}"
+            return str(self.poly)
         return f"not splittable: {format_space(self.blocker)} ({self.reason})"
 
 

@@ -281,6 +281,40 @@ def test_deeply_nested_profile_document_exits_three(capsys, tmp_path):
     assert "nested too deeply" in err
 
 
+def _unsieved_1501_digits() -> int:
+    """A 1501-digit number that no prime below 1000 divides."""
+    n = 10**1500 + 1
+    while any(n % p == 0 for p in range(2, 1000)):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "group",
+    [lambda n: {"torsion": [[n, 1]]}, lambda n: f"Z/{n}"],
+    ids=["structured", "text"],
+)
+def test_a_prime_candidate_past_the_cap_exits_three_at_once(capsys, tmp_path, group):
+    path = tmp_path / "big.json"
+    doc = {"spaces": {"Y": {"gottlieb": {"entries": {"1": group(_unsieved_1501_digits())}}}}}
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert err == ("error: spaces.Y.gottlieb.entries.1: cannot test a 1501-digit number "
+                   "for primality: the cap is 1500 digits\n")
+
+
+def test_a_4300_digit_power_of_two_still_loads(capsys, tmp_path):
+    path = tmp_path / "power.json"
+    doc = {"spaces": {"Y": {"gottlieb": {"entries": {"1": f"Z/{2**14284}"}}}}}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
+    assert code == 0
+    assert out == f"Z/{2**14284}\n"
+
+
 def test_bad_degree_exits_two(capsys):
     code, _, err = run(capsys, "decompose", "--expr", "Y", "--degree", "0")
     assert code == 2

@@ -70,11 +70,13 @@ def test_perfect_power_finds_every_root_not_below_its_bound(least):
 
 
 def test_integer_roots_are_exact_near_powers():
-    for k in (2, 3, 5, 7, 13):
-        for r in (2, 3, 1000, 10**5 + 3, 2**60 - 1, 2**60, 10**40 + 7, 3**400):
-            for m in (r**k - 1, r**k, r**k + 1):
-                x = numtheory._iroot(m, k)
-                assert x**k <= m < (x + 1) ** k, (k, r)
+    cases = [(k, r) for k in (2, 3, 5, 7, 13)
+             for r in (2, 3, 1000, 10**5 + 3, 2**60 - 1, 2**60, 10**40 + 7, 3**400, 7**2000)]
+    cases += [(k, r) for k in (601, 839, 997) for r in (2**17 + 3, 10**6 + 3)]
+    for k, r in cases:
+        for m in (r**k - 1, r**k, r**k + 1):
+            x = numtheory._iroot(m, k)
+            assert x**k <= m < (x + 1) ** k, (k, r)
 
 
 # The primes of the second band, [10^4, 10^5), and 15-digit cofactors.

@@ -259,3 +259,49 @@ def test_perfect_powers_of_primes_just_above_1e4(monkeypatch):
     assert factorint(10009**5) == {10009: 5}
     for k in range(2, 12):
         assert factorint(10007**k) == {10007: k}
+
+
+def _unsieved(start: int) -> int:
+    """The least n >= start that no prime below 1000 divides."""
+    primorial = prod(p for p in range(2, 1000) if isprime(p))
+    n = start
+    while gcd(n, primorial) != 1:
+        n += 1
+    return n
+
+
+def test_a_candidate_past_1500_digits_is_refused_at_once():
+    n = _unsieved(10**1500)  # 1501 digits, no prime factor below 1000
+    for test in (isprime, factorint):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="a 1501-digit number .* the cap is 1500 digits"):
+            test(n)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_a_candidate_of_1500_digits_is_still_tested():
+    # The strong tests of one 1500-digit candidate, about half a second at most.
+    n = _unsieved(10**1499 * 3)
+    assert isprime(n) in (True, False)
+
+
+MERSENNE_2203 = 2**2203 - 1  # a prime of 664 digits
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2**14284, 3 * 10**4299, 997**500, MERSENNE_2203**3, 10007 * MERSENNE_2203**3],
+    ids=["2^14284", "3e4299", "997^500", "p^3", "band-prime-times-p^3"],
+)
+def test_numbers_past_the_cap_that_a_cheaper_stage_splits_still_factor(n):
+    # Only a number past the cap that no gcd, root or Fermat step splits
+    # needs a strong test, and only that one is refused.
+    factors = factorint(n)
+    assert prod(p**k for p, k in factors.items()) == n
+    assert all(isprime(p) for p in factors)
+
+
+def test_a_composite_past_the_cap_that_nothing_cheap_splits_is_refused():
+    n = MERSENNE_2203 * (2**4423 - 1)  # 1995 digits, two primes far apart
+    with pytest.raises(ValueError, match="a 1995-digit number .* the cap is 1500 digits"):
+        factorint(n)

@@ -1,5 +1,6 @@
 """Sphere splittings and shift polynomials."""
 
+import time
 from math import comb
 
 import pytest
@@ -85,7 +86,17 @@ def test_splitting_is_a_value_not_an_error():
     result = sphere_splitting(Atom("B"))
     assert result.shifts is None
     assert "not splittable" in str(result)
-    assert str(sphere_splitting(Torus(2))) == "{1, 1, 2}"
+    assert str(sphere_splitting(Torus(2))) == "1 + 2*t^1 + t^2"
+
+
+def test_a_splitting_prints_its_polynomial_not_its_spheres():
+    # T100 splits into 2^100 - 1 spheres; its text has 101 terms.
+    start = time.perf_counter()
+    text = str(sphere_splitting(parse_space("T100")))
+    assert time.perf_counter() - start < 0.5
+    assert text.startswith("1 + 100*t^1 + 4950*t^2 + ")
+    assert text.endswith(" + 100*t^99 + t^100")
+    assert text.count("+") == 100
 
 
 def test_shift_polynomial_examples():

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import gottlieb.abelian as abelian
-import gottlieb.profiles as profiles
+import gottlieb.evaluation as evaluation
 from conftest import db_of, random_group
 from gottlieb.abelian import TRIVIAL, AbelianGroup, canonicalize
 from gottlieb.decompose import decompose
@@ -145,7 +145,7 @@ def count_merges(monkeypatch) -> list[str]:
     monkeypatch.setattr(abelian, "_merged", counting(abelian._merged))
     summed = counting(abelian._weighted_sum)
     monkeypatch.setattr(abelian, "_weighted_sum", summed)
-    monkeypatch.setattr(profiles, "_weighted_sum", summed)
+    monkeypatch.setattr(evaluation, "_weighted_sum", summed)
     return calls
 
 
