@@ -11,12 +11,10 @@ No group values are built in; users assert them in profile documents.
 from its submodule on first access (PEP 562) and then kept in the package
 namespace, so a process compiles only the layers it uses: ``load`` of a
 document of atoms, shifts and flags compiles ``profiles``, ``records``
-and ``names``, and the group layer (``abelian``, ``numtheory``) follows
-with the first table that holds a group (see ``profiles``).  With
-CPython 3.11.7 on a 2-CPU x86-64 host, without a bytecode cache, a fresh
-``import gottlieb`` plus ``load`` of rewrite-ladder's set-up document
-(gbench's ``setup_s``, medians of 10 paired runs in ``BENCH_42.json``)
-fell from 53.5 to 46.9 ms; a first 10-pair run read 49.7 to 43.3 ms.
+and ``names``, and the group layer (``abelian``, ``numtheory``,
+``limits``) follows with the first table that holds a group (see
+``profiles``).  Names load through ``__import__``, which ``-X importtime``
+reports.
 
 ``decompose`` is both a submodule and the function it defines, and the
 import system binds a submodule on its package when it first loads it.
@@ -25,7 +23,6 @@ gottlieb.cli`` does one) would leave ``gottlieb.decompose`` naming the
 module.  The package's module class therefore keeps the function bound.
 """
 
-import importlib
 import sys
 import types
 
@@ -120,7 +117,7 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value
 

@@ -11,10 +11,10 @@ space answer needs: a few distinct groups, each repeated C(N, j) times.
 Validation happens once, where outside input enters: the constructor and
 the profile reader read torsion items through ``_canonical_torsion``, one
 loop that checks every item (integers, p prime, k >= 1, count >= 1, p^k of
-at most 4300 decimal digits, so every admitted summand prints under the
-interpreter's default digit limit) and takes items already in canonical
-order, as ``save`` writes them, as they stand; ``canonicalize`` checks its
-orders and factors them.  Sums and multiples of valid groups are valid, so
+at most ``ORDER_DIGITS`` decimal digits, so every admitted summand prints
+under ``PRINT_DIGITS``; see ``limits``) and takes items already in
+canonical order, as ``save`` writes them, as they stand; ``canonicalize``
+checks its orders and factors them.  Sums and multiples of valid groups are valid, so
 they skip the checks.  A weighted sum m_1 g_1 + ... + m_t g_t, which is
 what evaluating a formal sum makes, merges once: every summand's count
 times its weight goes into one map keyed by (p, k), which costs O(terms x
@@ -24,13 +24,14 @@ of equal factors, by exponent drops: the largest factor takes every
 prime's highest power, and each distinct summand ends one run of its
 prime, where the factor is divided once.  So printing costs one division
 per distinct summand, whatever the counts; text output prints a run of
-n >= 2 equal factors d as ``(Z/d)^n``.  A sum can still have a factor, count
-or rank past 4300 digits; ``str`` then raises ``ValueError`` naming that
-number's size.  All arithmetic is exact integer arithmetic; orders are
-factored and primes certified by ``gottlieb.numtheory`` (standard library
-only).  An order that Pollard-Brent rho cannot split within its work budget
-raises ``ValueError``, as does a number past 1500 digits that would need a
-strong primality test; profile loading reports either as a schema error.
+n >= 2 equal factors d as ``(Z/d)^n``.  A sum can still have a factor,
+count or rank past ``PRINT_DIGITS``; ``str`` then raises ``ValueError``
+naming that number's size.  All arithmetic is exact integer arithmetic;
+orders are factored and primes certified by ``gottlieb.numtheory``
+(standard library only).  An order that Pollard-Brent rho cannot split
+within its work budget raises ``ValueError``, as does a number past
+``CERTIFY_DIGITS`` that would need a strong primality test; profile
+loading reports either as a schema error.
 
 >>> g = canonicalize(1, [6, 4])
 >>> g.torsion
@@ -49,8 +50,10 @@ True
 
 import re
 from collections.abc import Iterable
+from math import floor, log10
 
-from .numtheory import _digits, factorint, isprime
+from .limits import ORDER_DIGITS, PRINT_DIGITS, digits, over
+from .numtheory import factorint, isprime
 from .records import _Record, _set
 
 __all__ = [
@@ -58,21 +61,19 @@ __all__ = [
     "TRIVIAL",
     "canonicalize",
     "direct_sum",
+    "group_to_json",
     "parse_group",
 ]
 
 # One summand of the text codec: Z, Z^r, Z/d or (Z/d)^n.
 _SUMMAND_RE = re.compile(r"Z(?:\^([0-9]+))?|Z/([0-9]+)|\(Z/([0-9]+)\)\^([0-9]+)")
 
-# An admitted prime power or order has at most this many decimal digits,
-# the interpreter's default limit for int <-> str conversion.
-_MAX_DIGITS = 4300
-_DIGIT_BOUND = 10**_MAX_DIGITS
-_SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # 2^_SAFE_BITS < 10^4300
+_DIGIT_BOUND = 10**ORDER_DIGITS
+_SAFE_BITS = _DIGIT_BOUND.bit_length() - 1  # 2^_SAFE_BITS < 10^ORDER_DIGITS
 
 
 def _too_long(p: int, k: int) -> bool:
-    """True when p^k has more than 4300 digits.
+    """True when p^k has more than ``ORDER_DIGITS`` digits.
 
     p^k lies between 2^(k(b-1)) and 2^(kb) for b = p.bit_length(), which
     settles nearly every case; only a power within a factor 2^k of the
@@ -101,7 +102,7 @@ def _canonical_torsion(items) -> tuple[tuple[int, int, int], ...]:
     """Canonical (p, k, count) triples from (p, k) pairs and (p, k, count) triples.
 
     Raises ``TypeError`` for an item that is not two or three integers and
-    ``ValueError`` for k < 1, count < 1, p^k past 4300 digits or p not prime.
+    ``ValueError`` for k < 1, count < 1, p^k past ``ORDER_DIGITS`` or p not prime.
     Items already in strictly increasing (p, k) order, as ``save`` writes
     them, are taken as they stand; any others are sorted and merged.
     """
@@ -132,7 +133,7 @@ def _canonical_torsion(items) -> tuple[tuple[int, int, int], ...]:
         if count < 1:
             raise ValueError(f"torsion count must be >= 1, got {count}")
         if k * p.bit_length() > _SAFE_BITS and _too_long(p, k):
-            raise ValueError(f"torsion order p^k exceeds {_MAX_DIGITS} digits")
+            raise ValueError(over("ORDER_DIGITS", floor(k * log10(p)) + 1))
         if not isprime(p):
             raise ValueError(f"torsion base must be prime, got {p}")
         if ordered:
@@ -262,7 +263,8 @@ class AbelianGroup(_Record):
             oversized = _oversized(self.rank, self._factor_runs())
         if oversized is None:
             return "a group too large to print"
-        return f"a group whose {oversized}"
+        what, count = oversized
+        return f"a group whose {what} has {count} digits"
 
     @classmethod
     def from_text(cls, text: str) -> "AbelianGroup":
@@ -305,14 +307,15 @@ class AbelianGroup(_Record):
         return _from_orders(rank, orders)
 
 
-def _oversized(rank: int, runs: list[tuple[int, int]]) -> str | None:
-    """``"<number> has N digits"`` for the first number past the limit."""
+def _oversized(rank: int, runs: list[tuple[int, int]]) -> tuple[str, int] | None:
+    """(what, digit count) of the first number past ``PRINT_DIGITS``."""
     numbers = [("rank", rank)]
     for d, n in runs:
         numbers += [("invariant factor", d), ("summand count", n)]
+    bound = 10**PRINT_DIGITS
     for what, value in numbers:
-        if _too_long(value, 1):
-            return f"{what} has {_digits(value)} digits"
+        if value >= bound:
+            return what, digits(value)
     return None
 
 
@@ -320,16 +323,17 @@ def _unprintable(rank: int, runs: list[tuple[int, int]]) -> str:
     oversized = _oversized(rank, runs)
     if oversized is None:
         return "group too large to print under the interpreter's digit limit"
-    return f"group too large to print: its {oversized}, past the {_MAX_DIGITS}-digit limit"
+    what, count = oversized
+    return over("PRINT_DIGITS", f"{count} (the group's {what})")
 
 
-def _summand_int(digits: str, what: str) -> int:
-    # int() refuses strings past the interpreter's digit limit (4300 by
-    # default); report that without echoing the digits.
+def _summand_int(text: str, what: str) -> int:
+    # int() refuses strings past the interpreter's digit limit; report that
+    # without echoing the digits.
     try:
-        return int(digits)
+        return int(text)
     except ValueError:
-        raise ValueError(f"{what} of {len(digits)} digits is too long") from None
+        raise ValueError(f"{what} of {len(text)} digits is too long") from None
 
 
 def _merged(triples: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
@@ -394,8 +398,8 @@ def canonicalize(rank: int, cyclic_orders=()) -> AbelianGroup:
 
     Each order is factored into prime powers, e.g. orders [6, 4] become
     torsion ((2, 1, 1), (2, 2, 1), (3, 1, 1)).  Orders must be integers
-    >= 2 of at most 4300 digits; the free part is passed separately as
-    ``rank``.
+    >= 2 of at most ``ORDER_DIGITS`` digits; the free part is passed
+    separately as ``rank``.
     """
     orders: dict[int, int] = {}
     for order in cyclic_orders:
@@ -404,9 +408,17 @@ def canonicalize(rank: int, cyclic_orders=()) -> AbelianGroup:
         if order <= 1:
             raise ValueError(f"cyclic order must be >= 2, got {order}")
         if _too_long(order, 1):
-            raise ValueError(f"cyclic order exceeds {_MAX_DIGITS} digits")
+            raise ValueError(over("ORDER_DIGITS", digits(order)))
         orders[order] = orders.get(order, 0) + 1
     return _from_orders(rank, orders)
+
+
+def group_to_json(group: AbelianGroup) -> dict:
+    """The structured form: [p, k] for one summand Z/p^k, [p, k, count] for more."""
+    return {
+        "rank": group.rank,
+        "torsion": [[p, k] if count == 1 else [p, k, count] for p, k, count in group.torsion],
+    }
 
 
 def direct_sum(*groups: AbelianGroup) -> AbelianGroup:

@@ -19,16 +19,12 @@ first call and reused by every later one.
 
 A process loads only the layers its command runs.  At module level this
 imports the expression engine (``spaces``, ``splitting``, ``formal``,
-``decompose``) and ``records``, for ``ProfileError``.  The profile layer
-(``profiles``, and with a group table ``abelian`` and ``numtheory``) is
-imported by ``_load_db`` only when ``--profiles`` is given, evaluation and
-the writer with the first evaluation, and ``ranks``, ``fox``,
-``relative`` and ``oracle`` inside the commands that use them.  So a
-fresh ``decompose --expr "map(T2, Y)" --degree 1`` took 79.5 ms against
-91.9 ms when this module imported the profile layer, and ``eval`` with
-the demo profile and the default ``check`` did not move (medians of 10
-alternating pairs, ``scripts/cli_times.py``, CPython 3.11.7, 2-CPU
-x86-64, no bytecode cache).
+``decompose``), ``limits`` and ``records``, for ``ProfileError``.  The
+profile layer (``profiles``, and with a group table ``abelian`` and
+``numtheory``) is imported by ``_load_db`` only when ``--profiles`` is
+given, ``evaluation`` with the first evaluation, and ``ranks``, ``fox``,
+``relative`` and ``oracle`` inside the commands that use them.  A group's
+JSON form is ``abelian``'s, so no command compiles the writer.
 """
 
 import argparse
@@ -40,13 +36,11 @@ import sys
 
 from .decompose import decompose
 from .formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, RelTerm
+from .limits import WINDOW_CEILING, over
 from .records import ProfileError
 from .spaces import Atom, MapSpace, format_space, parse_space
 
 __all__ = ["main"]
-
-# Degrees one window may hold: the JSON output lists every one of them.
-WINDOW_CEILING = 10_000
 
 
 class _UsageError(ValueError):
@@ -146,7 +140,7 @@ def _sum_obj(formal_sum: FormalSum) -> list[dict]:
 
 
 def _group_obj(group) -> dict:
-    from .writer import group_to_json
+    from .abelian import group_to_json
 
     return {**group_to_json(group), "text": str(group)}
 
@@ -217,8 +211,7 @@ def _cmd_rank(args, db):
     if args.degree is None:
         bound, known = y.gottlieb.zero_above, len(y.gottlieb.entries)
         if bound is not None and bound - known > WINDOW_CEILING and (unchecked or verified):
-            raise _UsageError(f"rank report of {bound - known} unknown degrees "
-                              f"is over the ceiling of {WINDOW_CEILING}")
+            raise _UsageError(over("WINDOW_CEILING", bound - known))
         result = top_degree_report(x, y, unchecked=unchecked)
     else:
         obj["degree"] = args.degree
@@ -302,8 +295,7 @@ def _parse_window(text: str) -> range:
 def _window(start: int, stop: int) -> range:
     """The degrees ``start..stop``, refused past ``WINDOW_CEILING`` before any is listed."""
     if stop - start + 1 > WINDOW_CEILING:
-        raise _UsageError(f"degree window of {stop - start + 1} degrees "
-                          f"is over the ceiling of {WINDOW_CEILING}")
+        raise _UsageError(over("WINDOW_CEILING", stop - start + 1))
     return range(start, stop + 1)
 
 

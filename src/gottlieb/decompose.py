@@ -48,11 +48,11 @@ suspensions, target text) keys: the answer is built with no merge, and
 no term is hashed or formatted.
 """
 
-import sys
 from math import comb
 from operator import itemgetter
 
 from .formal import FormalSum, GottliebTerm, _trusted_gen, _trusted_term
+from .limits import PRINT_DIGITS, digits, over
 from .spaces import (
     Atom,
     Bouquet,
@@ -65,7 +65,6 @@ from .spaces import (
     Sphere,
     Susp,
     Torus,
-    _count_text,
     _nat,
     atom_name,
     desugar,
@@ -75,6 +74,7 @@ from .splitting import (
     DecomposeError,
     NotSplittableError,
     ShiftPolynomial,
+    _charged,
     _degree,
     _form,
     charge_degree,
@@ -84,6 +84,7 @@ from .splitting import (
 __all__ = ["DecomposeError", "closed_form_bouquet", "decompose"]
 
 _CIRCLE = Sphere(1)
+_PRINT_BOUND = 10**PRINT_DIGITS  # the least number of PRINT_DIGITS + 1 digits
 _UNREAD = object()  # a source not yet in ``_Walk.levels``
 
 
@@ -185,14 +186,9 @@ class _Walk:
 
 def _printable(degree: int) -> None:
     """Refuse an answer whose largest term degree (the n of ``G[n]`` or the
-    k of ``Σ^k``) has more digits than the interpreter prints."""
-    try:
-        str(degree)
-    except ValueError:
-        raise DecomposeError(
-            f"answer too large: a term's degree {_count_text(degree)} exceeds the "
-            f"printing limit of {sys.get_int_max_str_digits()} digits"
-        ) from None
+    k of ``Σ^k``) has more than ``PRINT_DIGITS`` digits."""
+    if degree >= _PRINT_BOUND:
+        raise DecomposeError(over("PRINT_DIGITS", f"{digits(degree)} (a term's degree)"))
 
 
 def _rest(factors: tuple[SpaceExpr, ...], i: int, target: SpaceExpr) -> SpaceExpr:
@@ -274,12 +270,14 @@ def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> F
 
     The degree-n group of bloop(Y, m, N) is the direct sum over j = 0..N of
     m^j * C(N, j) copies of G_{n+j}(Y); m = 1 is the iterated free loop
-    space.  ``target`` may be an atom name or an Atom node.
+    space.  ``target`` may be an atom name or an Atom node.  (1 + m t)^N
+    is charged to the engine's size budget before any binomial is formed.
     """
     _nat(circles, "circle count")
     _nat(iterations, "iteration count")
     _nat(degree, "degree")
     name = atom_name(target)
+    _charged(((ShiftPolynomial._trusted(((0, 1), (1, circles))), iterations),))
     # Distinct degrees >= 1 in increasing order, with positive multiplicities.
     pairs = [
         (_trusted_term(GottliebTerm, name, degree + j), (circles**j) * comb(iterations, j))

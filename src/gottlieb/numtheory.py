@@ -8,11 +8,11 @@ parameters (Baillie and Wagstaff, Math. Comp. 35, 1980), to which no
 counterexample is known.  This is the rule ``sympy.isprime`` applies.
 For n >= 10^6 the verdict is memoized, 1024 verdicts per process, and the
 memo is looked up before any arithmetic, trial division included.  The
-strong tests are bounded: a number of more than 1500 digits that no prime
-below 1000 divides raises ``ValueError`` naming its digit count and the
-cap, before any of them runs.  One such test costs about d^3 in the digit
-count d (3.0 s at 2993 digits with CPython 3.11 on x86-64), so the cap
-keeps a verdict under about half a second on that host.
+strong tests are bounded: a number of more than ``CERTIFY_DIGITS`` digits
+(see ``limits``) that no prime below 1000 divides raises ``ValueError``
+naming its digit count and the ceiling, before any of them runs.  One
+such test costs about d^3 in the digit count d, so the ceiling bounds the
+time of a verdict.
 
 ``factorint`` returns ``{prime: exponent}``, cheap stages first.  One gcd
 with the product of the primes below 1000 names those dividing n; a lone
@@ -23,13 +23,13 @@ the primes in [1000, 10^4), which finds all of its factors there, or when
 it has none, gcds with products of 256 primes of [10^4, 10^5), built on
 first need, up to the first that shares one (Bernstein, "How to find
 smooth parts of integers", 2004).  Fermat steps and Brent's variant of
-Pollard's rho (BIT 20, 1980) split the rest.  Rho runs on a work budget
-that scales with the size of the number, so every call ends in bounded
-time; when the budget runs out it raises ``ValueError``.  Factors found
-before rho do not use up its budget: prime factors below 10^5 cost it
-nothing, but where n has factors in both bands rho finds those above 10^4.
-A cofactor past the primality test's cap (1500 digits) skips the test
-and goes through the other stages; if none splits it, it raises
+Pollard's rho (BIT 20, 1980) split the rest.  Rho runs on a work budget,
+``RHO_WORK``, that scales with the size of the number, so every call
+ends in bounded time; when the budget runs out it raises ``ValueError``.
+Factors found before rho do not use up its budget: prime factors below
+10^5 cost it nothing, but where n has factors in both bands rho finds
+those above 10^4.  A cofactor past ``CERTIFY_DIGITS`` skips the primality
+test and goes through the other stages; if none splits it, it raises
 ``ValueError`` before rho.
 
 >>> factorint(2**5 * 3 * 1000003**2)
@@ -43,7 +43,9 @@ False
 from collections.abc import Iterator
 from functools import cache, lru_cache
 from itertools import compress, islice
-from math import gcd, isqrt, log2, prod
+from math import ceil, gcd, isqrt, log2, prod
+
+from .limits import CERTIFY_DIGITS, RHO_WORK, digits, over
 
 __all__ = ["factorint", "isprime"]
 
@@ -64,9 +66,7 @@ _SMALL_SET = frozenset(_SMALL_PRIMES)
 _PRIMORIAL = prod(_SMALL_PRIMES)
 _MR_BASES = _SMALL_PRIMES[:13]
 _MR_LIMIT = 3317044064679887385961981
-# The strong tests run on numbers of at most this many digits.
-_CERTIFY_DIGITS = 1500
-_CERTIFY_BOUND = 10**_CERTIFY_DIGITS
+_CERTIFY_BOUND = 10**CERTIFY_DIGITS
 # One gcd with the product of the primes in [_TRIAL_BOUND, _GCD_BOUND)
 # finds all of a cofactor's 4-digit prime factors at once (7-11 us on a
 # 30-130-bit cofactor with CPython 3.11 on x86-64, where rho took 50-300 us
@@ -78,19 +78,13 @@ _GCD_BOUND = 10_000
 _BAND_BOUND = 100_000
 _BLOCK = 256
 _FERMAT_STEPS = 8
-# Rho's budget, counted in steps on a number of one machine word.  A step
-# on a b-bit number costs about 1 + (b / 320)^1.7 of those (measured with
-# CPython 3.11 on x86-64: 0.8 us at 64 bits, 1.1 us at 200, 55 us at 4000,
-# 560 us at 14300), so the budget caps wall time rather than the step
-# count: about half a second on that host at any size.
-_RHO_WORK = 1 << 20
 
 
 def isprime(n: int) -> bool:
     """True exactly when the integer ``n`` is prime.
 
-    Raises ``ValueError`` for an ``n`` past 1500 digits with no prime
-    factor below 1000, whose strong tests would take seconds.
+    Raises ``ValueError`` for an ``n`` past ``CERTIFY_DIGITS`` with no
+    prime factor below 1000, whose strong tests would take seconds.
     """
     if n < _TRIAL_BOUND:
         return n in _SMALL_SET
@@ -117,17 +111,8 @@ def _isprime_large(n: int) -> bool:
 
 
 def _past_cap(n: int) -> ValueError:
-    """The error for an ``n`` past the cap that only a strong test could settle."""
-    return ValueError(
-        f"cannot test a {_digits(n)}-digit number for primality: "
-        f"the cap is {_CERTIFY_DIGITS} digits"
-    )
-
-
-def _digits(n: int) -> int:
-    """The number of decimal digits of ``n`` >= 1, without converting it."""
-    estimate = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
-    return estimate + (n >= 10**estimate)
+    """The error for an ``n`` past the ceiling that only a strong test could settle."""
+    return ValueError(over("CERTIFY_DIGITS", digits(n)))
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -205,10 +190,11 @@ def factorint(n: int) -> dict[int, int]:
 
     Raises ``ValueError`` when rho exhausts its work budget on a cofactor,
     which happens when ``n`` has two prime factors of more than about ten
-    digits that are not close together, and when a cofactor past 1500
-    digits is split by none of the cheaper stages, so that only a strong
-    primality test could tell whether it is prime (see ``isprime``).  Prime factors below 10^5 found by
-    the gcds cost that budget nothing.
+    digits that are not close together, and when a cofactor past
+    ``CERTIFY_DIGITS`` is split by none of the cheaper stages, so that only
+    a strong primality test could tell whether it is prime (see
+    ``isprime``).  Prime factors below 10^5 found by the gcds cost that
+    budget nothing.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"cannot factor {n!r}: expected an integer >= 1")
@@ -226,7 +212,7 @@ def factorint(n: int) -> dict[int, int]:
                 factors[p] = k
                 if small == 1:
                     break
-    work = _RHO_WORK
+    work = RHO_WORK
     least = _TRIAL_BOUND  # every pending number has no prime factor below this
     pending = [(rest, 1)] if rest > 1 else []
     while pending:
@@ -370,6 +356,9 @@ def _iroot(m: int, k: int) -> int:
 
 def _brent(m: int, work: int) -> tuple[int, int]:
     """A proper factor of the odd composite m, and the work left over."""
+    # Work is counted in steps on a one-word number.  A step on a b-bit
+    # number costs about 1 + (b / 320)^1.7 of those (CPython 3.11 on x86-64:
+    # 0.8 us at 64 bits, 55 us at 4000), so RHO_WORK caps wall time.
     step_cost = 1 + (m.bit_length() / 320) ** 1.7
     batch, c = 128, 0
     while True:
@@ -378,10 +367,8 @@ def _brent(m: int, work: int) -> tuple[int, int]:
         while g == 1:
             work -= 2 * r * step_cost
             if work < 0:
-                raise ValueError(
-                    f"cannot split a {m.bit_length()}-bit composite factor "
-                    "within the work budget"
-                )
+                spent = ceil(RHO_WORK - work)
+                raise ValueError(over("RHO_WORK", f"{spent} (on a {m.bit_length()}-bit factor)"))
             x = y
             for _ in range(r):
                 y = (y * y + c) % m

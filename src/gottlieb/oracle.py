@@ -21,13 +21,13 @@ as a reported mismatch rather than a silent error:
   polynomial, one ``evaluation._fold_table`` per level, and compares the
   result with the evaluated ``decompose`` at every degree of the window.
 
-Two strategies are brute force by design and run only under a budget:
-``tuple-enumeration`` enumerates prod p_i(1) tuples (``TUPLE_BUDGET``),
-and the derived-profile fold makes, per level, one table lookup per
-degree the level needs and term of its polynomial (``DERIVED_BUDGET``;
-its real cost is the big-integer sums behind those lookups).  A strategy
-over its budget is skipped, and the reason is listed in
-``CrosscheckReport.skipped``; a skip is not a failure.
+Two strategies are brute force by design and run only under a budget
+(rows of ``limits``): ``tuple-enumeration`` enumerates prod p_i(1) tuples
+(``TUPLE_BUDGET``), and the derived-profile fold makes, per level, one
+table lookup per degree the level needs and term of its polynomial
+(``DERIVED_BUDGET``; its real cost is the big-integer sums behind those
+lookups).  A strategy over its budget is skipped, and the reason is
+listed in ``CrosscheckReport.skipped``; a skip is not a failure.
 
 Beyond the shared FormalSum vocabulary and sphere splittings, nothing
 here reuses code from the decomposition engine; its walk and
@@ -44,6 +44,7 @@ from .abelian import AbelianGroup, canonicalize
 from .decompose import _walk_chain, closed_form_bouquet
 from .evaluation import _fold_table, evaluate
 from .formal import FormalSum, GottliebTerm, Term, _trusted_gen, _trusted_term
+from .limits import DERIVED_BUDGET, TUPLE_BUDGET, over
 from .profiles import GradedGroup, ProfileDb, SpaceProfile
 from .spaces import (
     Atom,
@@ -77,10 +78,6 @@ __all__ = [
     "tuple_enumeration_shifts",
     "uncurry",
 ]
-
-# Brute force runs only under these budgets (see the module docstring).
-TUPLE_BUDGET = 10**5  # tuples tuple-enumeration may enumerate, prod p_i(1)
-DERIVED_BUDGET = 2 * 10**5  # table lookups the derived-profile fold may make
 
 
 def recursive_bouquet_coefficients(circles: int, iterations: int) -> ShiftPolynomial:
@@ -324,7 +321,7 @@ def _tuple_budget_skip(polys: Sequence[ShiftPolynomial]) -> str | None:
     for total in totals:
         count *= total
         if count > TUPLE_BUDGET:
-            return f"{_power_text(totals)} tuples over the budget of {_budget_text(TUPLE_BUDGET)}"
+            return over("TUPLE_BUDGET", _power_text(totals))
     return None
 
 
@@ -344,13 +341,8 @@ def _derived_budget_skip(polys: Sequence[ShiftPolynomial], degrees: Window) -> s
         span += poly.max_shift
         size = min(size * terms, span)
     if lookups > DERIVED_BUDGET:
-        return f"{lookups} table lookups over the budget of {_budget_text(DERIVED_BUDGET)}"
+        return over("DERIVED_BUDGET", lookups)
     return None
-
-
-def _budget_text(budget: int) -> str:
-    digits = str(budget)
-    return f"10^{len(digits) - 1}" if digits == "1" + "0" * (len(digits) - 1) else digits
 
 
 Strategy = Callable[[int], FormalSum]

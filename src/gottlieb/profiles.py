@@ -30,40 +30,34 @@ or structurally as {"rank": r, "torsion": [[p, k], [p, k, count], ...]},
 where [p, k] is one summand Z/p^k and [p, k, count] is count of them;
 ``save`` (in ``writer``) always emits the structural form, in (p, k)
 order, which the reader (``abelian._canonical_torsion``, one pass) takes
-as it stands.  A structured p^k may have at most 4300 digits, the limit
-the text codec has for every integer (a product of such powers can still
-be too long to print; see ``abelian``), and a prime past 1500 digits is
-refused (see ``numtheory``).  JSON integers past the interpreter's digit
-limit are schema errors.  Unknown keys are rejected everywhere.  The
-schema is one table per object kind, ``_SCHEMA``, which drives the key
-check, the reader and ``save``: a new key is one row there plus its
-reader.  A graded table maps a degree to a group when an entry exists, to
-the trivial group when the degree exceeds ``zero_above``, and to
-"unknown" otherwise; evaluation of a formal sum returns either an
+as it stands.  A structured p^k may have at most ``ORDER_DIGITS`` digits
+(a product of such powers can still be too long to print; see
+``abelian``), and a prime past ``CERTIFY_DIGITS`` is refused (see
+``numtheory``); both are rows of ``limits``.  JSON integers past the
+interpreter's digit limit are schema errors.  Unknown keys are rejected
+everywhere.  The schema is one table per object kind, ``_SCHEMA``, which
+drives the key check, the reader and ``save``: a new key is one row there
+plus its reader.  A graded table maps a degree to a group when an entry
+exists, to the trivial group when the degree exceeds ``zero_above``, and
+to "unknown" otherwise; evaluation of a formal sum returns either an
 AbelianGroup or an ``Incomplete`` report listing what was missing.
 
 A process compiles only the part of the profile layer it runs.  This
 module holds the records and the reader, and imports only ``names`` and
 ``records`` of the package.  The group layer (``abelian``, and through it
-``numtheory``) is bound here by ``_holds_groups`` when the first table that
-holds a group is built, by the reader or a constructor, so loading a
-document of atoms, shifts and flags compiles neither.  ``evaluate`` and
-``gottlieb_table_of_map_space`` live in ``evaluation`` and the writer
-(``save``, ``group_to_json``) in ``writer``; each is compiled on first
-access of its name here (PEP 562) and then bound in this module's
-namespace, so warm calls pay no import.  Before, ``import gottlieb``
-compiled all of this and the group layer: gbench's fresh ``import
-gottlieb`` plus ``load`` (``BENCH_42.json``, CPython 3.11.7, 2-CPU
-x86-64, no bytecode cache) read 53.5 -> 46.9 ms for the atoms-only
-document of rewrite-ladder, and 56.5 -> 54.7 ms for the group tables of
-eval-multiplicity, which still compile the group layer.
+``numtheory`` and ``limits``) is bound here by ``_holds_groups`` when the
+first table that holds a group is built, by the reader or a constructor,
+so loading a document of atoms, shifts and flags compiles none of it.  ``evaluate`` and
+``gottlieb_table_of_map_space`` live in ``evaluation``, ``save`` in
+``writer`` and ``group_to_json`` in ``abelian``; each module is compiled
+on first access of its name here (PEP 562) and the name is then bound in
+this module's namespace, so warm calls pay no import.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from importlib import import_module
 from typing import TYPE_CHECKING
 
 from .names import IDENT_RE, is_valid_atom_name
@@ -573,7 +567,7 @@ def load(document: str) -> ProfileDb:
 _DEFERRED = {
     "evaluate": "evaluation",
     "gottlieb_table_of_map_space": "evaluation",
-    "group_to_json": "writer",
+    "group_to_json": "abelian",
     "save": "writer",
 }
 
@@ -582,6 +576,7 @@ def __getattr__(name: str):
     module = _DEFERRED.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__package__}.{module}"), name)
+    # __import__, not importlib.import_module: -X importtime sees only the former.
+    value = getattr(__import__(module, globals(), None, (name,), 1), name)
     globals()[name] = value
     return value

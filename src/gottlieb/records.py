@@ -7,9 +7,6 @@ imports nothing of the package: a process compiles the group layer
 (``abelian`` and ``numtheory``) only when one of its documents, tables or
 evaluations first holds a group, and a CLI command that reads no profile
 compiles no profile code at all, though ``main`` catches ``ProfileError``.
-A fresh CLI ``decompose --expr "map(T2, Y)" --degree 1`` went from 91.9 to
-79.5 ms, median of 10 alternating pairs (``scripts/cli_times.py``,
-CPython 3.11.7, 2-CPU x86-64, no bytecode cache).
 """
 
 from operator import attrgetter

@@ -24,7 +24,7 @@ syntax: ``parse_space(format_space(e)) == e`` for every well-formed tree,
 and formatting normalizes nothing but whitespace.  ``desugar`` removes the
 Torus/Bouquet/Loop/BouquetSpace sugar and merges nested suspensions; it is
 idempotent, and it is the only code that expands a count, under
-``EXPANSION_CEILING``.
+``EXPANSION_CEILING`` (see ``limits``).
 
 No reader recurses.  ``parse_space`` is one loop over the tokens, and
 ``_postorder`` is the one walk of a tree, children before parents, that
@@ -36,6 +36,7 @@ import re
 from dataclasses import dataclass
 from operator import is_
 
+from .limits import EXPANSION_CEILING, over
 from .names import IDENT_RE, INDEXED_RE, KEYWORDS, is_valid_atom_name
 
 __all__ = [
@@ -59,9 +60,6 @@ __all__ = [
     "is_valid_atom_name",
     "parse_space",
 ]
-
-# Copies ``desugar`` may build in one call; see ``_copies``.
-EXPANSION_CEILING = 100_000
 
 
 class SpaceExpr:
@@ -526,23 +524,10 @@ def desugar(expr: SpaceExpr) -> SpaceExpr:
     nodes = _postorder(expr)
     copies, nested = _copies(nodes)
     if copies > EXPANSION_CEILING:
-        raise ValueError(
-            f"expansion of {_count_text(copies)} copies is over the ceiling of "
-            f"{EXPANSION_CEILING}"
-        )
+        raise ValueError(over("EXPANSION_CEILING", copies))
     if not copies and not nested:
         return expr
     return _expand(nodes)
-
-
-def _count_text(n: int) -> str:
-    """``n`` in decimal, or by its digit count past the interpreter's
-    printing limit (4300 digits by default), where ``str`` refuses it."""
-    try:
-        return str(n)
-    except ValueError:
-        digits = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
-        return f"<{digits + (n >= 10**digits)}-digit number>"
 
 
 def _copies(nodes: list[SpaceExpr]) -> tuple[int, bool]:

@@ -33,9 +33,9 @@ raise ``NotSplittableError`` at the first blocker: ``_degree`` reads its
 polynomial's degree and forms no polynomial, and ``_form`` forms the
 polynomial, charging the degree of the outermost product of a subtree
 before any node in it is formed.  So a caller can charge the levels of
-a chain before any is formed.  Past ``MAX_DEGREE`` or ``MAX_DIGITS`` a
-``DecomposeError`` names the estimate and the ceiling instead of
-computing an answer that could not be printed.
+a chain before any is formed.  Past ``MAX_DEGREE`` or ``MAX_DIGITS`` (see
+``limits``) a ``DecomposeError`` names the estimate and the ceiling
+instead of computing an answer that could not be printed.
 """
 
 from dataclasses import dataclass
@@ -44,6 +44,7 @@ from math import ceil, gcd, log10
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from .limits import MAX_DEGREE, MAX_DIGITS, over
 from .spaces import (
     Atom,
     Bouquet,
@@ -58,7 +59,6 @@ from .spaces import (
     Torus,
     Wedge,
     _MAPPING,
-    _count_text,
     _postorder,
     format_space,
 )
@@ -75,14 +75,6 @@ __all__ = [
     "shift_polynomial",
     "sphere_splitting",
 ]
-
-# Ceilings of the size budget.  An answer's largest coefficient is at most
-# the product of the values p(1) of its levels, so MAX_DIGITS keeps every
-# admitted multiplicity under the interpreter's 4300-digit printing limit
-# (loop(Y, 2000) needs about 602 digits).  The degree bounds the number of
-# terms, and with it the time and memory of the dense recurrence.
-MAX_DEGREE = 10_000
-MAX_DIGITS = 4_000
 
 
 class DecomposeError(ValueError):
@@ -290,20 +282,14 @@ def _charged(runs: Iterable[tuple[ShiftPolynomial, int]]) -> tuple[dict, int]:
     # The degree check bounds every k, so this float sum is small.
     digits = sum(k * log10(poly.total()) for poly, k in counts.items())
     if digits > MAX_DIGITS:
-        raise DecomposeError(
-            f"answer too large: multiplicities of up to {ceil(digits)} digits "
-            f"exceed the size budget of {MAX_DIGITS} digits"
-        )
+        raise DecomposeError(over("MAX_DIGITS", ceil(digits)))
     return counts, degree
 
 
 def charge_degree(degree: int) -> None:
     """Refuse an answer whose degree shift is past ``MAX_DEGREE``."""
     if degree > MAX_DEGREE:
-        raise DecomposeError(
-            f"answer too large: degree shift {_count_text(degree)} exceeds the size "
-            f"budget of {MAX_DEGREE}"
-        )
+        raise DecomposeError(over("MAX_DEGREE", degree))
 
 
 _ONE = ShiftPolynomial._trusted(((0, 1),))

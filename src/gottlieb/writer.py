@@ -1,4 +1,4 @@
-"""Profile documents written as text: ``save`` and ``group_to_json``.
+"""Profile documents written as text: ``save``.
 
 ``save`` writes the indent-2, key-sorted layout of ``json.dumps``
 directly (the standard encoder is pure Python when it indents): each
@@ -7,25 +7,18 @@ from their defaults, and each group in the structural form, [p, k] for
 one summand Z/p^k and [p, k, count] for more, in (p, k) order, which the
 reader takes as it stands.  A table's groups go straight through
 ``_dump_group``, and a test pins the bytes to the standard encoder's
-output.  Both names are names of ``profiles`` too, which compiles this
-module on their first access, so loading a document needs none of it.
+output.  ``save`` is a name of ``profiles`` too, which compiles this
+module on its first access, so loading a document needs none of it.
+``group_to_json`` is ``abelian``'s, bound here as well.
 """
 
 from functools import cache
 from json.encoder import encode_basestring_ascii as _dump_str
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, group_to_json
 from .profiles import _SCHEMA, ProfileDb
 
 __all__ = ["group_to_json", "save"]
-
-
-def group_to_json(group: AbelianGroup) -> dict:
-    """The structured form: [p, k] for one summand Z/p^k, [p, k, count] for more."""
-    return {
-        "rank": group.rank,
-        "torsion": [[p, k] if count == 1 else [p, k, count] for p, k, count in group.torsion],
-    }
 
 
 def _dump(value, level: int) -> str:

@@ -11,7 +11,7 @@ import subprocess
 import time
 from collections import Counter
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from hypothesis import strategies as st
 
@@ -131,6 +131,15 @@ def synthetic_space(
 
 def db_of(*profiles, maps=()) -> ProfileDb:
     return ProfileDb.of(profiles, maps)
+
+
+def unsieved(start: int) -> int:
+    """The least n >= start that no prime below 1000 divides."""
+    primorial = prod(p for p in range(2, 1000) if all(p % q for q in range(2, p)))
+    n = start
+    while gcd(n, primorial) != 1:
+        n += 1
+    return n
 
 
 # --- capped child processes -----------------------------------------------

@@ -177,34 +177,38 @@ def test_deep_loop_decomposes(capsys):
     assert out.startswith("G[1](Y) + 2000*G[2](Y) + 1999000*G[3](Y) + ")
 
 
+def _over_degree(shift) -> str:
+    return f"the answer's degree shift is {shift}, over the ceiling MAX_DEGREE = 10000"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("decompose", "--expr", "bloop(Y, 10, 5000)", "--degree", "1"),
-        ("decompose", "--expr", "map(T200000, Y)", "--degree", "1"),
-        ("fox", "--expr", "Y", "--degree", "20000"),
-        ("loop-homotopy", "--expr", "Y", "--degree", "2", "--iterations", "20000"),
+        (("decompose", "--expr", "bloop(Y, 10, 5000)", "--degree", "1"),
+         "the digit count of the answer's largest multiplicity is 5207, "
+         "over the ceiling MAX_DIGITS = 4000"),
+        (("decompose", "--expr", "map(T200000, Y)", "--degree", "1"), _over_degree(200000)),
+        (("fox", "--expr", "Y", "--degree", "20000"), _over_degree(19999)),
+        (("loop-homotopy", "--expr", "Y", "--degree", "2", "--iterations", "20000"),
+         _over_degree(20000)),
     ],
 )
-def test_oversized_answers_exit_two_at_once(capsys, argv):
+def test_oversized_answers_exit_two_at_once(capsys, argv, message):
     # The size budget is checked before any power is formed.
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 5
-    assert code == 2
-    assert out == ""
-    assert "answer too large" in err and "the size budget of" in err
-    assert "set_int_max_str_digits" not in err
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
     "expr, message",
     [
         # One past 10^4300 circles, and 11 times 10^4300 - 1 copies.
-        ("map(S1, map(T{n}, Y))",
-         "answer too large: degree shift <4301-digit number> exceeds the size budget of 10000"),
+        ("map(S1, map(T{n}, Y))", _over_degree("<4301-digit number>")),
         ("map(wedge(A" + ", T{n}" * 11 + "), Y)",
-         "expansion of <4302-digit number> copies is over the ceiling of 100000"),
+         "the number of copies desugar builds is <4302-digit number>, "
+         "over the ceiling EXPANSION_CEILING = 100000"),
     ],
 )
 def test_estimates_past_the_printing_limit_are_named_by_their_digits(capsys, expr, message):
@@ -227,8 +231,8 @@ def test_a_term_degree_past_the_printing_limit_exits_two(capsys, fmt, expr, degr
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (2, "")
     assert err == (
-        "error: answer too large: a term's degree <4301-digit number> exceeds the "
-        "printing limit of 4300 digits\n"
+        "error: the digit count of a number to print is 4301 (a term's degree), "
+        "over the ceiling PRINT_DIGITS = 4300\n"
     )
 
 
@@ -248,16 +252,17 @@ def test_a_spelled_out_chain_of_9000_levels_decomposes(capsys):
 
 
 @pytest.mark.parametrize(
-    "expr", ["loop(Y, 100000000000000000000)", "map(T100000000000000000000, Y)", "loop(Y, 20000)"]
+    "expr, shift",
+    [("loop(Y, 100000000000000000000)", 10**20), ("map(T100000000000000000000, Y)", 10**20),
+     ("loop(Y, 20000)", 20000)],
 )
-def test_oversized_check_exits_two_before_any_strategy_runs(capsys, expr):
+def test_oversized_check_exits_two_before_any_strategy_runs(capsys, expr, shift):
     # check walks the engine first, so decompose's size budget refuses the
     # answer before the closed forms or the randomized walk are set up.
     start = time.perf_counter()
     code, out, err = run(capsys, "check", "--expr", expr, "--degree", "1")
     assert time.perf_counter() - start < 1
-    assert (code, out) == (2, "")
-    assert "answer too large" in err
+    assert (code, out, err) == (2, "", f"error: {_over_degree(shift)}\n")
     assert (code, out, err) == run(capsys, "decompose", "--expr", expr, "--degree", "1")
 
 
@@ -302,8 +307,8 @@ def test_a_prime_candidate_past_the_cap_exits_three_at_once(capsys, tmp_path, gr
     code, _, err = run(capsys, "eval", "--expr", "Y", "--degree", "1", "--profiles", str(path))
     assert time.perf_counter() - start < 1.0
     assert code == 3
-    assert err == ("error: spaces.Y.gottlieb.entries.1: cannot test a 1501-digit number "
-                   "for primality: the cap is 1500 digits\n")
+    assert err == ("error: spaces.Y.gottlieb.entries.1: the digit count of a number to test "
+                   "for primality is 1501, over the ceiling CERTIFY_DIGITS = 1500\n")
 
 
 def test_a_4300_digit_power_of_two_still_loads(capsys, tmp_path):
@@ -394,16 +399,21 @@ def test_overlong_degree_key_exits_three(capsys, tmp_path):
     assert "set_int_max_str_digits" not in err
 
 
-@pytest.mark.parametrize("exponent", [10**30 - 1, 100_000_000])
-def test_structured_exponent_past_the_digit_cap_exits_three(capsys, tmp_path, exponent):
-    # 2^k would take unbounded time to form and could not be printed.
+def _over_order(digits: int) -> str:
+    return (f"error: {ENTRY}: the digit count of a torsion order is {digits}, "
+            "over the ceiling ORDER_DIGITS = 4300\n")
+
+
+@pytest.mark.parametrize(
+    "exponent, digits", [(10**30 - 1, 301029995663981202120128856065), (100_000_000, 30103000)]
+)
+def test_structured_exponent_past_the_digit_cap_exits_three(capsys, tmp_path, exponent, digits):
+    # 2^k would take unbounded time to form and could not be printed; its
+    # digit count is estimated from k * log10(2).
     start = time.perf_counter()
     code, _, err = _eval_entry(capsys, tmp_path, {"torsion": [[2, exponent]]})
     assert time.perf_counter() - start < 10
-    assert code == 3
-    assert ENTRY in err
-    assert "exceeds 4300 digits" in err
-    assert "set_int_max_str_digits" not in err
+    assert (code, err) == (3, _over_order(digits))
 
 
 def test_structured_items_at_the_digit_cap(capsys, tmp_path):
@@ -412,8 +422,7 @@ def test_structured_items_at_the_digit_cap(capsys, tmp_path):
     assert code == 0
     assert out.strip() == f"(Z/{2**14284})^3"
     code, _, err = _eval_entry(capsys, tmp_path, {"torsion": [[2, 14285]]})
-    assert code == 3
-    assert "exceeds 4300 digits" in err
+    assert (code, err) == (3, _over_order(4301))
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -430,10 +439,9 @@ def test_answer_with_a_factor_past_the_digit_limit_exits_two(capsys, tmp_path, f
     assert code == 2
     assert out == ""
     assert err == (
-        "error: group too large to print: its invariant factor has 5874 digits, "
-        "past the 4300-digit limit\n"
+        "error: the digit count of a number to print is 5874 (the group's invariant factor), "
+        "over the ceiling PRINT_DIGITS = 4300\n"
     )
-    assert "set_int_max_str_digits" not in err
 
 
 # Two admitted summands whose sum, 2^10000 * 3^6000, has an invariant
@@ -465,22 +473,22 @@ def test_mismatch_naming_an_unprintable_group_exits_three(capsys, tmp_path, degr
 
 
 @pytest.mark.parametrize(
-    "order",
+    "order, work, bits",
     [
         # 30- and 31-digit factors: more than 30 s of factoring with sympy.
-        (5 * 10**29 + 9) * (3 * 10**30 + 91),
+        ((5 * 10**29 + 9) * (3 * 10**30 + 91), 1520198, 200),
         # A 1000-digit product of two primes.
-        (10**499 + 153) * (10**500 + 961),
+        ((10**499 + 153) * (10**500 + 961), 1780120, 3319),
     ],
     ids=["61-digit", "1000-digit"],
 )
-def test_unfactorable_orders_exit_three_quickly(capsys, tmp_path, order):
+def test_unfactorable_orders_exit_three_quickly(capsys, tmp_path, order, work, bits):
     start = time.perf_counter()
     code, _, err = _eval_entry(capsys, tmp_path, f"Z/{order}")
     assert time.perf_counter() - start < 10
-    assert code == 3
-    assert ENTRY in err
-    assert "within the work budget" in err
+    assert (code, err) == (3, f"error: {ENTRY}: Pollard-Brent rho's work on one order in "
+                              f"one-word steps is {work} (on a {bits}-bit factor), over the "
+                              "ceiling RHO_WORK = 1048576\n")
 
 
 @pytest.mark.parametrize(
@@ -819,7 +827,9 @@ def test_check_json_lists_skips_without_failing(capsys):
     assert code == 0
     report = json.loads(out)["reports"][0]
     assert report["skipped"] == [
-        {"strategy": "tuple-enumeration", "reason": "2^30 tuples over the budget of 10^5"}
+        {"strategy": "tuple-enumeration",
+         "reason": "the number of tuples tuple-enumeration enumerates is 2^30, "
+                   "over the ceiling TUPLE_BUDGET = 100000"}
     ]
     assert len(report["entries"]) == 11
 
@@ -845,7 +855,8 @@ def test_check_of_a_long_circle_chain_skips_tuple_enumeration(expr, circles):
     elapsed = time.perf_counter() - start
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-2:] == [
-        f"  SKIP tuple-enumeration: 2^{circles} tuples over the budget of 10^5",
+        f"  SKIP tuple-enumeration: the number of tuples tuple-enumeration enumerates is "
+        f"2^{circles}, over the ceiling TUPLE_BUDGET = 100000",
         "all checks passed",
     ]
     assert elapsed < 1, elapsed
@@ -867,7 +878,8 @@ def test_a_window_over_the_ceiling_exits_two_at_once(argv, length):
     result, elapsed = run_capped([sys.executable, "-m", "gottlieb.cli", *argv], CLI_ENV)
     assert (result.returncode, result.stdout) == (2, ""), result.stderr
     assert result.stderr == (
-        f"error: degree window of {length} degrees is over the ceiling of 10000\n"
+        f"error: the number of degrees a command lists is {length}, "
+        "over the ceiling WINDOW_CEILING = 10000\n"
     )
     assert elapsed < 1, elapsed
 
@@ -885,21 +897,22 @@ def test_a_window_at_the_ceiling_is_checked():
 
 _BIG = str(10**20)
 _DEMO = str(REPO / "profiles" / "synthetic_demo.json")
+_BIG_EXPANSION = (f"error: the number of copies desugar builds is {_BIG}, "
+                  "over the ceiling EXPANSION_CEILING = 100000\n")
 
 
 @pytest.mark.parametrize(
     ("argv", "codes", "fragment"),
     [
-        (("decompose", "--expr", f"map(map(T{_BIG}, Y), Y)"), {2},
-         f"error: expansion of {_BIG} copies is over the ceiling of 100000"),
+        (("decompose", "--expr", f"map(map(T{_BIG}, Y), Y)"), {2}, _BIG_EXPANSION),
         (("decompose", "--expr", f"wedge(loop(Y, {_BIG}), S2)"), {2},
          f"no decomposition rule for target 'wedge(loop(Y, {_BIG}), S2)'"),
         (("eval", "--expr", f"T{_BIG}", "--profiles", _DEMO), {2},
          f"no decomposition rule for target 'T{_BIG}'"),
-        (("check", "--expr", f"map(B{_BIG}, Y)"), {0, 2}, "over the ceiling of 100000"),
-        (("decompose", "--expr", "map(A, loop(Y, 1000000000))"), {2}, "answer too large"),
-        (("decompose", "--expr", f"map(wedge(A, T{_BIG}), Y)"), {2},
-         "over the ceiling of 100000"),
+        (("check", "--expr", f"map(B{_BIG}, Y)"), {0, 2}, _BIG_EXPANSION),
+        (("decompose", "--expr", "map(A, loop(Y, 1000000000))"), {2},
+         f"error: {_over_degree(1000000000)}\n"),
+        (("decompose", "--expr", f"map(wedge(A, T{_BIG}), Y)"), {2}, _BIG_EXPANSION),
         (("loop-homotopy", "--expr", f"map(map(T{_BIG}, Y), Y)", "--degree", "2"), {2},
          f"error: map(T{_BIG}, Y) does not split"),
     ],

@@ -25,7 +25,7 @@ from gottlieb.spaces import (
     desugar,
     parse_space,
 )
-from gottlieb.splitting import ShiftPolynomial
+from gottlieb.splitting import MAX_DEGREE, ShiftPolynomial
 
 
 def _g(degree, space="Y"):
@@ -188,6 +188,22 @@ def test_closed_form_bouquet_validation():
         closed_form_bouquet(1, 1, 1, Sphere(1))
 
 
+@pytest.mark.parametrize(
+    "circles, iterations", [(1, MAX_DEGREE + 1), (1, 20000), (10, 5000)],
+    ids=["degree-one-past", "degree-far-past", "digits-past"],
+)
+def test_closed_form_bouquet_is_charged_to_the_size_budget(circles, iterations):
+    # Its binomials would take seconds to minutes; it refuses what the
+    # engine refuses, with the engine's message, before forming one.
+    start = time.perf_counter()
+    with pytest.raises(DecomposeError) as err:
+        closed_form_bouquet(circles, iterations, 1, "Y")
+    assert time.perf_counter() - start < 1
+    with pytest.raises(DecomposeError) as engine:
+        decompose(parse_space(f"bloop(Y, {circles}, {iterations})"), 1)
+    assert str(err.value) == str(engine.value)
+
+
 def test_closed_form_matches_engine_on_deep_towers():
     # Ten-level towers: the engine's single pass must match the closed form.
     for m, n in ((1, 1), (2, 3), (4, 5)):
@@ -222,16 +238,21 @@ def test_deep_chains_are_fast(text, terms):
     assert len(result) == terms
 
 
+def _over_degree(shift: int) -> str:
+    return f"the answer's degree shift is {shift}, over the ceiling MAX_DEGREE = 10000"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("bloop(Y, 10, 5000)", "5207 digits exceed the size budget of 4000 digits"),
-        ("map(T200000, Y)", "200000 exceeds the size budget of 10000"),
-        ("loop(loop(Y, 6000), 6000)", "12000 exceeds the size budget of 10000"),
-        ("map(prod(S1, S2), loop(Y, 9999))", "10002 exceeds the size budget of 10000"),
+        ("bloop(Y, 10, 5000)", "the digit count of the answer's largest multiplicity is 5207, "
+                               "over the ceiling MAX_DIGITS = 4000"),
+        ("map(T200000, Y)", _over_degree(200000)),
+        ("loop(loop(Y, 6000), 6000)", _over_degree(12000)),
+        ("map(prod(S1, S2), loop(Y, 9999))", _over_degree(10002)),
         # Totals over every run of the chain, the degree before the digits.
-        ("map(T6000, map(T6000, loop(Y, 6000)))", "18000 exceeds the size budget of 10000"),
-        ("bloop(map(T20000, Y), 10, 5000)", "25000 exceeds the size budget of 10000"),
+        ("map(T6000, map(T6000, loop(Y, 6000)))", _over_degree(18000)),
+        ("bloop(map(T20000, Y), 10, 5000)", _over_degree(25000)),
     ],
 )
 def test_size_budget_is_checked_before_any_power(text, message):
@@ -239,7 +260,7 @@ def test_size_budget_is_checked_before_any_power(text, message):
     with pytest.raises(DecomposeError) as err:
         decompose(parse_space(text), 1)
     assert time.perf_counter() - start < 1
-    assert message in str(err.value)
+    assert str(err.value) == message
 
 
 _ROWS = """
@@ -326,7 +347,7 @@ def test_distinct_levels_and_factors_are_charged_before_any_is_formed():
         chain = f"map({level}, {chain})"
     product = f"prod({', '.join(levels)})"
     result, elapsed = run_capped([sys.executable, "-c", _REFUSED, chain, product], _ENV)
-    message = "answer too large: degree shift 905050 exceeds the size budget of 10000\n"
+    message = _over_degree(905050) + "\n"
     assert (result.returncode, result.stdout) == (0, message * 2), result.stderr
     assert elapsed < 1, elapsed
 
@@ -405,8 +426,11 @@ def test_a_blocked_source_is_refused_by_the_sum_of_its_copies_unbuilt(monkeypatc
 
     expr = parse_space("map(wedge(A" + ", T9999" * 20 + "), Y)")
     monkeypatch.setattr(Product, "__post_init__", built)
-    with pytest.raises(ValueError, match="^expansion of 199980 copies is over the ceiling"):
+    with pytest.raises(ValueError) as err:
         decompose(expr, 1)
+    assert str(err.value) == (
+        "the number of copies desugar builds is 199980, over the ceiling EXPANSION_CEILING = 100000"
+    )
 
 
 def test_residual_targets_print_desugared():

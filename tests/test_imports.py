@@ -3,9 +3,9 @@
 A process compiles only the layers it runs.  ``import gottlieb`` loads no
 submodule, and every public name loads its module on first access.
 Loading a document loads the profile layer (``profiles``, ``records``,
-``names``), and the group layer (``abelian``, ``numtheory``) only with
-the first table that holds a group.  The CLI loads the profile layer only
-for a command given ``--profiles``.  These tests start fresh
+``names``), and the group layer (``abelian``, ``numtheory``, ``limits``)
+only with the first table that holds a group.  The CLI loads the profile
+layer only for a command given ``--profiles``, and never the writer.  These tests start fresh
 interpreters, since this one has already imported the whole package.
 """
 
@@ -102,7 +102,7 @@ def test_unknown_root_names_raise_attribute_error():
 
 
 PROFILE_LAYER = ["gottlieb.names", "gottlieb.profiles", "gottlieb.records"]
-GROUP_LAYER = ["gottlieb.abelian", "gottlieb.numtheory"]
+GROUP_LAYER = ["gottlieb.abelian", "gottlieb.limits", "gottlieb.numtheory"]
 ATOMS_ONLY = {"spaces": {"X": {"suspension_shifts": [1, 2], "flags": {"finite": True}},
                          "Y": {"betti": [1, 0, 1]}}}
 
@@ -163,7 +163,7 @@ print(json.dumps([before, table.lookup(3) is TRIVIAL, table.lookup(2) is None]))
     assert fresh(code) == [False, True, True]
 
 
-def test_evaluation_and_the_writer_load_on_first_use_and_are_bound_once():
+def test_deferred_profile_names_load_on_first_use_and_are_bound_once():
     code = """
 import json, sys
 import gottlieb.profiles as profiles
@@ -176,8 +176,46 @@ print(json.dumps([before, loaded, owners, [name in vars(profiles) for name in na
     before, loaded, owners, after = fresh(code)
     assert before == [False] * 4
     assert loaded == ["gottlieb", *PROFILE_LAYER]
-    assert owners == ["gottlieb.evaluation"] * 2 + ["gottlieb.writer"] * 2
+    assert owners == ["gottlieb.evaluation"] * 2 + ["gottlieb.writer", "gottlieb.abelian"]
     assert after == [True] * 4
+
+
+def test_a_lazy_load_shows_in_the_import_timer():
+    # -X importtime times __import__; importlib.import_module bypasses it.
+    doc = (REPO / "profiles" / "synthetic_demo.json").read_text()
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", f"import gottlieb; gottlieb.load({doc!r})"],
+        capture_output=True, text=True, env=ENV, cwd=REPO, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    timed = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    assert "gottlieb.profiles" in timed
+
+
+# Pinned from the parent of the change that moved ``group_to_json`` into ``abelian``.
+EVAL_OUTPUT = {
+    "text": "Z^6 + (Z/2)^3 + (Z/12)^3\n",
+    "json": '{"command": "eval", "degree": 2, "expr": "loop(Y, 3)", "group": {"rank": 6, '
+            '"text": "Z^6 + (Z/2)^3 + (Z/12)^3", "torsion": [[2, 1, 3], [2, 2, 3], [3, 1, 3]]}, '
+            '"status": "complete", "terms": [{"degree": 2, "kind": "gottlieb", "multiplicity": 1, '
+            '"space": "Y"}, {"degree": 3, "kind": "gottlieb", "multiplicity": 3, "space": "Y"}, '
+            '{"degree": 4, "kind": "gottlieb", "multiplicity": 3, "space": "Y"}, {"degree": 5, '
+            '"kind": "gottlieb", "multiplicity": 1, "space": "Y"}]}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_OUTPUT))
+def test_eval_loads_no_writer(fmt):
+    code = f"""
+import contextlib, io, json, sys
+from gottlieb.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["eval", "--profiles", "profiles/synthetic_demo.json", "--expr", "loop(Y, 3)",
+                 "--degree", "2", "--format", {fmt!r}])
+print(json.dumps([code, out.getvalue(), "gottlieb.writer" in sys.modules]))
+"""
+    assert fresh(code) == [0, EVAL_OUTPUT[fmt], False]
 
 
 def test_unknown_profile_names_raise_attribute_error():

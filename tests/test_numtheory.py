@@ -6,6 +6,7 @@ from math import gcd, prod
 
 import pytest
 
+from conftest import unsieved
 from gottlieb.numtheory import factorint, isprime
 
 # Composites that fool strong Miller-Rabin tests to many small prime bases:
@@ -137,20 +138,24 @@ def test_factorint_rejects_non_positive_and_non_integers():
 
 
 @pytest.mark.parametrize(
-    "n",
+    "n, work, bits",
     [
         # 30- and 31-digit factors: a 61-digit semiprime.
-        (5 * 10**29 + 9) * (3 * 10**30 + 91),
+        ((5 * 10**29 + 9) * (3 * 10**30 + 91), 1520198, 200),
         # A 1000-digit product of two primes.
-        (10**499 + 153) * (10**500 + 961),
+        ((10**499 + 153) * (10**500 + 961), 1780120, 3319),
     ],
     ids=["61-digit", "1000-digit"],
 )
-def test_unsplittable_orders_exhaust_the_budget_quickly(n):
+def test_unsplittable_orders_exhaust_the_budget_quickly(n, work, bits):
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="within the work budget"):
+    with pytest.raises(ValueError) as err:
         factorint(n)
     assert time.perf_counter() - start < 10
+    assert str(err.value) == (
+        f"Pollard-Brent rho's work on one order in one-word steps is {work} "
+        f"(on a {bits}-bit factor), over the ceiling RHO_WORK = 1048576"
+    )
 
 
 def test_agrees_with_sympy_on_random_integers():
@@ -261,27 +266,24 @@ def test_perfect_powers_of_primes_just_above_1e4(monkeypatch):
         assert factorint(10007**k) == {10007: k}
 
 
-def _unsieved(start: int) -> int:
-    """The least n >= start that no prime below 1000 divides."""
-    primorial = prod(p for p in range(2, 1000) if isprime(p))
-    n = start
-    while gcd(n, primorial) != 1:
-        n += 1
-    return n
+def _over_certify(digits: int) -> str:
+    return (f"the digit count of a number to test for primality is {digits}, "
+            "over the ceiling CERTIFY_DIGITS = 1500")
 
 
 def test_a_candidate_past_1500_digits_is_refused_at_once():
-    n = _unsieved(10**1500)  # 1501 digits, no prime factor below 1000
+    n = unsieved(10**1500)  # 1501 digits, no prime factor below 1000
     for test in (isprime, factorint):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="a 1501-digit number .* the cap is 1500 digits"):
+        with pytest.raises(ValueError) as err:
             test(n)
         assert time.perf_counter() - start < 0.5
+        assert str(err.value) == _over_certify(1501)
 
 
 def test_a_candidate_of_1500_digits_is_still_tested():
     # The strong tests of one 1500-digit candidate, about half a second at most.
-    n = _unsieved(10**1499 * 3)
+    n = unsieved(10**1499 * 3)
     assert isprime(n) in (True, False)
 
 
@@ -303,5 +305,6 @@ def test_numbers_past_the_cap_that_a_cheaper_stage_splits_still_factor(n):
 
 def test_a_composite_past_the_cap_that_nothing_cheap_splits_is_refused():
     n = MERSENNE_2203 * (2**4423 - 1)  # 1995 digits, two primes far apart
-    with pytest.raises(ValueError, match="a 1995-digit number .* the cap is 1500 digits"):
+    with pytest.raises(ValueError) as err:
         factorint(n)
+    assert str(err.value) == _over_certify(1995)

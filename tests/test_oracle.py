@@ -606,7 +606,8 @@ def test_tuple_enumeration_is_skipped_over_its_budget(expr, circles):
     report = crosscheck(expr, [1])
     elapsed = time.perf_counter() - start
     assert report.passed
-    reason = f"2^{circles} tuples over the budget of 10^5"
+    reason = (f"the number of tuples tuple-enumeration enumerates is 2^{circles}, "
+              "over the ceiling TUPLE_BUDGET = 100000")
     assert report.skipped == (("tuple-enumeration", reason),)
     assert report.lines()[-1] == f"  SKIP tuple-enumeration: {reason}"
     assert "tuple-enumeration" not in {n for e in report.entries for n in (e.left, e.right)}
@@ -617,7 +618,8 @@ def test_tuple_budget_reads_the_polynomials_not_the_shifts():
     # B<10^20> has 10^20 shifts; refusing it must not expand them.
     polys = [shift_polynomial(parse_space(s)) for s in ("B100000000000000000000", "S1", "T2")]
     assert _tuple_budget_skip(polys) == (
-        "2 * 4 * 100000000000000000001 tuples over the budget of 10^5"
+        "the number of tuples tuple-enumeration enumerates is 2 * 4 * 100000000000000000001, "
+        "over the ceiling TUPLE_BUDGET = 100000"
     )
     # At the budget it still runs: 4^8 tuples.
     width8 = "map(prod(" + ", ".join(["wedge(S1, S2, S3)"] * 8) + "), Y)"
@@ -636,7 +638,8 @@ def test_derived_profile_runs_at_loop_400_and_is_skipped_past_its_budget():
     report = crosscheck("loop(Y, 448)", [1], strategies=["derived-profile"])
     assert report.entries == ()
     assert report.skipped == (
-        ("derived-profile", f"{448 * 449} table lookups over the budget of 200000"),
+        ("derived-profile", f"the number of table lookups the derived-profile fold makes is "
+                            f"{448 * 449}, over the ceiling DERIVED_BUDGET = 200000"),
     )
 
 

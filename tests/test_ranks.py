@@ -192,8 +192,8 @@ def test_rank_report_refuses_more_unknown_degrees_than_the_ceiling(tmp_path):
     result, elapsed = run_capped(argv, env)
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
-    assert result.stderr == ("error: rank report of 999999999998 unknown degrees "
-                             "is over the ceiling of 10000\n")
+    assert result.stderr == ("error: the number of degrees a command lists is 999999999998, "
+                             "over the ceiling WINDOW_CEILING = 10000\n")
     assert elapsed < 1, elapsed
 
 

@@ -213,7 +213,7 @@ def test_constructors_copy_and_normalise_their_inputs():
         (
             lambda: AbelianGroup(0, ((2, 20000),)),
             ValueError,
-            "torsion order p^k exceeds 4300 digits",
+            "the digit count of a torsion order is 6021, over the ceiling ORDER_DIGITS = 4300",
         ),
         (
             lambda: GradedGroup({0: Z2}),

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import gottlieb
+from gottlieb import limits
 
 
 def test_package_has_no_assert_statements():
@@ -104,8 +105,38 @@ def test_import_path_imports_no_dataclasses():
             if module.split(".")[0] == "dataclasses"
         ]
     assert path == {
-        "__init__", "abelian", "names", "numtheory", "profiles", "records", "writer",
+        "__init__", "abelian", "limits", "names", "numtheory", "profiles", "records", "writer",
     }
+    assert offenders == []
+
+
+def test_every_ceiling_is_bound_in_limits_alone():
+    # A ceiling's value is stated once: ``limits`` imports nothing of the
+    # package, and every other module binds a row's name only by importing
+    # it from ``limits``.
+    root = Path(gottlieb.__file__).parent
+    rows = {row[0] for row in limits.ROWS}
+    tree = ast.parse((root / "limits.py").read_text(encoding="utf-8"))
+    assert [module for _, module in _imported_names(tree)
+            if module.startswith(".") or module.split(".")[0] == "gottlieb"] == []
+    offenders = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "limits.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 and stmt.module == "limits":
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                # A function binds a module-level name only through ``global``.
+                bound = {stmt.name} | {name for node in ast.walk(stmt)
+                                       if isinstance(node, ast.Global) for name in node.names}
+            else:
+                bound = {node.id for node in ast.walk(stmt)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+                bound |= {alias.asname or alias.name.split(".")[0] for node in ast.walk(stmt)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))
+                          for alias in node.names}
+            offenders += [f"{path.name}:{stmt.lineno} {name}" for name in sorted(bound & rows)]
     assert offenders == []
 
 

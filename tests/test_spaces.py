@@ -299,7 +299,10 @@ def test_desugar_refuses_a_sum_of_copies_over_the_ceiling_unbuilt(monkeypatch, t
     monkeypatch.setattr(spaces, "_expand", None)
     with pytest.raises(ValueError) as err:
         desugar(expr)
-    assert str(err.value) == f"expansion of {copies} copies is over the ceiling of 100000"
+    assert str(err.value) == (
+        f"the number of copies desugar builds is {copies}, "
+        "over the ceiling EXPANSION_CEILING = 100000"
+    )
     assert spaces.EXPANSION_CEILING == 100_000
 
 
@@ -320,11 +323,14 @@ def _within_a_second(read):
     return result
 
 
+_REFUSED = "the answer's degree shift is 100001, over the ceiling MAX_DEGREE = 10000"
+
+
 @pytest.mark.parametrize(("head", "poly", "answer"), [
-    ("susp(", {0: 1, _DEEP + 1: 1}, "degree shift 100001"),
+    ("susp(", {0: 1, _DEEP + 1: 1}, _REFUSED),
     ("wedge(S1, ", {0: 1, 1: _DEEP + 1}, "G[1](Y) + 100001*G[2](Y)"),
-    ("prod(S1, ", "degree shift 100001", "degree shift 100001"),
-])
+    ("prod(S1, ", _REFUSED, _REFUSED),
+], ids=["susp", "wedge", "prod"])
 def test_deep_nestings_are_read_without_recursion(head, poly, answer):
     # Every reader walks with a stack of its own, so each one ends with an
     # answer or a size-budget error; main catches no RecursionError.
@@ -338,11 +344,11 @@ def test_deep_nestings_are_read_without_recursion(head, poly, answer):
     assert plain == (Susp(Sphere(1), _DEEP) if head == "susp(" else expr)
     split = _within_a_second(lambda: sphere_splitting(expr))
     if isinstance(split, DecomposeError):
-        assert str(split).startswith(f"answer too large: {poly} exceeds")
+        assert str(split) == poly
     else:
         assert split.poly.as_dict() == poly
     result = _within_a_second(lambda: decompose(MapSpace(expr, Atom("Y")), 1))
-    assert str(result).startswith(answer if "G[" in answer else f"answer too large: {answer} ")
+    assert str(result) == answer
 
 
 def test_a_deep_spelled_out_chain_parses_and_prints():

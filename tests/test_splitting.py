@@ -159,15 +159,24 @@ def test_power_of_sparse_polynomial_follows_the_answer():
     ).as_dict()
 
 
+def _over_degree(shift: int) -> str:
+    return f"the answer's degree shift is {shift}, over the ceiling MAX_DEGREE = {MAX_DEGREE}"
+
+
+def _over_digits(digits: int) -> str:
+    return (f"the digit count of the answer's largest multiplicity is {digits}, "
+            f"over the ceiling MAX_DIGITS = {MAX_DIGITS}")
+
+
 def test_power_is_charged_to_the_size_budget():
     circle = ShiftPolynomial.from_shifts([1])
     assert (circle**MAX_DEGREE).coefficient(1) == MAX_DEGREE
     with pytest.raises(DecomposeError) as err:
         circle ** (MAX_DEGREE + 1)
-    assert f"{MAX_DEGREE + 1} exceeds the size budget of {MAX_DEGREE}" in str(err.value)
+    assert str(err.value) == _over_degree(MAX_DEGREE + 1)
     with pytest.raises(DecomposeError) as err:
         ShiftPolynomial.from_dict({0: 1, 1: 10}) ** 5000
-    assert f"5207 digits exceed the size budget of {MAX_DIGITS} digits" in str(err.value)
+    assert str(err.value) == _over_digits(5207)
     with pytest.raises(DecomposeError):
         circle ** 10**30
     with pytest.raises(ValueError):
@@ -176,8 +185,9 @@ def test_power_is_charged_to_the_size_budget():
     # The first power is charged too: p ** 1 is a one-run product.
     wide = ShiftPolynomial.from_dict({0: 1, MAX_DEGREE + 1: 1})
     assert wide ** 0 == ShiftPolynomial.one()
-    with pytest.raises(DecomposeError, match=f"degree shift {MAX_DEGREE + 1} exceeds"):
+    with pytest.raises(DecomposeError) as err:
         wide ** 1
+    assert str(err.value) == _over_degree(MAX_DEGREE + 1)
 
 
 _DENSE_POLYS = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(
@@ -213,14 +223,17 @@ def test_charged_product_charges_the_total_of_its_runs():
     circle = ShiftPolynomial.from_shifts([1])
     ten = ShiftPolynomial.from_dict({0: 1, 1: 10})
     assert charged_product([(circle, 5000), (circle, 5000)]).coefficient(1) == MAX_DEGREE
-    with pytest.raises(DecomposeError, match=r"degree shift 12000 exceeds the size budget"):
+    with pytest.raises(DecomposeError) as err:
         charged_product([(circle, 6000), (ShiftPolynomial.one(), 10**30), (circle, 6000)])
+    assert str(err.value) == _over_degree(12000)
     # The degree is checked first, over all runs: the digits of the first
     # run alone are over their budget, but the message names the degree.
-    with pytest.raises(DecomposeError, match=r"degree shift 25000 exceeds the size budget"):
+    with pytest.raises(DecomposeError) as err:
         charged_product([(ten, 5000), (circle, 20000)])
-    with pytest.raises(DecomposeError, match=r"5207 digits exceed the size budget"):
+    assert str(err.value) == _over_degree(25000)
+    with pytest.raises(DecomposeError) as err:
         charged_product([(ten, 2500), (circle, 0), (ten, 2500)])
+    assert str(err.value) == _over_digits(5207)
 
 
 @given(space_exprs())
@@ -303,8 +316,9 @@ def test_only_a_product_charges_its_own_degree():
         ("wedge(prod(S3000, S3000), prod(S7000, S7000), prod(S6000, S6000))", 14000),
         ("prod(susp(T9000), susp(T9001))", 18003),
     ]:
-        with pytest.raises(DecomposeError, match=f"^answer too large: degree shift {degree} "):
+        with pytest.raises(DecomposeError) as err:
             sphere_splitting(parse_space(text))
+        assert str(err.value) == _over_degree(degree)
 
 
 @pytest.mark.parametrize(("text", "degree"), [
@@ -316,8 +330,9 @@ def test_a_product_is_charged_before_any_factor_is_formed(monkeypatch, text, deg
         raise AssertionError("a polynomial was formed")
 
     monkeypatch.setattr(splitting, "charged_product", formed)
-    with pytest.raises(DecomposeError, match=f"^answer too large: degree shift {degree} "):
+    with pytest.raises(DecomposeError) as err:
         sphere_splitting(parse_space(text))
+    assert str(err.value) == _over_degree(degree)
 
 
 def test_sugar_splits_without_expansion():

@@ -1,6 +1,7 @@
 """The one-pass torsion reader against the two-pass one it replaced."""
 
 import random
+from math import floor, log10
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import db_of, synthetic_space
 from gottlieb import abelian
-from gottlieb.abelian import _MAX_DIGITS, _SAFE_BITS, _canonical_torsion, _is_int, _too_long
+from gottlieb.abelian import _SAFE_BITS, _canonical_torsion, _is_int, _too_long
+from gottlieb.limits import over
 from gottlieb.numtheory import isprime
 from gottlieb.profiles import load, save
 
@@ -44,7 +46,7 @@ def _reference_checked(items) -> list:
         if count < 1:
             raise ValueError(f"torsion count must be >= 1, got {count}")
         if k * p.bit_length() > _SAFE_BITS and _too_long(p, k):
-            raise ValueError(f"torsion order p^k exceeds {_MAX_DIGITS} digits")
+            raise ValueError(over("ORDER_DIGITS", floor(k * log10(p)) + 1))
         if not isprime(p):
             raise ValueError(f"torsion base must be prime, got {p}")
         triples.append((p, k, count))
