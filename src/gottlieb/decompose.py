@@ -48,7 +48,6 @@ suspensions, target text) keys: the answer is built with no merge, and
 no term is hashed or formatted.
 """
 
-from math import comb
 from operator import itemgetter
 
 from .formal import FormalSum, GottliebTerm, _trusted_gen, _trusted_term
@@ -252,8 +251,8 @@ def _walk_chain(e: SpaceExpr, atom_shifts) -> _Walk:
             "targets must be atoms, points, or mapping spaces"
         )
     # The core's charge bounds every prefix.  Each distinct prefix is one
-    # recurrence over running totals of the runs before it: no run is read
-    # twice, and no two dense polynomials are multiplied.
+    # charged product of running totals of the runs before it: no run is
+    # read twice.
     totals: dict[ShiftPolynomial, int] = {}
     done = 0
     for _, _, before in walk.families:
@@ -271,16 +270,16 @@ def closed_form_bouquet(circles: int, iterations: int, degree: int, target) -> F
     The degree-n group of bloop(Y, m, N) is the direct sum over j = 0..N of
     m^j * C(N, j) copies of G_{n+j}(Y); m = 1 is the iterated free loop
     space.  ``target`` may be an atom name or an Atom node.  (1 + m t)^N
-    is charged to the engine's size budget before any binomial is formed.
+    is charged to the engine's size budget before any term is formed.
     """
     _nat(circles, "circle count")
     _nat(iterations, "iteration count")
     _nat(degree, "degree")
     name = atom_name(target)
     _charged(((ShiftPolynomial._trusted(((0, 1), (1, circles))), iterations),))
-    # Distinct degrees >= 1 in increasing order, with positive multiplicities.
-    pairs = [
-        (_trusted_term(GottliebTerm, name, degree + j), (circles**j) * comb(iterations, j))
-        for j in range(iterations + 1)
-    ]
+    # Distinct degrees >= 1 in increasing order; c_j = m^j C(N, j) along the row.
+    pairs, c = [], 1
+    for j in range(iterations + 1):
+        pairs.append((_trusted_term(GottliebTerm, name, degree + j), c))
+        c = c * circles * (iterations - j) // (j + 1)
     return FormalSum._trusted(pairs, ordered=True)

@@ -30,8 +30,9 @@ lookups).  A strategy over its budget is skipped, and the reason is
 listed in ``CrosscheckReport.skipped``; a skip is not a failure.
 
 Beyond the shared FormalSum vocabulary and sphere splittings, nothing
-here reuses code from the decomposition engine; its walk and
-``closed_form_bouquet`` are only ever invoked as subjects under test.
+here reuses code from the decomposition engine, whose product the
+oracles' own ``_times`` checks; its walk and ``closed_form_bouquet``
+are only ever invoked as subjects under test.
 """
 
 import functools
@@ -83,8 +84,8 @@ __all__ = [
 def recursive_bouquet_coefficients(circles: int, iterations: int) -> ShiftPolynomial:
     """Shift polynomial (1 + m t)^N computed by N-fold one-step products.
 
-    Starts from 1 and multiplies by (1 + m t) once per iteration with
-    explicit coefficient bookkeeping; deliberately free of any binomial
+    Starts from 1 and multiplies by (1 + m t) once per iteration through
+    ``_times``, one step per pair of terms; deliberately free of any binomial
     coefficient function so it can confirm the closed form independently.
     """
     _nat(circles, "circle count")
@@ -92,12 +93,17 @@ def recursive_bouquet_coefficients(circles: int, iterations: int) -> ShiftPolyno
         raise ValueError(f"iteration count must be >= 0, got {iterations}")
     coeffs = {0: 1}
     for _ in range(iterations):
-        step: dict[int, int] = {}
-        for shift, count in coeffs.items():
-            step[shift] = step.get(shift, 0) + count
-            step[shift + 1] = step.get(shift + 1, 0) + circles * count
-        coeffs = step
+        coeffs = _times(coeffs, ((0, 1), (1, circles)))
     return ShiftPolynomial.from_dict(coeffs)
+
+
+def _times(coeffs: Mapping[int, int], pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """``coeffs`` times the polynomial of (shift, count) ``pairs``, in their order."""
+    product: dict[int, int] = {}
+    for shift, count in pairs:
+        for offset, mult in coeffs.items():
+            product[offset + shift] = product.get(offset + shift, 0) + count * mult
+    return product
 
 
 def randomized_decompose(
@@ -144,11 +150,7 @@ def randomized_decompose(
         if splitting.splittable:
             pairs = list(splitting.poly.coeffs)
             rng.shuffle(pairs)
-            step: dict[int, int] = {}
-            for shift, count in pairs:
-                for offset, mult in live.items():
-                    step[offset + shift] = step.get(offset + shift, 0) + count * mult
-            live = step
+            live = _times(live, pairs)
         else:
             residual_source, suspensions = source, 0
             if isinstance(source, Susp):
@@ -478,9 +480,8 @@ def crosscheck(
     derived = False
     if fully_split:
         if "polynomial" in selected:
-            poly = ShiftPolynomial.one()
-            for factor in polys:
-                poly = poly * factor
+            poly = ShiftPolynomial.from_dict(
+                functools.reduce(_times, (factor.coeffs for factor in polys), {0: 1}))
             available["polynomial"] = lambda n: _sum_from_poly(poly, core.name, n)
         if "tuple-enumeration" in selected and sources:
             reason = _tuple_budget_skip(polys)

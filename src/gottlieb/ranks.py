@@ -26,7 +26,7 @@ group three times and passes.
 
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup, _merged
+from .abelian import _merged
 from .profiles import GradedGroup, Incomplete, ProfileError, SpaceProfile
 from .spaces import SpaceExpr, _nat
 from .splitting import NotSplittableError, _degree

@@ -28,8 +28,8 @@ idempotent, and it is the only code that expands a count, under
 
 No reader recurses.  ``parse_space`` is one loop over the tokens, and
 ``_postorder`` is the one walk of a tree, children before parents, that
-``desugar``, ``==``, ``hash`` and ``splitting`` loop over; so depth is
-bounded by the size budgets, not by the interpreter's recursion limit.
+``desugar``, ``==``, ``hash``, ``repr`` and ``splitting`` loop over; so
+depth is bounded by the size budgets, not the interpreter's recursion limit.
 """
 
 import re
@@ -92,6 +92,30 @@ class SpaceExpr:
     def __getstate__(self) -> dict:
         return {name: value for name, value in self.__dict__.items() if name != "_hash"}
 
+    def __repr__(self) -> str:
+        # A generated dataclass repr's text, from one loop over the walk: a
+        # node's text ahead of each child is kept in ``heads`` at its start.
+        out, heads, starts = [], {}, []
+        for e in _postorder(self):
+            texts, text = [], f"{type(e).__qualname__}("
+            for i, name in enumerate(e.__dataclass_fields__):
+                value = getattr(e, name)
+                text += f"{', ' if i else ''}{name}="
+                if isinstance(value, SpaceExpr):
+                    texts, text = [*texts, text], ""
+                elif type(value) is tuple:  # children: (a, b) or (a,)
+                    texts += [text + "(", *[", "] * (len(value) - 1)]
+                    text = ",)" if len(value) == 1 else ")"
+                else:
+                    text += repr(value)
+            at = len(starts) - len(texts)
+            for start, head in zip(starts[at:], texts):
+                heads.setdefault(start, []).append(head)
+            starts[at:] = [starts[at] if texts else len(out)]
+            out.append(text + ")")
+        return "".join(text for i, tail in enumerate(out)
+                       for text in (*reversed(heads.get(i, ())), tail))
+
 
 def _nat(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
@@ -111,7 +135,7 @@ def _children(value, what: str) -> tuple:
     return items
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Atom(SpaceExpr):
     name: str
 
@@ -120,7 +144,7 @@ class Atom(SpaceExpr):
             raise ValueError(f"invalid or reserved atom name {self.name!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sphere(SpaceExpr):
     dim: int
 
@@ -128,12 +152,12 @@ class Sphere(SpaceExpr):
         _nat(self.dim, "sphere dimension")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Point(SpaceExpr):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Wedge(SpaceExpr):
     children: tuple[SpaceExpr, ...]
 
@@ -141,7 +165,7 @@ class Wedge(SpaceExpr):
         object.__setattr__(self, "children", _children(self.children, "wedge"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Product(SpaceExpr):
     children: tuple[SpaceExpr, ...]
 
@@ -149,7 +173,7 @@ class Product(SpaceExpr):
         object.__setattr__(self, "children", _children(self.children, "product"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Susp(SpaceExpr):
     child: SpaceExpr
     count: int = 1
@@ -158,28 +182,15 @@ class Susp(SpaceExpr):
         _nat(self.count, "suspension count")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class MapSpace(SpaceExpr):
-    """Constant-map component of the free mapping space from ``source`` to ``target``.
-
-    ``repr`` walks a chain of targets in a loop, so a deep iterated loop
-    space prints the generated text without recursing.
-    """
+    """Constant-map component of the free mapping space from ``source`` to ``target``."""
 
     source: SpaceExpr
     target: SpaceExpr
 
-    def __repr__(self) -> str:
-        # The generated repr's text, built along the chain of targets.
-        sources, e = [], self
-        while type(e) is MapSpace:
-            sources.append(repr(e.source))
-            e = e.target
-        heads = "".join(f"MapSpace(source={source}, target=" for source in sources)
-        return heads + repr(e) + ")" * len(sources)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Torus(SpaceExpr):
     factors: int
 
@@ -187,7 +198,7 @@ class Torus(SpaceExpr):
         _nat(self.factors, "torus factor count")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bouquet(SpaceExpr):
     circles: int
 
@@ -195,7 +206,7 @@ class Bouquet(SpaceExpr):
         _nat(self.circles, "bouquet circle count")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Loop(SpaceExpr):
     target: SpaceExpr
     iterations: int = 1
@@ -204,7 +215,7 @@ class Loop(SpaceExpr):
         _nat(self.iterations, "loop iteration count")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BouquetSpace(SpaceExpr):
     target: SpaceExpr
     circles: int

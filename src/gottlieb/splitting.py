@@ -25,9 +25,11 @@ Mapping spaces and undeclared atoms block the splitting:
 raises ``NotSplittableError`` naming it.
 
 Every product the engine forms, a power included, is one call of
-``charged_product`` on (polynomial, count) runs: J. C. P. Miller's
-recurrence for several factors (Knuth, TAOCP Vol. 2, 4.7), run only
-after the whole product is charged to the size budget.  Two functions
+``charged_product`` on (polynomial, count) runs, after the whole product
+is charged to the size budget: J. C. P. Miller's recurrence (Knuth,
+TAOCP Vol. 2, 4.7) powers the runs that repeat, and each factor met
+once is then multiplied in.  ``ShiftPolynomial`` has no arithmetic of
+its own.  Two functions
 read an expression, each one loop over ``spaces._postorder``, and both
 raise ``NotSplittableError`` at the first blocker: ``_degree`` reads its
 polynomial's degree and forms no polynomial, and ``_form`` forms the
@@ -48,9 +50,6 @@ from .limits import MAX_DEGREE, MAX_DIGITS, over
 from .spaces import (
     Atom,
     Bouquet,
-    BouquetSpace,
-    Loop,
-    MapSpace,
     Point,
     Product,
     SpaceExpr,
@@ -100,8 +99,8 @@ class ShiftPolynomial:
     """1 + sum of c_i t^i with c_i the multiplicity of degree shift i.
 
     Stored as sorted (shift, coefficient) pairs with zero coefficients
-    dropped; the constant coefficient is always 1.  Multiplication is
-    polynomial multiplication, matching products of spaces.
+    dropped; the constant coefficient is always 1.  Products of spaces are
+    formed by ``charged_product``.
     """
 
     coeffs: tuple[tuple[int, int], ...]
@@ -156,23 +155,6 @@ class ShiftPolynomial:
         """Value at t = 1, i.e. the number of wedge summands plus one."""
         return sum(map(itemgetter(1), self.coeffs))
 
-    def __mul__(self, other: "ShiftPolynomial") -> "ShiftPolynomial":
-        if not isinstance(other, ShiftPolynomial):
-            return NotImplemented
-        counts: dict[int, int] = {}
-        for i, a in self.coeffs:
-            for j, b in other.coeffs:
-                counts[i + j] = counts.get(i + j, 0) + a * b
-        return ShiftPolynomial._trusted(tuple(sorted(counts.items())))
-
-    def __pow__(self, exponent: int) -> "ShiftPolynomial":
-        """p^k, the one-run case of ``charged_product``."""
-        if isinstance(exponent, bool) or not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        return charged_product(((self, exponent),))
-
     def __str__(self) -> str:
         parts = []
         for i, c in self.coeffs:
@@ -217,13 +199,15 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
     ``MAX_DEGREE``, then its digits, the sum of k * log10 p(1), at most
     ``MAX_DIGITS``: totals over all runs, checked before anything is formed.
     Equal p are merged and shifts divided by their gcd.  With q the
-    product, P that of the distinct p and R = sum of k p' P / p, P q' = R q
-    gives n q_n = sum over d >= 1 of (R_{d-1} - (n - d) P_d) q_{n-d}, an
-    exact division costing one step per term of P and R.  Where every k
-    is 1, q is P and R is not formed; a single run of a binomial
-    1 + c t^s is the recurrence's one step, its binomial row.
+    product of the runs with k > 1, P that of their p and R = sum of
+    k p' P / p, P q' = R q gives n q_n = sum over d >= 1 of
+    (R_{d-1} - (n - d) P_d) q_{n-d}, an exact division costing one step
+    per term of P and R.  Each p with k = 1 is then multiplied into q,
+    fewest terms first: in P it would cost a step per term for every
+    coefficient of q.  A single run of a binomial 1 + c t^s is the
+    recurrence's one step, its binomial row.
     """
-    counts, degree = _charged(runs)
+    counts = _charged(runs)
     if list(counts.values()) in ([], [1]):
         return next(iter(counts), _ONE)
     [(poly, k), *others] = counts.items()
@@ -237,41 +221,44 @@ def charged_product(runs: Iterable[tuple[ShiftPolynomial, int]]) -> ShiftPolynom
             pairs.append((shift * n, q))
         return ShiftPolynomial._trusted(tuple(pairs))
     g = gcd(*map(itemgetter(0), chain.from_iterable(poly.coeffs for poly in counts)))
-    powers = len(counts) < sum(counts.values())  # some k > 1
-    # P and R as dense lists over shift / g: each p makes P into P p and,
-    # where R is needed, R into R p + k p' P.
-    big_p, big_r = [1], [0]
-    for poly, k in sorted(counts.items(), key=lambda run: len(run[0].coeffs)):
-        terms = [(shift // g, c) for shift, c in poly.coeffs]
+    runs = [([(shift // g, c) for shift, c in poly.coeffs], k) for poly, k in counts.items()]
+    runs.sort(key=lambda run: len(run[0]))
+    # P and R as dense lists over shift / g, from the runs with k > 1: each
+    # p makes P into P p and R into R p + k p' P.  q's degree is ``top``.
+    big_p, big_r, top = [1], [0], 0
+    for terms, k in (run for run in runs if run[1] > 1):
+        top += k * terms[-1][0]
         size = len(big_p) + terms[-1][0]
         next_p, next_r = [0] * size, [0] * size
         for i, (a, b) in enumerate(zip(big_p, big_r)):
             for j, c in terms:
                 next_p[i + j] += c * a
-                if powers:
-                    next_r[i + j - 1] += k * j * c * a  # nothing where j = 0
-                    next_r[i + j] += c * b
+                next_r[i + j - 1] += k * j * c * a  # nothing where j = 0
+                next_r[i + j] += c * b
         big_p, big_r = next_p, next_r
-    q = big_p  # the product, if every k is 1
-    if powers:
-        # Step d of coefficient n is (R_{d-1} + d P_d - n P_d) q_{n-d}.
-        steps = [(d, big_r[d - 1] + d * big_p[d], big_p[d]) for d in range(1, len(big_p))
-                 if big_r[d - 1] or big_p[d]]
-        q = [1] + [0] * (degree // g)
-        for n in range(1, len(q)):
-            total = 0
-            for d, r, p in steps:
-                if d > n:
-                    break
-                total += (r - n * p) * q[n - d]
-            q[n] = total // n
+    # Step d of coefficient n is (R_{d-1} + d P_d - n P_d) q_{n-d}.
+    steps = [(d, big_r[d - 1] + d * big_p[d], big_p[d]) for d in range(1, len(big_p))
+             if big_r[d - 1] or big_p[d]]
+    q = [1] + [0] * top
+    for n in range(1, len(q)):
+        total = 0
+        for d, r, p in steps:
+            if d > n:
+                break
+            total += (r - n * p) * q[n - d]
+        q[n] = total // n
+    for terms, _ in (run for run in runs if run[1] == 1):
+        product = [0] * (len(q) + terms[-1][0])
+        for i, a in enumerate(q):
+            for j, c in terms:
+                product[i + j] += c * a
+        q = product
     return ShiftPolynomial._trusted(tuple([(g * i, c) for i, c in enumerate(q) if c]))
 
 
-def _charged(runs: Iterable[tuple[ShiftPolynomial, int]]) -> tuple[dict, int]:
-    """The runs merged into counts by polynomial, and their product's
-    degree, once it and then the product's digits are checked against
-    the size budget."""
+def _charged(runs: Iterable[tuple[ShiftPolynomial, int]]) -> dict:
+    """The runs merged into counts by polynomial, once their product's
+    degree and then its digits are checked against the size budget."""
     counts: dict[ShiftPolynomial, int] = {}
     degree = 0
     for poly, k in runs:
@@ -283,7 +270,7 @@ def _charged(runs: Iterable[tuple[ShiftPolynomial, int]]) -> tuple[dict, int]:
     digits = sum(k * log10(poly.total()) for poly, k in counts.items())
     if digits > MAX_DIGITS:
         raise DecomposeError(over("MAX_DIGITS", ceil(digits)))
-    return counts, degree
+    return counts
 
 
 def charge_degree(degree: int) -> None:
@@ -361,7 +348,7 @@ def _form(expr: SpaceExpr, atom_shifts: Mapping[str, Sequence[int]]) -> ShiftPol
             runs = []
             for poly in polys[-len(e.children):]:
                 runs += poly.items() if type(poly) is dict else [(poly, 1)]
-            polys[-len(e.children):] = [_charged(runs)[0]]
+            polys[-len(e.children):] = [_charged(runs)]
         elif kind is Susp:
             shifted = [(i + e.count, c) for i, c in _formed(polys[-1]).coeffs[1:]]
             polys[-1] = ShiftPolynomial._trusted(((0, 1), *shifted))

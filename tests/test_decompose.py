@@ -4,6 +4,8 @@ import importlib
 import os
 import sys
 import time
+from functools import reduce
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ import gottlieb
 from conftest import run_capped, space_exprs, splittable_exprs
 from gottlieb.decompose import DecomposeError, _walk_chain, closed_form_bouquet, decompose
 from gottlieb.formal import FormalSum, GenGottliebTerm, GottliebTerm, PiTerm, term_text
-from gottlieb.oracle import crosscheck
+import gottlieb.oracle as oracle
+from gottlieb.oracle import _times, crosscheck
 from gottlieb.spaces import (
     Atom,
     MapSpace,
@@ -204,6 +207,19 @@ def test_closed_form_bouquet_is_charged_to_the_size_budget(circles, iterations):
     assert str(err.value) == str(engine.value)
 
 
+def test_closed_form_bouquet_builds_its_binomial_row():
+    # Each C(N, j) from scratch took 9.6 s at N = 10000; the row is linear.
+    for circles in range(1, 5):
+        for iterations in range(1, 41):
+            closed = closed_form_bouquet(circles, iterations, 3, "Y")
+            assert [(term.degree, count) for term, count in closed] == [
+                (3 + j, circles**j * comb(iterations, j)) for j in range(iterations + 1)]
+    start = time.perf_counter()
+    closed = closed_form_bouquet(1, 10000, 1, "Y")
+    assert time.perf_counter() - start < 1
+    assert len(closed) == 10001 and sum(count for _, count in closed) == 2**10000
+
+
 def test_closed_form_matches_engine_on_deep_towers():
     # Ten-level towers: the engine's single pass must match the closed form.
     for m, n in ((1, 1), (2, 3), (4, 5)):
@@ -268,7 +284,7 @@ import sys, time
 from gottlieb import decompose, parse_space
 for text in sys.argv[1:]:
     start = time.perf_counter()
-    result = decompose(parse_space(text), 1)
+    result = decompose(parse_space(text), 1, {"X": (1, 2)})
     print(time.perf_counter() - start, len(result), sum(count for _, count in result))
 """
 
@@ -289,6 +305,24 @@ def test_dense_runs_of_distinct_levels_cost_their_answer():
         seconds, terms, multiplicities = line.split()
         assert float(seconds) < 1, line
         assert (int(terms), int(multiplicities)) == (10000, total)
+
+
+def test_a_dense_factor_met_once_is_multiplied_into_the_power():
+    # wedge(T<n>, X) is a dense factor met once, next to a run of 30
+    # circles.  As a factor of the recurrence's P it cost a step per term
+    # for every coefficient of the answer: 275.6 s at n = 6000.
+    row = "map(wedge(T{}, X), loop(Y, 30))"
+    circle = ((0, 1), (1, 1))
+    wedge = reduce(_times, [circle] * 300, {0: 1})
+    wedge[1] += 1
+    wedge[2] += 1
+    expected = reduce(_times, [circle] * 30, wedge)
+    answer = decompose(parse_space(row.format(300)), 1, {"X": (1, 2)})
+    assert {term.degree - 1: count for term, count in answer} == expected
+    result, _ = run_capped([sys.executable, "-c", _ROWS, row.format(6000)], _ENV, timeout=30)
+    assert result.returncode == 0, result.stderr
+    seconds, terms, _ = result.stdout.split()
+    assert float(seconds) < 1 and int(terms) == 6031, result.stdout
 
 
 _PREFIXES = """
@@ -352,35 +386,28 @@ def test_distinct_levels_and_factors_are_charged_before_any_is_formed():
     assert elapsed < 1, elapsed
 
 
-_SHIFTS = {"X": (1, 2)}
-_SAMPLE = [
-    "map(T6, Y)",
-    "loop(Y, 5)",
-    "bloop(Y, 3, 4)",
-    "map(B4, map(S2, map(B4, Y)))",
-    "map(prod(S2, wedge(S1, S3), X, S2), Y)",
-    "map(susp(prod(T3, X, T2, wedge(S1, S2))), Y)",
-    "map(prod(T3, A), map(S1, map(susp(A, 2), loop(map(prod(A, X), Y), 2))))",
-    "map(S1, map(A, map(T2, map(B, pt))))",
-]
+def test_shift_polynomials_keep_no_arithmetic():
+    # The engine's one product is charged_product and the oracles' is
+    # oracle._times: neither side can reach the other's through an operator.
+    assert not any(hasattr(ShiftPolynomial, name) for name in ("__mul__", "__rmul__", "__pow__"))
+    root = Path(gottlieb.__file__).parent
+    named = [path.name for path in sorted(root.glob("*.py")) if path.name != "oracle.py"
+             and "_times" in path.read_text(encoding="utf-8")]
+    assert named == []
 
 
-def test_the_engine_multiplies_no_two_polynomials(monkeypatch):
-    # Every product the engine forms is one charged_product call, so the
-    # polynomial oracle's one-at-a-time products check it independently.
-    expected = [decompose(parse_space(text), 2, _SHIFTS) for text in _SAMPLE]
+def test_the_oracles_multiply_through_their_own_product(monkeypatch):
+    def refused(coeffs, pairs):
+        raise AssertionError("the oracle product was called")
 
-    def refused(self, other):
-        raise AssertionError("two polynomials were multiplied")
-
-    monkeypatch.setattr(ShiftPolynomial, "__mul__", refused)
-    assert [decompose(parse_space(text), 2, _SHIFTS) for text in _SAMPLE] == expected
-    others = ["deterministic", "randomized", "closed-form", "recursion",
-              "tuple-enumeration", "derived-profile"]
-    for text in ("map(prod(S2, wedge(S1, S3)), Y)", "loop(Y, 4)"):
+    monkeypatch.setattr(oracle, "_times", refused)
+    others = ["deterministic", "closed-form", "tuple-enumeration", "derived-profile"]
+    for text, multiplying in [("map(prod(S2, wedge(S1, S3)), Y)", ["randomized", "polynomial"]),
+                              ("loop(Y, 4)", ["randomized", "recursion", "polynomial"])]:
         assert crosscheck(text, [1, 2], others).passed
-        with pytest.raises(AssertionError, match="two polynomials were multiplied"):
-            crosscheck(text, [1, 2], ["deterministic", "polynomial"])
+        for name in multiplying:
+            with pytest.raises(AssertionError, match="the oracle product was called"):
+                crosscheck(text, [1, 2], ["deterministic", name])
 
 
 def test_runs_split_each_distinct_source_once(monkeypatch):

@@ -83,6 +83,30 @@ def _imported_names(tree: ast.AST) -> list[tuple[int, str]]:
     return found
 
 
+def test_every_top_level_import_is_used_or_exported():
+    # An import the module never reads still costs its load and names a
+    # dependency that is not there.  ``from __future__`` and imports under
+    # ``if TYPE_CHECKING:`` (not top-level statements) are exempt.
+    root = Path(gottlieb.__file__).parent
+    offenders = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = [], set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import):
+                imported += [(stmt.lineno, (a.asname or a.name).split(".")[0]) for a in stmt.names]
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                imported += [(stmt.lineno, a.asname or a.name) for a in stmt.names]
+            elif isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ) and isinstance(stmt.value, ast.List):
+                exported = set(ast.literal_eval(stmt.value))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        offenders += [f"{path.name}:{line} {name}" for line, name in imported
+                      if name not in read and name not in exported]
+    assert offenders == []
+
+
 def test_import_path_imports_no_dataclasses():
     # Loading and saving a document loads the profile layer, the group
     # layer and the writer, and the modules they import at module level in
@@ -222,8 +246,7 @@ def _scopes(node: ast.AST, match, scope: str = ""):
 
 def test_one_positive_integer_check_outside_the_profile_layer():
     # spaces._nat is the package's check that a count or degree is a positive
-    # integer.  The profile layer may not load spaces, so it keeps its own;
-    # ShiftPolynomial.__pow__ returns NotImplemented instead of raising.
+    # integer.  The profile layer may not load spaces, so it keeps its own.
     root = Path(gottlieb.__file__).parent
     found = {
         f"{path.stem}.{scope}"
@@ -231,7 +254,7 @@ def test_one_positive_integer_check_outside_the_profile_layer():
         if path.stem not in ("abelian", "numtheory", "profiles")
         for scope in _scopes(ast.parse(path.read_text(encoding="utf-8")), _is_integer_check)
     }
-    assert found == {"spaces._nat", "splitting.ShiftPolynomial.__pow__"}
+    assert found == {"spaces._nat"}
 
 
 def _calls_desugar(node: ast.AST) -> bool:

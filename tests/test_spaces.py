@@ -254,24 +254,41 @@ def test_deep_chains_compare_hash_and_print_without_recursion():
     assert desugar(Loop(Atom("Y"), depth)) == chain  # exactly at the expansion ceiling
 
 
-def _generated_repr():
-    """The ``__repr__`` that ``dataclass`` generates for MapSpace's fields."""
-    twin = type("MapSpace", (spaces.SpaceExpr,), {
-        "__annotations__": {"source": spaces.SpaceExpr, "target": spaces.SpaceExpr},
+_KINDS = (Atom, Sphere, Point, Wedge, Product, Susp, MapSpace, Torus, Bouquet, Loop, BouquetSpace)
+
+
+def _generated_repr(kind):
+    """The recursive ``__repr__`` that ``dataclass`` generates for ``kind``'s fields."""
+    twin = type(kind.__name__, (spaces.SpaceExpr,), {
+        "__annotations__": kind.__dict__.get("__annotations__", {}),
     })
     return dataclass(frozen=True)(twin).__repr__
 
 
+_GENERATED = {kind: _generated_repr(kind) for kind in _KINDS}
+
+
+def test_repr_examples():
+    assert repr(Wedge((Sphere(1), Susp(Point(), 2)))) == (
+        "Wedge(children=(Sphere(dim=1), Susp(child=Point(), count=2)))"
+    )
+    assert repr(Product((Atom("X"),))) == "Product(children=(Atom(name='X'),))"
+    assert repr(BouquetSpace(Torus(2), 3)) == (
+        "BouquetSpace(target=Torus(factors=2), circles=3, iterations=1)"
+    )
+
+
 @given(space_exprs())
-def test_map_space_repr_is_the_generated_text(expr):
+def test_repr_is_the_generated_text(expr):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MapSpace, "__repr__", _generated_repr())
+        patch.setattr(spaces.SpaceExpr, "__repr__", lambda e: _GENERATED[type(e)](e))
         expected = repr(expr), repr(desugar(expr))
     assert (repr(expr), repr(desugar(expr))) == expected
+    assert eval(expected[0], vars(spaces)) == expr
 
 
 def test_deep_chains_repr_without_recursion():
-    assert "__repr__" in MapSpace.__dict__
+    assert not any("__repr__" in kind.__dict__ for kind in _KINDS)
     for depth in (3000, 10_000):
         text = repr(desugar(parse_space(f"loop(Y, {depth})")))
         assert text == ("MapSpace(source=Sphere(dim=1), target=" * depth + "Atom(name='Y')"
@@ -326,18 +343,22 @@ def _within_a_second(read):
 _REFUSED = "the answer's degree shift is 100001, over the ceiling MAX_DEGREE = 10000"
 
 
-@pytest.mark.parametrize(("head", "poly", "answer"), [
-    ("susp(", {0: 1, _DEEP + 1: 1}, _REFUSED),
-    ("wedge(S1, ", {0: 1, 1: _DEEP + 1}, "G[1](Y) + 100001*G[2](Y)"),
-    ("prod(S1, ", _REFUSED, _REFUSED),
+@pytest.mark.parametrize(("head", "poly", "answer", "text_of"), [
+    ("susp(", {0: 1, _DEEP + 1: 1}, _REFUSED, ("Susp(child=", ", count=1)")),
+    ("wedge(S1, ", {0: 1, 1: _DEEP + 1}, "G[1](Y) + 100001*G[2](Y)",
+     ("Wedge(children=(Sphere(dim=1), ", "))")),
+    ("prod(S1, ", _REFUSED, _REFUSED, ("Product(children=(Sphere(dim=1), ", "))")),
 ], ids=["susp", "wedge", "prod"])
-def test_deep_nestings_are_read_without_recursion(head, poly, answer):
+def test_deep_nestings_are_read_without_recursion(head, poly, answer, text_of):
     # Every reader walks with a stack of its own, so each one ends with an
     # answer or a size-budget error; main catches no RecursionError.
     text = _nested(head)
     expr = _within_a_second(lambda: parse_space(text))
     twin, other = parse_space(text), parse_space(_nested(head, "S2"))
     assert _within_a_second(lambda: format_space(expr)) == text
+    head_text, tail_text = text_of
+    assert _within_a_second(lambda: repr(expr)) == (
+        head_text * _DEEP + "Sphere(dim=1)" + tail_text * _DEEP)
     assert _within_a_second(lambda: expr == twin) and expr != other
     assert _within_a_second(lambda: hash(expr)) == hash(twin)
     plain = _within_a_second(lambda: desugar(expr))
@@ -356,3 +377,5 @@ def test_a_deep_spelled_out_chain_parses_and_prints():
     expr = _within_a_second(lambda: parse_space(text))
     assert expr == desugar(Loop(Atom("Y"), _DEEP))
     assert _within_a_second(lambda: format_space(expr)) == text
+    assert _within_a_second(lambda: repr(expr)) == (
+        "MapSpace(source=Sphere(dim=1), target=" * _DEEP + "Atom(name='Y')" + ")" * _DEEP)

@@ -1,6 +1,7 @@
 """Sphere splittings and shift polynomials."""
 
 import time
+from functools import reduce
 from math import comb
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import gottlieb.splitting as splitting
 from conftest import space_exprs, splittable_exprs
-from gottlieb.oracle import tuple_enumeration_shifts
+from gottlieb.oracle import _times, tuple_enumeration_shifts
 from gottlieb.spaces import (
     Atom,
     Bouquet,
@@ -129,9 +130,15 @@ def test_polynomial_constant_term_is_pinned():
 def test_polynomial_algebra():
     p = ShiftPolynomial.from_shifts([1])
     q = ShiftPolynomial.from_shifts([2])
-    assert (p * q).as_dict() == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert (p**3).as_dict() == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert p**0 == ShiftPolynomial.one()
+    assert charged_product([(p, 1), (q, 1)]).as_dict() == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert charged_product([(p, 3)]).as_dict() == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert charged_product([(p, 2), (q, 1)]).as_dict() == {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
+    assert charged_product([(p, 0)]) == charged_product([]) == ShiftPolynomial.one()
+
+
+def _reference(runs) -> dict[int, int]:
+    """The product of p^k over ``runs``, one oracle product per factor."""
+    return reduce(_times, (poly.coeffs for poly, k in runs for _ in range(k)), {0: 1})
 
 
 _SPARSE_POLYS = st.dictionaries(st.integers(1, 40), st.integers(1, 5), max_size=4).map(
@@ -141,22 +148,21 @@ _SPARSE_POLYS = st.dictionaries(st.integers(1, 40), st.integers(1, 5), max_size=
 
 @given(_SPARSE_POLYS, st.integers(0, 12))
 def test_power_matches_repeated_products(p, k):
-    expected = ShiftPolynomial.one()
-    for _ in range(k):
-        expected = expected * p
-    power = p**k
-    assert power == expected
+    power = charged_product([(p, k)])
+    assert power.as_dict() == _reference([(p, k)])
     # The unchecked internal result is what the checking constructor builds.
     assert ShiftPolynomial(power.coeffs) == power
 
 
 def test_power_of_sparse_polynomial_follows_the_answer():
     # Shifts are divided by their gcd first: 1 + t^5000 squared is 3 terms.
-    assert (ShiftPolynomial.from_shifts([5000]) ** 2).as_dict() == {0: 1, 5000: 2, 10000: 1}
-    assert (ShiftPolynomial.from_shifts([2, 4]) ** 3).as_dict() == (
-        ShiftPolynomial.from_shifts([2, 4]) * ShiftPolynomial.from_shifts([2, 4])
-        * ShiftPolynomial.from_shifts([2, 4])
-    ).as_dict()
+    sparse = ShiftPolynomial.from_shifts([5000])
+    assert charged_product([(sparse, 2)]).as_dict() == {0: 1, 5000: 2, 10000: 1}
+    # A factor met once is multiplied into the power over the same gcd.
+    runs = [(ShiftPolynomial.from_shifts([3000]), 2), (ShiftPolynomial.from_shifts([3000] * 2), 1)]
+    assert charged_product(runs).as_dict() == {0: 1, 3000: 4, 6000: 5, 9000: 2}
+    even = ShiftPolynomial.from_shifts([2, 4])
+    assert charged_product([(even, 3)]).as_dict() == _reference([(even, 3)])
 
 
 def _over_degree(shift: int) -> str:
@@ -170,24 +176,23 @@ def _over_digits(digits: int) -> str:
 
 def test_power_is_charged_to_the_size_budget():
     circle = ShiftPolynomial.from_shifts([1])
-    assert (circle**MAX_DEGREE).coefficient(1) == MAX_DEGREE
+    assert charged_product([(circle, MAX_DEGREE)]).coefficient(1) == MAX_DEGREE
     with pytest.raises(DecomposeError) as err:
-        circle ** (MAX_DEGREE + 1)
+        charged_product([(circle, MAX_DEGREE + 1)])
     assert str(err.value) == _over_degree(MAX_DEGREE + 1)
     with pytest.raises(DecomposeError) as err:
-        ShiftPolynomial.from_dict({0: 1, 1: 10}) ** 5000
+        charged_product([(ShiftPolynomial.from_dict({0: 1, 1: 10}), 5000)])
     assert str(err.value) == _over_digits(5207)
     with pytest.raises(DecomposeError):
-        circle ** 10**30
-    with pytest.raises(ValueError):
-        circle ** -1
-    assert ShiftPolynomial.one() ** 10**30 == ShiftPolynomial.one()
-    # The first power is charged too: p ** 1 is a one-run product.
+        charged_product([(circle, 10**30)])
+    assert charged_product([(ShiftPolynomial.one(), 10**30)]) == ShiftPolynomial.one()
+    # A factor met once is charged too: (p, 1) is a one-run product.
     wide = ShiftPolynomial.from_dict({0: 1, MAX_DEGREE + 1: 1})
-    assert wide ** 0 == ShiftPolynomial.one()
-    with pytest.raises(DecomposeError) as err:
-        wide ** 1
-    assert str(err.value) == _over_degree(MAX_DEGREE + 1)
+    assert charged_product([(wide, 0)]) == ShiftPolynomial.one()
+    for runs in ([(wide, 1)], [(circle, 2), (wide, 1)]):
+        with pytest.raises(DecomposeError) as err:
+            charged_product(runs)
+        assert str(err.value) == _over_degree(sum(k * p.max_shift for p, k in runs))
 
 
 _DENSE_POLYS = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(
@@ -195,27 +200,30 @@ _DENSE_POLYS = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(
 )
 
 
+_WIDE_POLYS = st.lists(st.integers(1, 3), min_size=49, max_size=199).map(
+    lambda coeffs: ShiftPolynomial.from_dict({0: 1, **dict(enumerate(coeffs, 1))})
+)
+
+
 @st.composite
 def _run_lists(draw):
-    """Runs over a small pool of polynomials, so some repeat; every shift
-    of the pool is a multiple of one common gcd."""
+    """Runs over a small pool of polynomials, so some repeat, and dense
+    factors of 50 to 200 terms met once among them; every shift is a
+    multiple of one common gcd."""
     g = draw(st.integers(1, 4))
     factors = st.one_of(_SPARSE_POLYS, _DENSE_POLYS, st.just(ShiftPolynomial.one()))
-    pool = [
-        ShiftPolynomial(tuple((shift * g, c) for shift, c in poly.coeffs))
-        for poly in draw(st.lists(factors, min_size=1, max_size=3))
-    ]
-    return draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 6)), max_size=6))
+    pool = draw(st.lists(factors, min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, 6)), max_size=6))
+    runs += [(poly, 1) for poly in draw(st.lists(_WIDE_POLYS, max_size=2))]
+    scaled = [(ShiftPolynomial(tuple((shift * g, c) for shift, c in poly.coeffs)), k)
+              for poly, k in runs]
+    return draw(st.permutations(scaled))
 
 
 @given(_run_lists())
 def test_charged_product_matches_one_product_at_a_time(runs):
-    expected = ShiftPolynomial.one()
-    for poly, k in runs:
-        for _ in range(k):
-            expected = expected * poly
     product = charged_product(runs)
-    assert product == expected
+    assert product.as_dict() == _reference(runs)
     assert ShiftPolynomial(product.coeffs) == product
 
 
@@ -354,7 +362,7 @@ def test_torus_power_matches_binomials():
 @given(splittable_exprs(), splittable_exprs())
 def test_polynomial_is_multiplicative_over_products(a, b):
     product = shift_polynomial(Product((a, b)))
-    assert product == shift_polynomial(a) * shift_polynomial(b)
+    assert product.as_dict() == _times(shift_polynomial(a).as_dict(), shift_polynomial(b).coeffs)
 
 
 @given(st.lists(splittable_exprs(max_depth=1), min_size=1, max_size=3))
